@@ -200,10 +200,10 @@ impl CleanerConfig {
     }
 
     /// The profiling options this configuration implies — the bridge from
-    /// pipeline thresholds to [`ProfileOptions`]. A prebuilt
-    /// [`TableProfile`](cocoon_profile::TableProfile) is reusable by the
-    /// pipeline only when it was computed under exactly these options
-    /// (`TableProfile::matches` checks that); anything else is reprofiled.
+    /// pipeline thresholds to [`ProfileOptions`]. A
+    /// [`TableProfile`](cocoon_profile::TableProfile) computed under these
+    /// options holds the same statistics the pipeline's stages derive from
+    /// the live table in their detect phases.
     pub fn profile_options(&self) -> ProfileOptions {
         ProfileOptions {
             type_tolerance: self.type_tolerance,

@@ -62,12 +62,7 @@ fn detect_inner(
     if census.is_empty() {
         return Ok(Outcome::Clean);
     }
-    // The entry profile's inference was computed under the same tolerance
-    // (`CleanerConfig::profile_options` maps it through).
-    let inference = match ctx.column_profile(index) {
-        Some(profile) => profile.inference.clone(),
-        None => infer_column_type(ctx.table.column(index)?, ctx.config.type_tolerance),
-    };
+    let inference = infer_column_type(ctx.table.column(index)?, ctx.config.type_tolerance);
     let declared = ctx.table.schema().field(index)?.data_type();
 
     let response = ctx.ask(prompts::column_type(

@@ -45,10 +45,7 @@ fn detect(ctx: &DetectCtx<'_>) -> Outcome<Finding> {
 }
 
 fn detect_inner(ctx: &DetectCtx<'_>) -> crate::error::Result<Outcome<Finding>> {
-    let profile = match ctx.profile {
-        Some(entry) => entry.duplicates.clone(),
-        None => duplicate_profile(ctx.table),
-    };
+    let profile = duplicate_profile(ctx.table);
     if profile.duplicate_rows == 0 {
         return Ok(Outcome::Clean);
     }

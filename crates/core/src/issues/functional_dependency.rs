@@ -56,15 +56,8 @@ pub fn run(state: &mut PipelineState<'_>) {
     // borrow of `state.table` ends before the decide phase mutates it.
     let outcomes = {
         let scan = FdScan::new(&state.table);
-        // When the run's entry profile is still valid its candidates were
-        // scored under the same thresholds (`CleanerConfig::profile_options`
-        // maps them), on this exact table — reuse them instead of scoring
-        // every column pair again. The scan is still needed for group
-        // extraction either way.
-        let candidates = match state.detect_ctx().profile {
-            Some(profile) => profile.fd_candidates.clone(),
-            None => scan.candidates(state.config.fd_min_strength, state.config.fd_max_unique_ratio),
-        };
+        let candidates =
+            scan.candidates(state.config.fd_min_strength, state.config.fd_max_unique_ratio);
         state.detect_map(candidates, |ctx, candidate| detect_candidate(ctx, &scan, candidate))
     };
     // Becomes true once a repair lands; later candidates then recompute

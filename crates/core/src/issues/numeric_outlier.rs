@@ -53,11 +53,7 @@ fn detect_inner(
     index: usize,
     column: &str,
 ) -> crate::error::Result<Outcome<Finding>> {
-    let numeric = match ctx.column_profile(index) {
-        Some(profile) => profile.numeric.clone(),
-        None => numeric_profile(ctx.table.column(index)?),
-    };
-    let Some(profile) = numeric else {
+    let Some(profile) = numeric_profile(ctx.table.column(index)?) else {
         return Ok(Outcome::Clean);
     };
     let response = ctx.ask(prompts::numeric_range(

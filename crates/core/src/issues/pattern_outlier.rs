@@ -55,12 +55,7 @@ fn detect_inner(
     index: usize,
     column: &str,
 ) -> crate::error::Result<Outcome<Finding>> {
-    // The entry profile (built with exact pattern digests, per
-    // `CleanerConfig::profile_options`) already holds this census.
-    let census = match ctx.column_profile(index) {
-        Some(profile) => profile.patterns.clone(),
-        None => pattern_census(ctx.table.column(index)?, true),
-    };
+    let census = pattern_census(ctx.table.column(index)?, true);
     if census.buckets.len() < 2 {
         return Ok(Outcome::Clean);
     }

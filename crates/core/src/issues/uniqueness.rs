@@ -50,10 +50,7 @@ fn detect_inner(
     index: usize,
     column: &str,
 ) -> crate::error::Result<Outcome<Finding>> {
-    let profile = match ctx.column_profile(index) {
-        Some(entry) => entry.uniqueness.clone(),
-        None => uniqueness_profile(ctx.table.column(index)?),
-    };
+    let profile = uniqueness_profile(ctx.table.column(index)?);
     // Only nearly-unique-but-not-unique columns are worth reviewing: fully
     // unique columns need no repair, low-ratio columns aren't keys.
     if profile.unique_ratio < ctx.config.uniqueness_review_threshold

@@ -42,7 +42,7 @@ pub mod report;
 pub mod state;
 
 pub use apply::{apply_and_count, column_rewrite_select};
-pub use cocoon_profile::{ProfileOptions, TableProfile};
+pub use cocoon_profile::ProfileOptions;
 pub use config::{CleanerConfig, IssueToggles};
 pub use decision::{
     AutoApprove, CleaningReview, Decision, DecisionHook, DetectionReview, RecordingHook,

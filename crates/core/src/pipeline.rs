@@ -24,7 +24,6 @@ use crate::ops::{CleaningOp, IssueKind};
 use crate::progress::RunProgress;
 use crate::state::PipelineState;
 use cocoon_llm::ChatModel;
-use cocoon_profile::{profile_table_chunked, TableProfile, DEFAULT_PROFILE_CHUNK_ROWS};
 use cocoon_table::Table;
 
 /// The stages of the pipeline, in execution order (Figure 1a).
@@ -120,17 +119,7 @@ impl<M: ChatModel> Cleaner<M> {
     /// mode ("we skip \[HIL\] and use the LLM provided ground truth").
     pub fn clean(&self, table: &Table) -> Result<CleaningRun> {
         let mut hook = AutoApprove;
-        self.clean_with_hook(table, &mut hook)
-    }
-
-    /// Cleans a table, consulting `hook` at every detection and cleaning
-    /// decision (the HIL mode of §2.2 / Appendix A).
-    pub fn clean_with_hook(
-        &self,
-        table: &Table,
-        hook: &mut dyn DecisionHook,
-    ) -> Result<CleaningRun> {
-        self.clean_observed(table, hook, None)
+        self.clean_observed(table, &mut hook, None)
     }
 
     /// Cleans with every step auto-approved, publishing stage-by-stage
@@ -146,42 +135,15 @@ impl<M: ChatModel> Cleaner<M> {
         self.clean_observed(table, &mut hook, Some(progress))
     }
 
-    /// Full-control variant: custom hook, optional progress observation.
+    /// The fully general entry point: consults `hook` at every detection
+    /// and cleaning decision (the HIL mode of §2.2 / Appendix A) and, when
+    /// given, publishes progress to `progress`. The other `clean_*` methods
+    /// are conveniences over this.
     pub fn clean_observed(
         &self,
         table: &Table,
         hook: &mut dyn DecisionHook,
         progress: Option<&RunProgress>,
-    ) -> Result<CleaningRun> {
-        self.clean_seeded(table, hook, progress, None)
-    }
-
-    /// Cleans a table that was **already profiled** — the streaming-ingest
-    /// path: `cocoon-server` accumulates a partial profile while a CSV
-    /// body is still arriving and hands the finalised [`TableProfile`]
-    /// here, so the run skips its whole-table profiling pass.
-    ///
-    /// The profile must describe `table` under this cleaner's
-    /// [`CleanerConfig::profile_options`] ([`TableProfile::matches`] is the
-    /// check); a stale or mismatched profile is discarded and recomputed,
-    /// with a note in the run. Because a merged partial profile is
-    /// bit-identical to the whole-table pass, the [`CleaningRun`] is
-    /// byte-identical to [`clean`](Cleaner::clean) either way.
-    pub fn clean_profiled(&self, table: &Table, profile: TableProfile) -> Result<CleaningRun> {
-        let mut hook = AutoApprove;
-        self.clean_seeded(table, &mut hook, None, Some(profile))
-    }
-
-    /// The fully general entry point: custom hook, optional progress
-    /// observation, optional prebuilt entry profile (`seed`; see
-    /// [`clean_profiled`](Cleaner::clean_profiled) for its contract). The
-    /// other `clean_*` methods are conveniences over this.
-    pub fn clean_seeded(
-        &self,
-        table: &Table,
-        hook: &mut dyn DecisionHook,
-        progress: Option<&RunProgress>,
-        seed: Option<TableProfile>,
     ) -> Result<CleaningRun> {
         type StageFn = for<'a, 'b> fn(&'b mut PipelineState<'a>);
         let toggles = &self.config.issues;
@@ -201,36 +163,6 @@ impl<M: ChatModel> Cleaner<M> {
         ];
         let mut state = PipelineState::new(table.clone(), &self.llm, &self.config, hook);
         state.progress = progress;
-        // Profile the entry table once, chunk-parallel on the stage pool;
-        // stages that need these statistics serve them from the profile
-        // instead of re-deriving them, until the first applied op
-        // invalidates the snapshot. Skipped when no enabled stage consumes
-        // profiles (cheap ablation runs stay cheap).
-        let wants_profile = toggles.pattern_outliers
-            || toggles.column_type
-            || toggles.numeric_outliers
-            || toggles.functional_dependencies
-            || toggles.duplication
-            || toggles.uniqueness;
-        if wants_profile {
-            let options = self.config.profile_options();
-            state.entry_profile = Some(match seed {
-                Some(profile) if profile.matches(&state.table, &options) => profile,
-                seed => {
-                    if seed.is_some() {
-                        state.note(
-                            "supplied profile does not match the table or options; reprofiled",
-                        );
-                    }
-                    profile_table_chunked(
-                        &state.table,
-                        &options,
-                        &state.pool,
-                        DEFAULT_PROFILE_CHUNK_ROWS,
-                    )
-                }
-            });
-        }
         if let Some(p) = progress {
             p.begin(stages.iter().filter(|(enabled, _, _)| *enabled).count());
         }
@@ -401,31 +333,6 @@ mod tests {
         cleaner.clean_with_progress(&messy(), &progress).unwrap();
         let snap = progress.snapshot();
         assert_eq!((snap.total_stages, snap.completed_stages), (1, 1));
-    }
-
-    #[test]
-    fn profiled_clean_matches_plain_clean() {
-        let cleaner = Cleaner::new(SimLlm::new());
-        let table = messy();
-        let profile = cocoon_profile::profile_table(&table, &cleaner.config().profile_options());
-        let seeded = cleaner.clean_profiled(&table, profile).unwrap();
-        let plain = cleaner.clean(&table).unwrap();
-        assert_eq!(seeded.table, plain.table);
-        assert_eq!(seeded.sql_script(), plain.sql_script());
-        assert_eq!(seeded.notes, plain.notes);
-    }
-
-    #[test]
-    fn stale_profile_is_recomputed_with_a_note() {
-        let cleaner = Cleaner::new(SimLlm::new());
-        let table = messy();
-        let other = csv::read_str("a\n1\n").unwrap();
-        let stale = cocoon_profile::profile_table(&other, &cleaner.config().profile_options());
-        let run = cleaner.clean_profiled(&table, stale).unwrap();
-        let plain = cleaner.clean(&table).unwrap();
-        assert_eq!(run.table, plain.table);
-        assert_eq!(run.sql_script(), plain.sql_script());
-        assert!(run.notes.iter().any(|n| n.contains("reprofiled")));
     }
 
     #[test]

@@ -23,7 +23,6 @@ use crate::ops::CleaningOp;
 use crate::progress::RunProgress;
 use cocoon_llm::responses::parse_repair_verdict;
 use cocoon_llm::{prompts, ChatModel, ChatRequest};
-use cocoon_profile::{ColumnProfile, TableProfile};
 use cocoon_sql::render_select;
 use cocoon_table::Table;
 use threadpool::ThreadPool;
@@ -38,11 +37,6 @@ pub struct DetectCtx<'a> {
     pub llm: &'a dyn ChatModel,
     /// Pipeline configuration (thresholds, toggles).
     pub config: &'a CleanerConfig,
-    /// The run's entry profile, served only while the table still *is* the
-    /// profiled entry table (no op applied yet). Stages prefer these
-    /// prebuilt statistics over reprofiling their columns; once an op
-    /// mutates the table this is `None` and stages recompute as before.
-    pub profile: Option<&'a TableProfile>,
 }
 
 impl DetectCtx<'_> {
@@ -85,13 +79,6 @@ impl DetectCtx<'_> {
         }
         out
     }
-
-    /// The entry profile's statistics for one column, when still valid
-    /// (see [`DetectCtx::profile`]). Columns are in schema order, so the
-    /// index is the table's column index.
-    pub fn column_profile(&self, index: usize) -> Option<&ColumnProfile> {
-        self.profile.and_then(|profile| profile.columns.get(index))
-    }
 }
 
 /// What one read-only detection unit concluded, queued for the decide phase.
@@ -117,10 +104,6 @@ pub struct PipelineState<'a> {
     pub hook: &'a mut dyn DecisionHook,
     /// Worker policy for the per-stage detection fan-out.
     pub pool: ThreadPool,
-    /// Statistical profile of the table as the run began — computed
-    /// chunk-parallel up front (or handed in by a streaming ingester) and
-    /// served to detection workers until the first op invalidates it.
-    pub entry_profile: Option<TableProfile>,
     /// Applied operations, in order.
     pub ops: Vec<CleaningOp>,
     /// Repairs whose confidence fell below
@@ -152,7 +135,6 @@ impl<'a> PipelineState<'a> {
             config,
             hook,
             pool,
-            entry_profile: None,
             ops: Vec::new(),
             pending: Vec::new(),
             notes: Vec::new(),
@@ -164,10 +146,7 @@ impl<'a> PipelineState<'a> {
     /// table: stages construct it once, before their decide phase mutates
     /// anything, so every detection unit of a stage sees the same snapshot.
     pub fn detect_ctx(&self) -> DetectCtx<'_> {
-        // The entry profile describes the table as the run began; serve it
-        // only while no applied op can have mutated the table.
-        let profile = if self.ops.is_empty() { self.entry_profile.as_ref() } else { None };
-        DetectCtx { table: &self.table, llm: self.llm, config: self.config, profile }
+        DetectCtx { table: &self.table, llm: self.llm, config: self.config }
     }
 
     /// Fans `detect` out over `items` on the stage pool and returns the
@@ -378,31 +357,6 @@ mod tests {
             let out = state.detect_map((0..32).collect::<Vec<usize>>(), |_, i| i * 2);
             assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn entry_profile_served_only_until_first_op() {
-        let llm = SimLlm::new();
-        let config = CleanerConfig::default();
-        let mut hook = AutoApprove;
-        let mut state = PipelineState::new(table(), &llm, &config, &mut hook);
-        assert!(state.detect_ctx().profile.is_none());
-        state.entry_profile =
-            Some(cocoon_profile::profile_table(&state.table, &config.profile_options()));
-        assert!(state.detect_ctx().profile.is_some());
-        assert!(state.detect_ctx().column_profile(0).is_some());
-        assert!(state.detect_ctx().column_profile(9).is_none());
-        // Any applied op invalidates the entry snapshot.
-        state.ops.push(crate::ops::CleaningOp {
-            issue: crate::ops::IssueKind::Duplication,
-            column: None,
-            statistical_evidence: String::new(),
-            llm_reasoning: String::new(),
-            sql: cocoon_sql::Select::star("input"),
-            cells_changed: 0,
-            confidence: crate::ops::Confidence::default(),
-        });
-        assert!(state.detect_ctx().profile.is_none());
     }
 
     #[test]

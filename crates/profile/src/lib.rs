@@ -16,8 +16,8 @@
 //! * [frequent-value samples and batching](sampling) (§2.1.1),
 //! * a [whole-table aggregation](profile) with prompt-ready rendering,
 //! * [mergeable partial profiles](partial) — the same statistics
-//!   accumulated per row chunk and merged, enabling chunk-parallel and
-//!   streaming profiling with bit-identical results.
+//!   accumulated per row chunk and merged, enabling chunk-parallel
+//!   profiling with bit-identical results.
 
 #![warn(missing_docs)]
 

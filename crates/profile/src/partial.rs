@@ -16,9 +16,8 @@
 //! ```
 //!
 //! holds exactly — not approximately — for every split, which is what lets
-//! profiling run chunk-parallel ([`profile_table_chunked`]) and stream off
-//! a network socket (the `cocoon-server` CSV path) without the cleaning
-//! pipeline being able to tell the difference. The differential proptests
+//! profiling run chunk-parallel ([`profile_table_chunked`]) without any
+//! consumer being able to tell the difference. The differential proptests
 //! at the bottom of this file pin the identity across random tables, chunk
 //! sizes and thread counts.
 
@@ -36,8 +35,8 @@ use threadpool::ThreadPool;
 /// Default rows per profiling chunk.
 ///
 /// Large enough that per-chunk dictionary setup amortises, small enough
-/// that a streamed ingest holds only a few thousand decoded rows of
-/// profiling state beyond the dictionary itself.
+/// that a chunk holds only a few thousand decoded rows of profiling state
+/// beyond the dictionary itself.
 pub const DEFAULT_PROFILE_CHUNK_ROWS: usize = 4096;
 
 /// Profile state accumulated over a contiguous run of rows: the schema

@@ -71,8 +71,7 @@ pub struct TableProfile {
     pub fd_candidates: Vec<FdCandidate>,
     /// Table height at profiling time.
     pub rows: usize,
-    /// The options the profile was computed with — consumers that want to
-    /// reuse a prebuilt profile check these via [`TableProfile::matches`].
+    /// The options the profile was computed with.
     pub options: ProfileOptions,
 }
 
@@ -105,9 +104,9 @@ impl Default for ProfileOptions {
 /// Implemented as the one-chunk case of the mergeable-partial machinery
 /// ([`PartialProfile`]): the whole table is accumulated as a single chunk
 /// and finalised. There is deliberately **no second code path** — the
-/// chunk-parallel and streaming profilers produce the same bytes because
-/// they run the same code, not because two implementations are kept in
-/// sync by hand.
+/// chunk-parallel profiler ([`profile_table_chunked`](crate::profile_table_chunked))
+/// produces the same bytes because it runs the same code, not because two
+/// implementations are kept in sync by hand.
 pub fn profile_table(table: &Table, options: &ProfileOptions) -> TableProfile {
     PartialProfile::of_rows(table, 0..table.height()).finalize(options)
 }
@@ -116,19 +115,6 @@ impl TableProfile {
     /// Finds a column's profile by name.
     pub fn column(&self, name: &str) -> Option<&ColumnProfile> {
         self.columns.iter().find(|c| c.name == name)
-    }
-
-    /// True when this profile describes `table` as profiled under
-    /// `options`: same options, same height, same column names and
-    /// declared types. Consumers handing a prebuilt profile to the
-    /// cleaning pipeline use this to reject stale or mismatched profiles.
-    pub fn matches(&self, table: &Table, options: &ProfileOptions) -> bool {
-        self.options == *options
-            && self.rows == table.height()
-            && self.columns.len() == table.width()
-            && self.columns.iter().zip(table.schema().fields()).all(|(profile, field)| {
-                profile.name == field.name() && profile.declared_type == field.data_type()
-            })
     }
 }
 

@@ -17,21 +17,19 @@
 //! commented SQL script — the paper's Figure 5 artifact over HTTP.
 //!
 //! `POST /v1/clean` and `POST /v1/jobs` additionally accept a **raw CSV
-//! body** (`Content-Type: text/csv`): the document is parsed incrementally
-//! straight off the request reader via [`cocoon_table::csv::CsvStream`] —
+//! body** (`Content-Type: text/csv`): the event loop parses the document
+//! incrementally as bytes arrive via [`cocoon_table::csv::CsvStream`] —
 //! no JSON envelope to build, escape or parse, chunked-transfer friendly,
 //! and the table is byte-identical to what the JSON `"csv"` field would
 //! have produced. Symmetrically, `Accept: text/csv` on `/v1/clean` returns
 //! just the cleaned table as `text/csv` instead of the JSON report.
 
-use crate::http::{json_escape, BodyReader, Head, HttpError, Request, Response};
-use crate::ingest::StreamProfiler;
+use crate::http::{json_escape, Head, Request, Response};
 use crate::jobs::{DeleteOutcome, JobStatus};
 use crate::reviews::{AcceptOutcome, RejectOutcome};
 use crate::server::AppState;
-use cocoon_core::{CleanerConfig, CleaningRun, ProgressSnapshot, TableProfile};
+use cocoon_core::{CleanerConfig, CleaningRun, ProgressSnapshot};
 use cocoon_llm::Json;
-use cocoon_table::csv::CsvStream;
 use cocoon_table::{csv, json as table_json, Table};
 
 /// A parsed, validated clean request — what travels through the job queue.
@@ -44,11 +42,6 @@ pub struct CleanPayload {
     pub config: CleanerConfig,
     /// Whether the response should embed typed JSON rows.
     pub include_rows: bool,
-    /// Entry profile prebuilt during ingest (the streamed-CSV paths fold
-    /// one up while the body arrives). The pipeline validates it against
-    /// the table and reprofiles on mismatch, so a stale or absent profile
-    /// costs correctness nothing.
-    pub profile: Option<TableProfile>,
 }
 
 /// Parses and validates a clean request body. Errors are client errors
@@ -86,7 +79,7 @@ pub fn parse_clean_payload(body: &[u8]) -> Result<CleanPayload, String> {
         Some(other) => return Err(format!("\"include_rows\" must be a boolean, got {other}")),
         None => false,
     };
-    Ok(CleanPayload { table, config, include_rows, profile: None })
+    Ok(CleanPayload { table, config, include_rows })
 }
 
 /// Builds a table from `"columns"` + `"rows"` JSON. Cells are rendered to
@@ -250,8 +243,9 @@ fn datasets_body() -> String {
 }
 
 /// Whether `head` is a CSV-ingest request: a POST to a cleaning endpoint
-/// declaring `Content-Type: text/csv`. Such bodies are streamed through
-/// [`route_csv`] instead of being materialised.
+/// declaring `Content-Type: text/csv`. The event loop streams such bodies
+/// through [`CsvStream`](cocoon_table::csv::CsvStream) instead of
+/// materialising them, then routes them with [`route_streamed_csv`].
 pub fn is_csv_ingest(head: &Head) -> bool {
     head.method == "POST"
         && matches!(head.path.as_str(), "/v1/clean" | "/v1/jobs")
@@ -301,72 +295,15 @@ fn job_submitted_response(id: u64) -> Response {
     )
 }
 
-/// Routes one CSV-ingest request ([`is_csv_ingest`]), streaming the body
-/// through the incremental CSV parser — the table never exists as a JSON
-/// document or a single body buffer. CSV syntax errors are 400 responses;
-/// transport and framing failures propagate as [`HttpError`] and are
-/// counted by the connection handler's error path, exactly like a JSON
-/// request whose body failed to materialise — so `requests.total` stays
-/// one count per response sent. Successful reads count like [`route`].
-pub fn route_csv<R: std::io::Read>(
-    state: &AppState,
-    head: &Head,
-    body: &mut BodyReader<'_, R>,
-) -> Result<Response, HttpError> {
-    let response = dispatch_csv(state, head, body)?;
-    state.metrics.count_request();
-    state.metrics.count_status(response.status);
-    Ok(response)
-}
-
-fn dispatch_csv<R: std::io::Read>(
-    state: &AppState,
-    head: &Head,
-    body: &mut BodyReader<'_, R>,
-) -> Result<Response, HttpError> {
-    let mut stream = CsvStream::new();
-    let mut profiler = StreamProfiler::new(state.profile_chunk_rows);
-    let mut chunk = [0u8; 16 * 1024];
-    let (parsed, profile): (std::result::Result<Table, String>, Option<TableProfile>) = loop {
-        let n = body.read(&mut chunk)?;
-        if n == 0 {
-            let profile = profiler.finish(&stream);
-            break (stream.finish_table().map_err(|e| format!("invalid csv: {e}")), profile);
-        }
-        if let Err(e) = stream.push_bytes(&chunk[..n]) {
-            // Abandons the rest of the body; the caller closes the
-            // connection after delivering this 400.
-            break (Err(format!("invalid csv: {e}")), None);
-        }
-        profiler.observe(&stream);
-    };
-    Ok(finish_csv_clean(state, head, parsed, profile))
-}
-
-/// Routes one CSV-ingest request whose body the *event loop* already
-/// streamed through [`CsvStream`] (`parsed` carries the table or the CSV
-/// syntax error). The nonblocking twin of [`route_csv`]: same counting,
-/// same responses, but the parse happened incrementally as bytes arrived,
-/// so the worker only ever runs the clean.
+/// Routes one CSV-ingest request ([`is_csv_ingest`]) whose body the event
+/// loop already streamed through [`CsvStream`](cocoon_table::csv::CsvStream)
+/// (`parsed` carries the table or the CSV syntax error), so the worker
+/// only ever runs the clean. Counts like [`route`]; parse failures and
+/// empty tables are 400 responses.
 pub fn route_streamed_csv(
     state: &AppState,
     head: &Head,
     parsed: Result<Table, String>,
-    profile: Option<TableProfile>,
-) -> Response {
-    let response = finish_csv_clean(state, head, parsed, profile);
-    state.metrics.count_request();
-    state.metrics.count_status(response.status);
-    response
-}
-
-/// The shared tail of both CSV-ingest paths: counts the endpoint, rejects
-/// parse failures and empty tables, then cleans or submits.
-fn finish_csv_clean(
-    state: &AppState,
-    head: &Head,
-    parsed: Result<Table, String>,
-    profile: Option<TableProfile>,
 ) -> Response {
     // Endpoint counting waits until the transport has delivered the body:
     // a malformed CSV still counts against the endpoint it was aimed at
@@ -376,29 +313,34 @@ fn finish_csv_clean(
         "/v1/clean" => state.metrics.count_clean(),
         _ => state.metrics.count_job_submitted(),
     }
-    let table = match parsed {
-        Ok(table) => table,
-        Err(message) => return Response::error(400, &message),
+    let response = match parsed {
+        Err(message) => Response::error(400, &message),
+        Ok(table) if table.height() == 0 => Response::error(400, "table has no rows"),
+        Ok(table) => {
+            // CSV ingest carries no envelope, so config and include_rows
+            // take their defaults; clients needing overrides use the JSON
+            // body.
+            let payload =
+                CleanPayload { table, config: CleanerConfig::default(), include_rows: false };
+            match head.path.as_str() {
+                "/v1/clean" => match state.run_clean(&payload, None, None) {
+                    Ok(run) => {
+                        render_clean(&run, payload.include_rows, wants_csv(head.header("Accept")))
+                    }
+                    Err(e) => Response::error(500, &format!("clean failed: {e}")),
+                },
+                _ => match state.jobs.submit(payload) {
+                    Some(id) => job_submitted_response(id),
+                    None => {
+                        Response::error(429, "job queue is full; retry after polling existing jobs")
+                    }
+                },
+            }
+        }
     };
-    if table.height() == 0 {
-        return Response::error(400, "table has no rows");
-    }
-    // CSV ingest carries no envelope, so config and include_rows take
-    // their defaults; clients needing overrides use the JSON body. The
-    // ingest-time profile rides along, for the sync clean and through the
-    // job queue alike.
-    let payload =
-        CleanPayload { table, config: CleanerConfig::default(), include_rows: false, profile };
-    match head.path.as_str() {
-        "/v1/clean" => match state.run_clean(&payload, None, None) {
-            Ok(run) => render_clean(&run, payload.include_rows, wants_csv(head.header("Accept"))),
-            Err(e) => Response::error(500, &format!("clean failed: {e}")),
-        },
-        _ => match state.jobs.submit(payload) {
-            Some(id) => job_submitted_response(id),
-            None => Response::error(429, "job queue is full; retry after polling existing jobs"),
-        },
-    }
+    state.metrics.count_request();
+    state.metrics.count_status(response.status);
+    response
 }
 
 /// Routes one request to its handler and counts it. The returned response

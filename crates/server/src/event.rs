@@ -33,10 +33,8 @@
 
 use crate::api;
 use crate::http::{BodyProgress, Head, HttpError, Request, RequestReader, Response};
-use crate::ingest::StreamProfiler;
 use crate::obs::{endpoint_label, RequestTrace};
 use crate::server::AppState;
-use cocoon_profile::TableProfile;
 use cocoon_table::csv::CsvStream;
 use cocoon_table::Table;
 use poller::{Events, Interest, Poller, Waker};
@@ -125,9 +123,6 @@ pub(crate) enum WorkKind {
         head: Head,
         /// The parsed table, or the client-error message.
         table: Result<Table, String>,
-        /// The entry profile accumulated chunk-by-chunk while the body
-        /// streamed in — the pipeline skips its whole-table profiling pass.
-        profile: Option<TableProfile>,
     },
 }
 
@@ -215,15 +210,7 @@ enum Phase {
     /// Feeding a CSV-ingest body through the incremental parser as chunks
     /// arrive. `parsed` flips to `Err` on the first CSV syntax error; the
     /// error still dispatches (for uniform 400 rendering and counting).
-    /// The profiler folds completed records into a partial profile as they
-    /// land, so profiling overlaps the transfer and the table needs no
-    /// whole-table profiling pass after dispatch.
-    StreamingCsv {
-        head: Head,
-        progress: BodyProgress,
-        parsed: Result<CsvStream, String>,
-        profiler: Box<StreamProfiler>,
-    },
+    StreamingCsv { head: Head, progress: BodyProgress, parsed: Result<CsvStream, String> },
     /// The complete request is with a worker; no read/write interest (the
     /// poller still reports hangups, which free the connection early).
     Dispatched,
@@ -569,14 +556,7 @@ fn drive_read(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                         finish_segment(conn, "head_parse");
                         let progress = conn.reader.begin_body(&head);
                         conn.phase = if api::is_csv_ingest(&head) {
-                            Phase::StreamingCsv {
-                                head,
-                                progress,
-                                parsed: Ok(CsvStream::new()),
-                                profiler: Box::new(StreamProfiler::new(
-                                    ctx.state.profile_chunk_rows,
-                                )),
-                            }
+                            Phase::StreamingCsv { head, progress, parsed: Ok(CsvStream::new()) }
                         } else {
                             Phase::ReadingBody { head, progress, body: Vec::new() }
                         };
@@ -608,27 +588,20 @@ fn drive_read(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                     Err(e) => return fail_request(ctx, conn, &e),
                 }
             }
-            Phase::StreamingCsv { progress, parsed, profiler, .. } => {
+            Phase::StreamingCsv { progress, parsed, .. } => {
                 let mut chunk = [0u8; 16 * 1024];
                 match conn.reader.read_body(progress, &mut chunk) {
                     Ok(0) => {
-                        let Phase::StreamingCsv { head, parsed, profiler, .. } =
+                        let Phase::StreamingCsv { head, parsed, .. } =
                             std::mem::replace(&mut conn.phase, Phase::Dispatched)
                         else {
                             unreachable!("phase checked above")
-                        };
-                        // The profile finalises from the already-folded
-                        // partials before the stream is consumed into the
-                        // table — no whole-table pass happens here.
-                        let profile = match &parsed {
-                            Ok(stream) => profiler.finish(stream),
-                            Err(_) => None,
                         };
                         let table = parsed.and_then(|stream| {
                             stream.finish_table().map_err(|e| format!("invalid csv: {e}"))
                         });
                         let reusable = head.keep_alive();
-                        let kind = WorkKind::CsvClean { head, table, profile };
+                        let kind = WorkKind::CsvClean { head, table };
                         finish_segment(conn, "csv_stream");
                         return dispatch(ctx, conn, kind, reusable, false);
                     }
@@ -649,12 +622,10 @@ fn drive_read(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                                 let kind = WorkKind::CsvClean {
                                     head,
                                     table: Err(format!("invalid csv: {e}")),
-                                    profile: None,
                                 };
                                 finish_segment(conn, "csv_stream");
                                 return dispatch(ctx, conn, kind, false, true);
                             }
-                            profiler.observe(stream);
                         }
                     }
                     Err(e) if is_would_block(&e) => return Next::Keep,

@@ -24,8 +24,8 @@
 //! * [`http`] — vendored mini HTTP/1.1 (no crates.io in the build env), in
 //!   the spirit of the `crates/compat` shims: split-read-safe parsing that
 //!   suspends losslessly on `WouldBlock` (heads *and* bodies, fixed or
-//!   chunked), bodies readable incrementally ([`http::BodyReader`]) or
-//!   materialised, keep-alive, 413 body caps.
+//!   chunked, read incrementally through [`http::BodyProgress`]),
+//!   keep-alive, 413 body caps.
 //! * [`server`] — a readiness-driven core on a vendored epoll shim
 //!   (`crates/compat/poller`): a few event threads own every socket
 //!   nonblocking and parse incrementally, so 10k+ idle keep-alive
@@ -63,7 +63,6 @@
 pub mod api;
 mod event;
 pub mod http;
-mod ingest;
 pub mod jobs;
 pub mod metrics;
 pub mod obs;

@@ -58,10 +58,6 @@ pub struct ServerConfig {
     pub idle_timeout: Duration,
     /// Request-body cap in bytes (over → 413).
     pub max_body: usize,
-    /// Rows per profiling chunk for streamed-CSV ingest (bounds the
-    /// event-loop profiling working set; the partial-profile fold makes
-    /// any chunking equivalent).
-    pub profile_chunk_rows: usize,
     /// LRU bound on the shared completion cache (`None` = unbounded).
     pub cache_capacity: Option<usize>,
     /// Finished jobs expire this long after finishing (`None` = never;
@@ -87,7 +83,6 @@ impl Default for ServerConfig {
             max_conns: 10_000,
             idle_timeout: Duration::from_secs(30),
             max_body: DEFAULT_MAX_BODY_BYTES,
-            profile_chunk_rows: cocoon_profile::DEFAULT_PROFILE_CHUNK_ROWS,
             cache_capacity: Some(16 * 1024),
             job_ttl: Some(Duration::from_secs(900)),
             dispatcher: DispatcherConfig::default(),
@@ -119,9 +114,6 @@ pub struct AppState {
     pub max_body: usize,
     /// The slow-loris idle bound (see [`ServerConfig::idle_timeout`]).
     pub idle_timeout: Duration,
-    /// Rows per streamed-ingest profiling chunk (see
-    /// [`ServerConfig::profile_chunk_rows`]).
-    pub profile_chunk_rows: usize,
     /// The open-connection cap (see [`ServerConfig::max_conns`]).
     pub(crate) max_conns: usize,
     /// The bounded hand-off of complete requests to the worker pool.
@@ -162,7 +154,6 @@ impl AppState {
             obs,
             max_body: config.max_body,
             idle_timeout: config.idle_timeout,
-            profile_chunk_rows: config.profile_chunk_rows.max(1),
             max_conns: config.max_conns.max(1),
             work: WorkQueue::new(config.request_backlog.max(1)),
             shards,
@@ -189,9 +180,7 @@ impl AppState {
     /// the synchronous endpoint (`progress: None`) and job workers (who
     /// pass the job's progress), so the two paths produce byte-identical
     /// artifacts for the same input; rendering (JSON or CSV) is the
-    /// caller's choice. A profile prebuilt during ingest seeds the
-    /// pipeline's entry profile (the pipeline revalidates it), sparing the
-    /// whole-table profiling pass.
+    /// caller's choice.
     ///
     /// Every clean is observed: a [`cocoon_core::StageObserver`] feeds the
     /// shared per-stage latency histograms (and, for a clean running
@@ -223,12 +212,7 @@ impl AppState {
         progress.set_observer(self.obs.stage_observer());
         let _batch_sub =
             obs::current_trace().map(|(trace, parent)| self.obs.batches.subscribe(trace, parent));
-        let run = cleaner.clean_seeded(
-            &payload.table,
-            &mut hook,
-            Some(progress),
-            payload.profile.clone(),
-        )?;
+        let run = cleaner.clean_observed(&payload.table, &mut hook, Some(progress))?;
         self.reviews.register(&run, job);
         Ok(run)
     }
@@ -504,9 +488,7 @@ fn worker_loop(state: &AppState) {
             trace.as_ref().zip(handler).map(|(trace, handler)| (Arc::clone(trace), handler));
         let response = obs::with_current_trace(current, || match kind {
             WorkKind::Request(request) => api::route(state, &request),
-            WorkKind::CsvClean { head, table, profile } => {
-                api::route_streamed_csv(state, &head, table, profile)
-            }
+            WorkKind::CsvClean { head, table } => api::route_streamed_csv(state, &head, table),
         });
         if let (Some(trace), Some(handler)) = (&trace, handler) {
             trace.recorder.close(handler, Instant::now());

@@ -182,16 +182,6 @@ impl CsvStream {
         Ok(())
     }
 
-    /// The records completed so far, in arrival order (the first is the
-    /// header row when the document has one). Incremental consumers — a
-    /// profiler accumulating partial statistics while bytes are still
-    /// arriving — read new entries from the tail between pushes; the
-    /// record currently being assembled is not included until its
-    /// terminator arrives.
-    pub fn records(&self) -> &[Vec<String>] {
-        &self.records
-    }
-
     /// Ends the stream, returning every parsed record. Fails on an
     /// unterminated quoted field or a truncated UTF-8 sequence.
     pub fn finish_records(mut self) -> Result<Vec<Vec<String>>> {

@@ -81,7 +81,7 @@ a6,eng,7.2
     let dirty = csv::read_str(dirty_csv).expect("valid CSV");
     let cleaner = Cleaner::new(SimLlm::new());
     let mut reviewer = ConsoleReviewer { reviews_seen: 0 };
-    let run = cleaner.clean_with_hook(&dirty, &mut reviewer).expect("pipeline");
+    let run = cleaner.clean_observed(&dirty, &mut reviewer, None).expect("pipeline");
 
     println!("\n{} reviews were presented to the human.", reviewer.reviews_seen);
     println!("\ncleaned table:\n{}", run.table);

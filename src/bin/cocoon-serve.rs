@@ -32,10 +32,6 @@ FLAGS:
   --idle-timeout-secs S   silent-connection reclaim time — the slow-loris
                           bound; any byte resets the clock (default 30)
   --max-body BYTES        request body cap    (default 8388608; over => 413)
-  --profile-chunk-rows N  rows per profiling chunk on streamed text/csv
-                          ingest — bounds the event loop's profiling
-                          working set; any N yields the same profile
-                          (default 4096)
   --cache-capacity N      LRU bound on the shared completion cache
                           (default 16384; 0 = unbounded)
   --job-ttl-secs S        finished jobs expire S seconds after finishing
@@ -98,14 +94,6 @@ fn parse_flags() -> ServerConfig {
                     }
             }
             "--max-body" => config.max_body = parse_num(&value("--max-body"), "--max-body"),
-            "--profile-chunk-rows" => {
-                config.profile_chunk_rows =
-                    match parse_num::<usize>(&value("--profile-chunk-rows"), "--profile-chunk-rows")
-                    {
-                        0 => fail("--profile-chunk-rows must be positive"),
-                        n => n,
-                    }
-            }
             "--cache-capacity" => {
                 // 0 means unbounded, matching the library's `CachedLlm::new`.
                 config.cache_capacity =

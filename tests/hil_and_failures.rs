@@ -32,7 +32,7 @@ fn reviewer_rejections_are_honoured() {
             IssueKind::Uniqueness,
         ],
     };
-    let run = cleaner.clean_with_hook(&table, &mut reject_all).unwrap();
+    let run = cleaner.clean_observed(&table, &mut reject_all, None).unwrap();
     assert!(run.ops.is_empty(), "a reviewer that rejects everything blocks all repairs");
     assert_eq!(run.table, table);
     assert!(!run.notes.is_empty());
@@ -55,7 +55,7 @@ fn reviewer_can_adjust_a_mapping() {
         }
     }
     let cleaner = Cleaner::new(SimLlm::new());
-    let run = cleaner.clean_with_hook(&messy(), &mut AdjustLang).unwrap();
+    let run = cleaner.clean_observed(&messy(), &mut AdjustLang, None).unwrap();
     assert_eq!(run.table.render_cell(20, 1).unwrap(), "en");
 }
 
@@ -63,7 +63,7 @@ fn reviewer_can_adjust_a_mapping() {
 fn recording_hook_sees_every_review() {
     let cleaner = Cleaner::new(SimLlm::new());
     let mut recorder = RecordingHook::default();
-    let run = cleaner.clean_with_hook(&messy(), &mut recorder).unwrap();
+    let run = cleaner.clean_observed(&messy(), &mut recorder, None).unwrap();
     assert!(!run.ops.is_empty());
     assert!(
         recorder.detections.len() + recorder.cleanings.len() >= run.ops.len(),

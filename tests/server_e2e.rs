@@ -342,19 +342,16 @@ fn csv_ingest_and_response_are_byte_equivalent_to_the_json_path() {
 }
 
 #[test]
-fn streamed_csv_profiling_is_invisible_in_the_output() {
-    // Streamed `text/csv` ingest profiles the table chunk-by-chunk as body
-    // bytes arrive and hands the merged profile to the pipeline. With a
-    // tiny chunk size (hundreds of partial merges on Movies) the cleaned
-    // output must stay byte-identical to the materialised JSON path *and*
-    // to a direct in-process `Cleaner` run — the merge-equivalence
-    // guarantee, held to over the wire.
+fn streamed_csv_clean_matches_json_and_direct_runs() {
+    // Streamed `text/csv` ingest parses the table incrementally as body
+    // bytes arrive. On Movies the cleaned output must stay byte-identical
+    // to the materialised JSON path *and* to a direct in-process `Cleaner`
+    // run — the ingest-equivalence guarantee, held to over the wire.
     let movies = cocoon_datasets::movies::generate().dirty;
     let movies_csv = csv::write_str(&movies);
     let direct = Cleaner::new(SimLlm::new()).clean(&movies).expect("direct clean");
     let expected_csv = csv::write_str(&direct.table);
-    let config = ServerConfig { profile_chunk_rows: 3, ..test_config() };
-    with_server(config, |handle| {
+    with_server(test_config(), |handle| {
         let addr = handle.addr();
         let (status, streamed) = http_with_headers(
             addr,
@@ -364,13 +361,13 @@ fn streamed_csv_profiling_is_invisible_in_the_output() {
             Some(&movies_csv),
         );
         assert_eq!(status, 200, "{streamed}");
-        assert_eq!(streamed, expected_csv, "streamed-profiled clean == direct Cleaner run");
+        assert_eq!(streamed, expected_csv, "streamed clean == direct Cleaner run");
 
         let (status, json_body) = http(addr, "POST", "/v1/clean", Some(&clean_body(&movies_csv)));
         assert_eq!(status, 200, "{json_body}");
         let json = cocoon_llm::json::parse(&json_body).expect("json response");
         let from_json = json.get("cleaned_csv").and_then(Json::as_str).expect("cleaned_csv");
-        assert_eq!(streamed, from_json, "profiled and unprofiled ingest paths agree");
+        assert_eq!(streamed, from_json, "streamed and JSON ingest paths agree");
     });
 }
 
@@ -421,6 +418,7 @@ fn malformed_csv_ingest_is_a_client_error() {
             ("a\n\"oops\n", "unterminated quote"),
             ("a\nab\"c\n", "quote mid-field"),
             ("a,b\n", "no rows"),
+            ("a,b\n1,2\n3\n", "ragged row"),
         ] {
             let (status, body) = http_with_headers(
                 addr,
@@ -1061,14 +1059,13 @@ fn request_ids_echo_and_prometheus_metrics_parse() {
 
 #[test]
 fn slow_streamed_clean_span_tree_accounts_for_wall_time() {
-    // The tracing acceptance bar: on a deliberately slow streamed-CSV clean
-    // (tiny profiling chunks on Movies), the recorded span tree must
-    // account for >= 95% of the server-measured wall time — contiguous
-    // root segments from head parse to response write, with the pipeline
-    // stages and LLM batch round-trips nested under the handler span.
+    // The tracing acceptance bar: on a streamed-CSV clean of Movies (the
+    // largest catalog table), the recorded span tree must account for
+    // >= 95% of the server-measured wall time — contiguous root segments
+    // from head parse to response write, with the pipeline stages and LLM
+    // batch round-trips nested under the handler span.
     let movies_csv = csv::write_str(&cocoon_datasets::movies::generate().dirty);
-    let config = ServerConfig { profile_chunk_rows: 3, ..test_config() };
-    with_server(config, |handle| {
+    with_server(test_config(), |handle| {
         let addr = handle.addr();
         let (status, _) = http_with_headers(
             addr,
