@@ -2,8 +2,9 @@
 //! cleaning op goes through — plus the full cleaner end to end.
 //!
 //! `column_rewrite` measures `apply_and_count` on the single-column SELECT
-//! shapes the pipeline emits (value map, TRY_CAST); throughput is table
-//! rows per second. `cleaner_movies` times `Cleaner::clean` on the full
+//! shapes the pipeline emits (value map, TRY_CAST, and the FD stage's
+//! group-scoped pair map on Hospital); throughput is table rows per
+//! second. `cleaner_movies` times `Cleaner::clean` on the full
 //! Movies benchmark. `cleaner_movies_parallel` compares the detection
 //! fan-out at 1 vs 8 worker threads and a warm-`CachedLlm` repeat clean
 //! against the cold baseline.
@@ -13,6 +14,7 @@ use cocoon_llm::{CachedLlm, SimLlm};
 use cocoon_sql::Expr;
 use cocoon_table::{DataType, Value};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use std::collections::HashSet;
 
 fn bench_column_rewrite(c: &mut Criterion) {
     let dataset = cocoon_datasets::movies::generate();
@@ -40,6 +42,34 @@ fn bench_column_rewrite(c: &mut Criterion) {
     let select = column_rewrite_select(table, "rating_value", cast);
     group.bench_function("movies try_cast", |b| {
         b.iter(|| apply_and_count(black_box(&select), black_box(table)).expect("executes"))
+    });
+
+    // The FD-repair shape (`Expr::pair_map`): `CASE WHEN zip_code = v AND
+    // city = old THEN new … ELSE city END` with 300 arms, about the largest
+    // the FD stage emits on Hospital. Each of the first 150 distinct
+    // (zip_code, city) pairs gets a rewrite that hits its rows and a typo
+    // fix that hits none. The pair-key probe makes this one hash lookup
+    // per row; arm by arm it would cost O(arms × rows).
+    let hospital = cocoon_datasets::hospital::generate().dirty;
+    let index = |name: &str| hospital.schema().index_of(name).expect("Hospital column");
+    let (zip, city) = (index("zip_code"), index("city"));
+    let mut seen = HashSet::new();
+    let mut arms: Vec<(Value, Value, Value)> = Vec::new();
+    for row in 0..hospital.height() {
+        let cell = |col: usize| hospital.cell(row, col).expect("in range").clone();
+        let (group, old) = (cell(zip), cell(city));
+        if arms.len() < 300 && seen.insert((group.clone(), old.clone())) {
+            let name = old.render();
+            arms.push((group.clone(), Value::from(format!("{name}x")), old.clone()));
+            arms.push((group, old, Value::from(name.to_uppercase())));
+        }
+    }
+    assert_eq!(arms.len(), 300, "Hospital has at least 150 distinct (zip_code, city) pairs");
+    let select =
+        column_rewrite_select(&hospital, "city", Expr::pair_map("zip_code", "city", &arms));
+    group.throughput(Throughput::Elements(hospital.height() as u64));
+    group.bench_function("hospital fd pair map", |b| {
+        b.iter(|| apply_and_count(black_box(&select), black_box(&hospital)).expect("executes"))
     });
     group.finish();
 }

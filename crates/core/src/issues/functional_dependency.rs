@@ -12,17 +12,22 @@
 //! because FD repairs can interact (one repair may fix — or create —
 //! another candidate's violations), groups are taken from the snapshot only
 //! while no repair has been applied yet; after the first applied repair
-//! each remaining candidate recomputes its groups against the live table,
-//! exactly as the sequential pipeline always did.
+//! each remaining candidate reads its groups from the live table,
+//! exactly as the sequential pipeline always did. One [`FdScan`] serves
+//! both phases: each applied repair re-codes the column it rewrote, so the
+//! scan always describes the live table.
 
-use crate::apply::apply_and_count;
+use crate::apply::{apply_and_count, column_rewrite_select};
 use crate::decision::{CleaningReview, Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
 use crate::state::{DetectCtx, Outcome, PipelineState};
-use cocoon_llm::{parse_cleaning_map, parse_fd_verdict, prompts};
-use cocoon_profile::{fd_violating_groups, FdCandidate, FdScan};
-use cocoon_sql::{render_select, Expr, Projection, Select};
-use cocoon_table::{Table, Value};
+use cocoon_llm::{parse_cleaning_map, parse_fd_verdict, prompts, FdVerdict};
+use cocoon_profile::{FdCandidate, FdScan};
+use cocoon_sql::{render_select, Expr};
+use cocoon_table::Value;
+
+/// One violating group: `(lhs value, rhs census)`, census by descending count.
+type Group = (Value, Vec<(Value, usize)>);
 
 /// Rendered violating groups: `(lhs value, rhs census)` as prompt text.
 type GroupsText = Vec<(String, Vec<(String, usize)>)>;
@@ -33,11 +38,11 @@ struct Finding {
     lhs_name: String,
     rhs_name: String,
     strength: f64,
-    /// Semantic review prefetched on the snapshot: `(meaningful, reasoning,
-    /// self-reported confidence)`. `None` when the snapshot had no violating
-    /// groups, so no review was spent; the decide phase asks lazily in the
-    /// rare case an earlier repair has since created violations.
-    verdict: Option<(bool, String, Option<f64>)>,
+    /// Semantic review prefetched on the snapshot. `None` when the snapshot
+    /// had no violating groups, so no review was spent; the decide phase
+    /// asks lazily in the rare case an earlier repair has since created
+    /// violations.
+    verdict: Option<FdVerdict>,
     /// Violating-group count on the snapshot.
     groups_len: usize,
     /// Snapshot groups, fully rendered — only for meaningful verdicts (the
@@ -51,23 +56,23 @@ fn degraded(err: &crate::error::CoreError) -> String {
 
 /// Runs FD review and repair over the whole table.
 pub fn run(state: &mut PipelineState<'_>) {
-    // One scan encodes every column once; candidate scoring and each
-    // detection worker's group extraction all reuse it. Scoped so the
-    // borrow of `state.table` ends before the decide phase mutates it.
-    let outcomes = {
-        let scan = FdScan::new(&state.table);
-        let candidates =
-            scan.candidates(state.config.fd_min_strength, state.config.fd_max_unique_ratio);
-        state.detect_map(candidates, |ctx, candidate| detect_candidate(ctx, &scan, candidate))
-    };
-    // Becomes true once a repair lands; later candidates then recompute
-    // their groups against the mutated table.
+    // One scan encodes every column once; candidate scoring, each
+    // detection worker's group extraction and the decide phase's live
+    // groups all reuse it. It owns its codings, so it outlives the detect
+    // phase's borrow of `state.table`.
+    let mut scan = FdScan::new(&state.table);
+    let candidates =
+        scan.candidates(state.config.fd_min_strength, state.config.fd_max_unique_ratio);
+    let outcomes =
+        state.detect_map(candidates, |ctx, candidate| detect_candidate(ctx, &scan, candidate));
+    // Becomes true once a repair lands; later candidates then read their
+    // groups from the (re-coded) scan instead of the snapshot.
     let mut table_changed = false;
     for outcome in outcomes {
         match outcome {
             Outcome::Clean => {}
             Outcome::Note(note) => state.note(note),
-            Outcome::Finding(finding) => match decide(state, &finding, table_changed) {
+            Outcome::Finding(finding) => match decide(state, &mut scan, &finding, table_changed) {
                 Ok(applied) => table_changed |= applied,
                 Err(err) => state.note(degraded(&err)),
             },
@@ -75,14 +80,22 @@ pub fn run(state: &mut PipelineState<'_>) {
     }
 }
 
-fn groups_text_of(table: &Table, lhs: usize, rhs: usize) -> crate::error::Result<GroupsText> {
-    let lhs_col = table.column(lhs)?;
-    let rhs_col = table.column(rhs)?;
-    let groups = fd_violating_groups(lhs_col.values(), rhs_col.values());
-    Ok(groups
-        .iter()
-        .map(|(l, census)| (l.render(), census.iter().map(|(v, c)| (v.render(), *c)).collect()))
-        .collect())
+fn render_group((lhs, census): &Group) -> (String, Vec<(String, usize)>) {
+    (lhs.render(), census.iter().map(|(v, c)| (v.render(), *c)).collect())
+}
+
+/// Asks the semantic FD review, which shows the model the first five
+/// groups; only those are rendered.
+fn ask_review(
+    ask: impl FnOnce(String) -> crate::error::Result<String>,
+    lhs_name: &str,
+    rhs_name: &str,
+    strength: f64,
+    groups: &[Group],
+) -> crate::error::Result<FdVerdict> {
+    let head: GroupsText = groups.iter().take(5).map(render_group).collect();
+    let response = ask(prompts::fd_review(lhs_name, rhs_name, strength, groups.len(), &head))?;
+    Ok(parse_fd_verdict(&response)?)
 }
 
 fn detect_candidate(
@@ -109,22 +122,17 @@ fn detect_inner(
     let (verdict, rendered) = if groups.is_empty() {
         (None, None)
     } else {
-        let render = |(l, census): &(Value, Vec<(Value, usize)>)| {
-            (l.render(), census.iter().map(|(v, c)| (v.render(), *c)).collect::<Vec<_>>())
-        };
-        let head: GroupsText = groups.iter().take(5).map(render).collect();
-        let response = ctx.ask(prompts::fd_review(
+        let verdict = ask_review(
+            |prompt| ctx.ask(prompt),
             &lhs_name,
             &rhs_name,
             candidate.strength,
-            groups.len(),
-            &head,
-        ))?;
-        let verdict = parse_fd_verdict(&response)?;
+            &groups,
+        )?;
         // The mapping step consumes the full rendered groups; only
         // meaningful verdicts get there, so only they pay the render.
-        let rendered = verdict.meaningful.then(|| groups.iter().map(render).collect());
-        (Some((verdict.meaningful, verdict.reasoning, verdict.confidence)), rendered)
+        let rendered = verdict.meaningful.then(|| groups.iter().map(render_group).collect());
+        (Some(verdict), rendered)
     };
     Ok(Outcome::Finding(Finding {
         lhs: candidate.lhs,
@@ -139,54 +147,55 @@ fn detect_inner(
 }
 
 /// Reviews and (when approved) repairs one candidate. Returns whether a
-/// repair was applied to the table.
+/// repair was applied to the table; an applied repair re-codes its column
+/// in `scan`, keeping the scan live for the candidates after it.
 fn decide(
     state: &mut PipelineState<'_>,
+    scan: &mut FdScan,
     finding: &Finding,
     table_changed: bool,
 ) -> crate::error::Result<bool> {
     let (lhs_name, rhs_name) = (finding.lhs_name.as_str(), finding.rhs_name.as_str());
     // Snapshot groups stay valid until the first applied repair; after one,
-    // recompute against the live table.
-    let (groups_text, groups_len, meaningful, reasoning, review_confidence) = if table_changed {
-        let groups_text = groups_text_of(&state.table, finding.lhs, finding.rhs)?;
-        if groups_text.is_empty() {
+    // read the live groups off the scan and render only what the next
+    // prompt needs.
+    let (groups_text, groups_len, verdict) = if table_changed {
+        let groups = scan.violating_groups(finding.lhs, finding.rhs);
+        if groups.is_empty() {
             return Ok(false);
         }
-        let (meaningful, reasoning, review_confidence) = match &finding.verdict {
-            Some((meaningful, reasoning, confidence)) => {
-                (*meaningful, reasoning.clone(), *confidence)
-            }
-            None => {
-                // An earlier repair created violations the snapshot didn't
-                // have; ask for the semantic review now, on live groups.
-                let response = state.ask(prompts::fd_review(
-                    lhs_name,
-                    rhs_name,
-                    finding.strength,
-                    groups_text.len(),
-                    &groups_text[..groups_text.len().min(5)],
-                ))?;
-                let verdict = parse_fd_verdict(&response)?;
-                (verdict.meaningful, verdict.reasoning, verdict.confidence)
-            }
+        let verdict = match &finding.verdict {
+            Some(verdict) => verdict.clone(),
+            // An earlier repair created violations the snapshot didn't
+            // have; ask for the semantic review now, on live groups.
+            None => ask_review(
+                |prompt| state.ask(prompt),
+                lhs_name,
+                rhs_name,
+                finding.strength,
+                &groups,
+            )?,
         };
-        let groups_len = groups_text.len();
-        (groups_text, groups_len, meaningful, reasoning, review_confidence)
+        let groups_text = if verdict.meaningful {
+            groups.iter().map(render_group).collect()
+        } else {
+            GroupsText::new()
+        };
+        (groups_text, groups.len(), verdict)
     } else {
         if finding.groups_len == 0 {
             return Ok(false);
         }
-        let (meaningful, reasoning, review_confidence) =
-            finding.verdict.clone().expect("non-empty snapshot groups were reviewed");
+        let verdict = finding.verdict.clone().expect("non-empty snapshot groups were reviewed");
         // Rejected candidates never need the full render.
-        let groups_text = if meaningful {
+        let groups_text = if verdict.meaningful {
             finding.groups.clone().expect("meaningful finding carries rendered groups")
         } else {
             GroupsText::new()
         };
-        (groups_text, finding.groups_len, meaningful, reasoning, review_confidence)
+        (groups_text, finding.groups_len, verdict)
     };
+    let FdVerdict { meaningful, reasoning, confidence: review_confidence } = verdict;
     let evidence =
         format!("entropy strength {:.3}; {} violating groups", finding.strength, groups_len);
     if !meaningful {
@@ -223,7 +232,7 @@ fn decide(
         let text = Value::Text(raw.to_string());
         text.cast(ty).unwrap_or(text)
     };
-    let mut arms: Vec<(Expr, Expr)> = Vec::new();
+    let mut arms: Vec<(Value, Value, Value)> = Vec::new();
     let mut pairs_for_review: Vec<(String, String)> = Vec::new();
     for (lhs_value, census) in &groups_text {
         let Some((top_value, _)) = census.first() else { continue };
@@ -234,39 +243,15 @@ fn decide(
             if !census.iter().any(|(v, _)| v == old) {
                 continue;
             }
-            let condition = Expr::and(
-                Expr::eq(Expr::col(lhs_name), Expr::Literal(typed(lhs_value, lhs_type))),
-                Expr::eq(Expr::col(rhs_name), Expr::Literal(typed(old, rhs_type))),
-            );
-            arms.push((condition, Expr::Literal(typed(new, rhs_type))));
+            arms.push((typed(lhs_value, lhs_type), typed(old, rhs_type), typed(new, rhs_type)));
             pairs_for_review.push((old.clone(), new.clone()));
         }
     }
     if arms.is_empty() {
         return Ok(false);
     }
-    let expr = Expr::Case { operand: None, arms, otherwise: Some(Box::new(Expr::col(rhs_name))) };
-    let projections = state
-        .table
-        .schema()
-        .fields()
-        .iter()
-        .map(|field| {
-            if field.name() == rhs_name {
-                Projection::aliased(expr.clone(), field.name())
-            } else {
-                Projection::Expr { expr: Expr::col(field.name()), alias: None }
-            }
-        })
-        .collect();
-    let select = Select {
-        distinct: false,
-        projections,
-        from: "input".into(),
-        where_clause: None,
-        qualify: None,
-        comment: None,
-    };
+    let expr = Expr::pair_map(lhs_name, rhs_name, &arms);
+    let select = column_rewrite_select(&state.table, rhs_name, expr);
     let preview = render_select(&select);
     let review = CleaningReview {
         issue: IssueKind::FunctionalDependency,
@@ -299,6 +284,9 @@ fn decide(
             confidence: Confidence::self_reported(confidence),
         },
     );
+    if applied {
+        scan.recode(&state.table, finding.rhs);
+    }
     Ok(applied)
 }
 
@@ -361,6 +349,76 @@ mod tests {
         assert_eq!(op.issue, IssueKind::FunctionalDependency);
         assert_eq!(op.cells_changed, 2);
         assert!(op.rendered_sql().contains("zip_code ="));
+    }
+
+    /// title → journal_abbreviation → region over 10 journals × 8 rows.
+    /// Row 1 carries an abbreviation typo and a wrong region; the region
+    /// conflicts with its journal's only once the typo is repaired. With
+    /// `region_typo`, row 9 adds a region conflict the snapshot already has.
+    fn journals(region_typo: bool) -> Table {
+        let regions = [
+            "europe", "europe", "europe", "europe", "asia", "asia", "asia", "america", "america",
+            "america",
+        ];
+        let mut rows: Vec<Vec<String>> = Vec::new();
+        for (j, region) in regions.iter().enumerate() {
+            for _ in 0..8 {
+                rows.push(vec![format!("journal {j}"), format!("J{j}"), (*region).into()]);
+            }
+        }
+        rows[1][1] = "J0x".into();
+        rows[1][2] = "asia".into();
+        if region_typo {
+            rows[9][2] = "europx".into();
+        }
+        Table::from_text_rows(&["title", "journal_abbreviation", "region"], &rows).unwrap()
+    }
+
+    #[test]
+    fn earlier_repair_changes_later_candidates_groups() {
+        // The stronger title → journal_abbreviation FD repairs row 1's typo
+        // first. journal_abbreviation → region must then read its groups
+        // from the live table, where row 1's region conflicts inside J0.
+        let (cleaned, ops, _) = run_on(journals(true));
+        assert_eq!(cleaned.render_cell(1, 1).unwrap(), "J0");
+        assert_eq!(cleaned.render_cell(1, 2).unwrap(), "europe");
+        assert_eq!(cleaned.render_cell(9, 2).unwrap(), "europe");
+        let columns: Vec<&str> = ops.iter().filter_map(|op| op.column.as_deref()).collect();
+        assert_eq!(columns, ["journal_abbreviation", "region"]);
+        assert!(ops[1].statistical_evidence.ends_with("; 2 violating groups"));
+    }
+
+    #[test]
+    fn lazily_asked_review_reads_live_groups() {
+        // Without the region typo, journal_abbreviation → region has no
+        // violation on the snapshot, so detection spends no review on it.
+        // Such a candidate has strength 1 and ranks first in `run`; decide
+        // it after the typo repair here, which makes decide ask the review
+        // on the live groups.
+        let llm = SimLlm::new();
+        let config = CleanerConfig::default();
+        let mut hook = AutoApprove;
+        let mut state = PipelineState::new(journals(false), &llm, &config, &mut hook);
+        let mut scan = FdScan::new(&state.table);
+        let candidates = scan.candidates(config.fd_min_strength, config.fd_max_unique_ratio);
+        let findings: Vec<Finding> = state
+            .detect_map(candidates, |ctx, candidate| detect_candidate(ctx, &scan, candidate))
+            .into_iter()
+            .filter_map(|outcome| match outcome {
+                Outcome::Finding(finding) => Some(finding),
+                _ => None,
+            })
+            .collect();
+        let find = |lhs: &str, rhs: &str| {
+            findings.iter().find(|f| f.lhs_name == lhs && f.rhs_name == rhs).expect("candidate")
+        };
+        let (typo_fd, region_fd) =
+            (find("title", "journal_abbreviation"), find("journal_abbreviation", "region"));
+        assert!(region_fd.verdict.is_none());
+        assert!(decide(&mut state, &mut scan, typo_fd, false).unwrap());
+        assert!(decide(&mut state, &mut scan, region_fd, true).unwrap());
+        assert_eq!(state.table.render_cell(1, 2).unwrap(), "europe");
+        assert!(state.ops[1].statistical_evidence.ends_with("; 1 violating groups"));
     }
 
     #[test]

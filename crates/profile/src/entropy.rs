@@ -417,6 +417,21 @@ impl FdScan {
         groups_from_pairs(lhs_coded, rhs_coded, &pairs)
     }
 
+    /// Re-codes `column` from `table` after a repair rewrote it, and drops
+    /// the memoised pair scans that read it. Every other column keeps its
+    /// coding, so the scan keeps answering for the live table as long as
+    /// each rewritten column is re-coded and the rows stay the same.
+    pub fn recode(&mut self, table: &Table, column: usize) {
+        assert_eq!(table.height(), self.height, "recode needs the rows the scan was built from");
+        if let Some(coded) = self.columns.get_mut(column) {
+            *coded = table.column(column).ok().map(|col| CodedColumn::encode(col.values()));
+        }
+        self.pair_memo
+            .get_mut()
+            .expect("pair memo lock")
+            .retain(|&(lhs, rhs), _| lhs != column && rhs != column);
+    }
+
     /// Number of memoised pair scans (test observability).
     #[cfg(test)]
     fn memoised_pairs(&self) -> usize {
@@ -566,6 +581,43 @@ mod tests {
         assert_eq!(
             cold,
             fd_violating_groups(t.column(2).unwrap().values(), t.column(0).unwrap().values(),)
+        );
+    }
+
+    #[test]
+    fn recode_keeps_the_scan_live() {
+        let mut t = table(&[
+            ["1", "Austin", "a"],
+            ["1", "Austin", "a"],
+            ["1", "Autsin", "b"],
+            ["2", "Dallas", "b"],
+            ["2", "Dallas", "b"],
+            ["3", "Waco", "c"],
+            ["3", "Waco", "c"],
+        ]);
+        let mut scan = FdScan::new(&t);
+        let candidates = scan.candidates(0.0, 1.0);
+        // Fix the typo and move a Dallas row into a new conflict.
+        t.set_cell(2, 1, Value::from("Austin")).unwrap();
+        t.set_cell(4, 1, Value::from("Houston")).unwrap();
+        scan.recode(&t, 1);
+        assert_eq!(
+            scan.memoised_pairs(),
+            candidates.iter().filter(|c| c.lhs != 1 && c.rhs != 1).count(),
+            "memos reading the re-coded column are dropped, the rest kept"
+        );
+        for lhs in 0..3 {
+            for rhs in (0..3).filter(|&rhs| rhs != lhs) {
+                let live = fd_violating_groups(
+                    t.column(lhs).unwrap().values(),
+                    t.column(rhs).unwrap().values(),
+                );
+                assert_eq!(scan.violating_groups(lhs, rhs), live, "{lhs} → {rhs}");
+            }
+        }
+        assert_eq!(
+            scan.violating_groups(0, 1),
+            vec![(Value::from("2"), vec![(Value::from("Dallas"), 1), (Value::from("Houston"), 1)])]
         );
     }
 

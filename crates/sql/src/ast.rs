@@ -202,6 +202,27 @@ impl Expr {
         }
     }
 
+    /// Builds the FD repair of §2.1.6: a group-scoped searched CASE
+    /// `CASE WHEN lhs = v AND rhs = old THEN new … ELSE rhs END`, one arm
+    /// per `(v, old, new)`, so `old` becomes `new` only in rows whose
+    /// `lhs` is `v`.
+    pub fn pair_map(lhs: &str, rhs: &str, mapping: &[(Value, Value, Value)]) -> Expr {
+        Expr::Case {
+            operand: None,
+            arms: mapping
+                .iter()
+                .map(|(group, old, new)| {
+                    let condition = Expr::and(
+                        Expr::eq(Expr::col(lhs), Expr::Literal(group.clone())),
+                        Expr::eq(Expr::col(rhs), Expr::Literal(old.clone())),
+                    );
+                    (condition, Expr::Literal(new.clone()))
+                })
+                .collect(),
+            otherwise: Some(Box::new(Expr::col(rhs))),
+        }
+    }
+
     /// Columns referenced anywhere in this expression.
     pub fn referenced_columns(&self) -> Vec<&str> {
         let mut out = Vec::new();
@@ -346,6 +367,28 @@ mod tests {
             }
             other => panic!("unexpected shape: {other:?}"),
         }
+    }
+
+    #[test]
+    fn pair_map_shape() {
+        let map = Expr::pair_map(
+            "zip",
+            "city",
+            &[(Value::from("35000"), Value::from("birminghxm"), Value::from("birmingham"))],
+        );
+        let arm = (
+            Expr::and(
+                Expr::eq(Expr::col("zip"), Expr::lit("35000")),
+                Expr::eq(Expr::col("city"), Expr::lit("birminghxm")),
+            ),
+            Expr::lit("birmingham"),
+        );
+        let expected = Expr::Case {
+            operand: None,
+            arms: vec![arm],
+            otherwise: Some(Box::new(Expr::col("city"))),
+        };
+        assert_eq!(map, expected);
     }
 
     #[test]

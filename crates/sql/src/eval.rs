@@ -253,7 +253,6 @@ pub enum Selection<'a> {
 
 impl Selection<'_> {
     /// Number of selected rows.
-    /// Number of selected rows.
     pub fn len(&self) -> usize {
         match self {
             Selection::All(n) => *n,
@@ -286,26 +285,30 @@ impl Selection<'_> {
 ///
 /// Literals, column references, casts, unary and binary operators
 /// (comparison, arithmetic, `AND`/`OR`), function calls, and every `CASE`
-/// shape — from literal value maps (`CASE col WHEN 'a' THEN 'b' … ELSE …`,
-/// the workhorse of Cocoon cleaning) to general searched `CASE` — are
-/// computed vectorised; only `IN` lists with non-literal items still fall
-/// back to the row-wise [`eval`], which also serves as the semantic oracle
-/// for the differential tests. Fast paths preserve row-wise *success*
-/// semantics exactly, and error exactly when the row-wise path would —
-/// though when several rows or nested subexpressions fail,
-/// expression-at-a-time evaluation may surface a different one of those
-/// errors than the strictly row-ordered oracle. Sequential-`CASE` laziness
-/// is preserved by evaluating each arm only over the rows no earlier arm
-/// matched (see `eval_case_lazy`).
+/// shape are computed vectorised. Two `CASE` shapes compile to one hash
+/// probe per row:
+///
+/// - literal value maps (`CASE col WHEN 'a' THEN 'b' … ELSE …`, the
+///   workhorse of Cocoon cleaning, built by [`Expr::value_map`]);
+/// - pair-key maps (`CASE WHEN a = v AND b = 'old' THEN 'new' … ELSE b
+///   END`, the FD repair built by [`Expr::pair_map`]), probed on the
+///   row's `(a, b)` cells.
+///
+/// Every other `CASE`, searched or simple, runs arm by arm. Only `IN`
+/// lists with non-literal items still fall back to the row-wise [`eval`],
+/// which also serves as the semantic oracle for the differential tests.
+///
+/// Fast paths preserve row-wise *success* semantics exactly, and error
+/// exactly when the row-wise path would — though when several rows or
+/// nested subexpressions fail, expression-at-a-time evaluation may surface
+/// a different one of those errors than the strictly row-ordered oracle.
+/// Sequential-`CASE` laziness is preserved by evaluating each arm only
+/// over the rows no earlier arm matched (see `eval_case_lazy`).
 pub fn eval_column(expr: &Expr, table: &Table, sel: &Selection<'_>) -> Result<Column> {
     match expr {
         Expr::Literal(v) => Ok(Column::new(vec![v.clone(); sel.len()])),
         Expr::Column(name) => {
-            let idx = table
-                .schema()
-                .index_of(name)
-                .map_err(|_| SqlError::UnknownColumn(name.to_string()))?;
-            let values = table.column(idx)?.values();
+            let values = column_cells(name, table)?;
             Ok(match sel {
                 Selection::All(_) => Column::new(values.to_vec()),
                 Selection::Rows(rows) => rows.iter().map(|&r| values[r].clone()).collect(),
@@ -356,7 +359,7 @@ pub fn eval_column(expr: &Expr, table: &Table, sel: &Selection<'_>) -> Result<Co
             if arms
                 .iter()
                 .all(|(w, t)| matches!(w, Expr::Literal(_)) && matches!(t, Expr::Literal(_)))
-                && value_map_fallback_is_safe(operand, otherwise.as_deref()) =>
+                && fallback_is_safe(otherwise.as_deref(), &[operand]) =>
         {
             eval_value_map(operand, arms, otherwise.as_deref(), table, sel)
         }
@@ -395,6 +398,12 @@ pub fn eval_column(expr: &Expr, table: &Table, sel: &Selection<'_>) -> Result<Co
                     }
                 })
                 .collect())
+        }
+        Expr::Case { operand: None, arms, otherwise } => {
+            match PairKeyMap::recognise(arms, otherwise.as_deref()) {
+                Some(map) => map.eval(table, sel),
+                None => eval_case_lazy(None, arms, otherwise.as_deref(), table, sel),
+            }
         }
         Expr::Case { operand, arms, otherwise } => {
             eval_case_lazy(operand.as_deref(), arms, otherwise.as_deref(), table, sel)
@@ -485,16 +494,25 @@ fn eval_case_lazy(
     Ok(Column::new(out))
 }
 
-/// The vectorised value map evaluates `otherwise` for *every* row, while
-/// sequential CASE only reaches it on rows no arm matched. That is only
-/// safe when `otherwise` cannot raise an evaluation error: absent, a
-/// literal, or the operand column itself (already evaluated as the
-/// subject). Anything else takes the row-wise path.
-fn value_map_fallback_is_safe(operand: &Expr, otherwise: Option<&Expr>) -> bool {
+/// The `CASE` hash-probe fast paths evaluate `otherwise` for *every* row,
+/// while sequential CASE only reaches it on rows no arm matched. That is
+/// only safe when `otherwise` cannot raise an evaluation error: absent, a
+/// literal, or one of the `evaluated` expressions the row-wise path already
+/// computes on every row — the simple-CASE operand (the subject), or the
+/// two columns of a pair-key map (its first arm reads both). Anything else
+/// takes the lazy path.
+fn fallback_is_safe(otherwise: Option<&Expr>, evaluated: &[&Expr]) -> bool {
     match otherwise {
         None | Some(Expr::Literal(_)) => true,
-        Some(o) => o == operand,
+        Some(o) => evaluated.contains(&o),
     }
+}
+
+/// The cells of column `name`, borrowed from `table`.
+fn column_cells<'t>(name: &str, table: &'t Table) -> Result<&'t [Value]> {
+    let idx =
+        table.schema().index_of(name).map_err(|_| SqlError::UnknownColumn(name.to_string()))?;
+    Ok(table.column(idx)?.values())
 }
 
 /// Vectorised literal value map: one hash lookup per cell instead of a
@@ -545,6 +563,79 @@ fn eval_value_map(
         })
         .collect();
     Ok(out)
+}
+
+/// A searched `CASE` whose every arm is `a = v AND b = old THEN new` over
+/// one column pair `(a, b)`, with literal `v`, `old` and `new` — the FD
+/// repair [`Expr::pair_map`] builds — compiled to a lookup table keyed on
+/// `(v, old)`. A row matches an arm exactly when its non-null `(a, b)`
+/// cells equal the arm's key, so the first arm it matches is the one the
+/// table holds for its cells: one probe per row instead of one pass over
+/// the unmatched rows per arm. The rules are [`eval_value_map`]'s, per
+/// component: `Value`'s `Hash`/`Eq` agree with `=` on non-null values,
+/// the first arm wins on duplicate keys, and an arm with a NULL key
+/// literal never fires, so it is left out. With no NULL in any key, a row
+/// with a NULL key cell finds no arm and goes to `otherwise`.
+struct PairKeyMap<'e> {
+    lhs: &'e str,
+    rhs: &'e str,
+    map: HashMap<(&'e Value, &'e Value), &'e Value>,
+    otherwise: Option<&'e Expr>,
+}
+
+impl<'e> PairKeyMap<'e> {
+    /// The pair-key map of a searched `CASE`, or `None` when some arm
+    /// strays from the shape (another column pair, `lit = col`, a
+    /// non-literal `THEN`), there are no arms, or `otherwise` could error
+    /// (see [`fallback_is_safe`]).
+    fn recognise(arms: &'e [(Expr, Expr)], otherwise: Option<&'e Expr>) -> Option<Self> {
+        let mut columns: Option<(&Expr, &Expr)> = None;
+        let mut map = HashMap::with_capacity(arms.len());
+        for (when, then) in arms {
+            let Expr::Binary { op: BinaryOp::And, left, right } = when else { return None };
+            let ((lhs, group), (rhs, old)) = (column_eq_literal(left)?, column_eq_literal(right)?);
+            let Expr::Literal(new) = then else { return None };
+            if *columns.get_or_insert((lhs, rhs)) != (lhs, rhs) {
+                return None;
+            }
+            if !group.is_null() && !old.is_null() {
+                map.entry((group, old)).or_insert(new);
+            }
+        }
+        let (lhs, rhs) = columns?;
+        if !fallback_is_safe(otherwise, &[lhs, rhs]) {
+            return None;
+        }
+        let (Expr::Column(lhs), Expr::Column(rhs)) = (lhs, rhs) else { return None };
+        Some(PairKeyMap { lhs, rhs, map, otherwise })
+    }
+
+    fn eval(&self, table: &Table, sel: &Selection<'_>) -> Result<Column> {
+        // With no rows, no arm is evaluated and no column is read.
+        if sel.is_empty() {
+            return Ok(Column::new(Vec::new()));
+        }
+        let (lhs, rhs) = (column_cells(self.lhs, table)?, column_cells(self.rhs, table)?);
+        let mut out = match self.otherwise {
+            Some(o) => eval_column(o, table, sel)?.into_values(),
+            None => vec![Value::Null; sel.len()],
+        };
+        for (slot, row) in sel.iter().enumerate() {
+            if let Some(new) = self.map.get(&(&lhs[row], &rhs[row])) {
+                out[slot] = (*new).clone();
+            }
+        }
+        Ok(Column::new(out))
+    }
+}
+
+/// `column = literal`, as `(column, literal)`.
+fn column_eq_literal(expr: &Expr) -> Option<(&Expr, &Value)> {
+    let Expr::Binary { op: BinaryOp::Eq, left, right } = expr else { return None };
+    match (&**left, &**right) {
+        (column @ Expr::Column(_), Expr::Literal(v)) => Some((column, v)),
+        _ => None,
+    }
 }
 
 /// Infers the output type of an expression against a schema (used to type
@@ -886,6 +977,119 @@ mod tests {
         };
         assert!(eval_column(&expr, &t, &sel).is_err());
         assert!(eval(&expr, &RowContext::new(&t, 0)).is_err());
+    }
+
+    #[test]
+    fn pair_key_maps_probe_and_match_rowwise() {
+        // Cells: NULLs on either side, Int/Float cross-type keys, -0.0.
+        let a = vec![
+            Value::from("z1"),
+            Value::from("z1"),
+            Value::Null,
+            Value::Int(0),
+            Value::Float(1.0),
+            Value::from("z2"),
+        ];
+        let b = vec![
+            Value::from("x"),
+            Value::from("y"),
+            Value::from("x"),
+            Value::from("x"),
+            Value::Int(2),
+            Value::Null,
+        ];
+        let t = Table::new(
+            Schema::all_text(&["a", "b"]).unwrap(),
+            vec![Column::new(a), Column::new(b)],
+        )
+        .unwrap();
+        let map = Expr::pair_map(
+            "a",
+            "b",
+            &[
+                (Value::from("z1"), Value::from("x"), Value::from("first")),
+                // Duplicate key: the first arm wins.
+                (Value::from("z1"), Value::from("x"), Value::from("second")),
+                (Value::Float(-0.0), Value::from("x"), Value::from("zero")),
+                (Value::Int(1), Value::Float(2.0), Value::from("one-two")),
+                // NULL key literals never fire, NULL cells never match.
+                (Value::Null, Value::from("x"), Value::from("null-lhs")),
+                (Value::from("z2"), Value::Null, Value::from("null-rhs")),
+            ],
+        );
+        let with_else = |otherwise: Option<Expr>| match &map {
+            Expr::Case { arms, .. } => {
+                Expr::Case { operand: None, arms: arms.clone(), otherwise: otherwise.map(Box::new) }
+            }
+            other => panic!("{other:?}"),
+        };
+        for expr in [
+            map.clone(),
+            with_else(Some(Expr::col("a"))),
+            with_else(Some(Expr::lit("other"))),
+            with_else(None),
+        ] {
+            let Expr::Case { arms, otherwise, .. } = &expr else { unreachable!() };
+            assert!(PairKeyMap::recognise(arms, otherwise.as_deref()).is_some(), "{expr:?}");
+            for sel in
+                [Selection::All(t.height()), Selection::Rows(&[5, 0, 3]), Selection::Rows(&[])]
+            {
+                let columnar = eval_column(&expr, &t, &sel).unwrap();
+                let rowwise: Vec<Value> =
+                    sel.iter().map(|row| eval(&expr, &RowContext::new(&t, row)).unwrap()).collect();
+                assert_eq!(columnar.values(), &rowwise[..], "{expr:?}");
+            }
+        }
+        let out = eval_column(&map, &t, &Selection::All(t.height())).unwrap();
+        assert_eq!(out.values()[0], Value::from("first"));
+        assert_eq!(out.values()[3], Value::from("zero"));
+        assert_eq!(out.values()[4], Value::from("one-two"));
+    }
+
+    #[test]
+    fn pair_key_map_near_misses_stay_lazy() {
+        let arm = |l: &str, r: &str| {
+            Expr::and(
+                Expr::eq(Expr::col(l), Expr::lit("eng")),
+                Expr::eq(Expr::col(r), Expr::lit("1")),
+            )
+        };
+        let searched = |arms: Vec<(Expr, Expr)>, otherwise: Option<Expr>| Expr::Case {
+            operand: None,
+            arms,
+            otherwise: otherwise.map(Box::new),
+        };
+        let id = Some(Expr::col("id"));
+        for expr in [
+            // `lit = col` instead of `col = lit`.
+            searched(
+                vec![(
+                    Expr::and(
+                        Expr::eq(Expr::lit("eng"), Expr::col("lang")),
+                        Expr::eq(Expr::col("id"), Expr::lit("1")),
+                    ),
+                    Expr::lit("hit"),
+                )],
+                id.clone(),
+            ),
+            // Arms over two different column pairs.
+            searched(
+                vec![(arm("lang", "id"), Expr::lit("hit")), (arm("id", "lang"), Expr::lit("x"))],
+                id.clone(),
+            ),
+            // A non-literal THEN.
+            searched(vec![(arm("lang", "id"), Expr::col("lang"))], id.clone()),
+            // An ELSE that can error on rows no arm claims.
+            searched(
+                vec![(arm("lang", "id"), Expr::lit("hit"))],
+                Some(Expr::cast(Expr::col("lang"), DataType::Int)),
+            ),
+            // No arms at all.
+            searched(vec![], id),
+        ] {
+            let Expr::Case { arms, otherwise, .. } = &expr else { unreachable!() };
+            assert!(PairKeyMap::recognise(arms, otherwise.as_deref()).is_none(), "{expr:?}");
+        }
     }
 
     #[test]

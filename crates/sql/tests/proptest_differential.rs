@@ -27,7 +27,12 @@ fn value() -> impl Strategy<Value = Value> {
 
 /// A two-column table `a`, `b` of 0..12 rows with mixed cell values.
 fn table() -> impl Strategy<Value = Table> {
-    proptest::collection::vec((value(), value()), 0..12).prop_map(|cells| {
+    table_of(value)
+}
+
+/// A two-column table `a`, `b` of 0..12 rows with cells drawn from `cell()`.
+fn table_of<S: Strategy<Value = Value>>(cell: fn() -> S) -> impl Strategy<Value = Table> {
+    proptest::collection::vec((cell(), cell()), 0..12).prop_map(|cells| {
         let (a, b): (Vec<Value>, Vec<Value>) = cells.into_iter().unzip();
         Table::new(
             Schema::all_text(&["a", "b"]).expect("schema"),
@@ -76,7 +81,7 @@ fn expr() -> impl Strategy<Value = Expr> {
                     otherwise: Some(Box::new(col)),
                 }
             ),
-            // Searched CASE: always takes the row-wise fallback.
+            // General searched CASE: runs arm by arm (`eval_case_lazy`).
             (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, o)| Expr::Case {
                 operand: None,
                 arms: vec![(c, t)],
@@ -91,6 +96,102 @@ fn expr() -> impl Strategy<Value = Expr> {
             inner.prop_map(|e| Expr::cast(e, cocoon_table::DataType::Int)),
         ]
     })
+}
+
+/// Key cells for the pair-map tables: a narrow domain, so generated arms
+/// hit rows often. NULL, Int/Float cross-type equality and -0.0 are the
+/// pair-key probe's edge cases.
+fn key() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        Just(Value::from("a")),
+        Just(Value::from("b")),
+        Just(Value::Int(0)),
+        Just(Value::Float(-0.0)),
+        Just(Value::Int(1)),
+        Just(Value::Float(1.0)),
+    ]
+}
+
+fn column_name() -> impl Strategy<Value = &'static str> {
+    prop_oneof![Just("a"), Just("b")]
+}
+
+fn other_column(name: &str) -> &'static str {
+    if name == "a" {
+        "b"
+    } else {
+        "a"
+    }
+}
+
+/// The FD stage's repair, built by `Expr::pair_map` over a column pair
+/// (possibly one column twice), with duplicate keys across arms and each
+/// ELSE form the pair-key probe accepts: the rhs column (as built), the
+/// lhs column, a literal, or none.
+fn pair_map() -> impl Strategy<Value = Expr> {
+    (
+        column_name(),
+        column_name(),
+        proptest::collection::vec((key(), key(), key()), 1..6),
+        any::<bool>(),
+        0usize..4,
+        key(),
+    )
+        .prop_map(|(lhs, rhs, mut arms, repeat_key, else_form, literal)| {
+            if repeat_key {
+                let (group, old, _) = arms[0].clone();
+                arms.push((group, old, Value::from("dup")));
+            }
+            let Expr::Case { arms, otherwise, .. } = Expr::pair_map(lhs, rhs, &arms) else {
+                unreachable!("pair_map builds a searched CASE")
+            };
+            let otherwise = match else_form {
+                0 => otherwise,
+                1 => Some(Box::new(Expr::col(lhs))),
+                2 => Some(Box::new(Expr::Literal(literal))),
+                _ => None,
+            };
+            Expr::Case { operand: None, arms, otherwise }
+        })
+}
+
+/// Pair maps one step off the shape, which must take the arm-by-arm path:
+/// `lit = col`, arms over two column pairs, a non-literal THEN, or an ELSE
+/// that can error (a strict CAST, only reached by rows no arm claims).
+fn pair_map_near_miss() -> impl Strategy<Value = Expr> {
+    (
+        column_name(),
+        column_name(),
+        proptest::collection::vec((key(), key(), key()), 1..6),
+        0usize..4,
+    )
+        .prop_map(|(lhs, rhs, mapping, miss)| {
+            let Expr::Case { mut arms, mut otherwise, .. } = Expr::pair_map(lhs, rhs, &mapping)
+            else {
+                unreachable!("pair_map builds a searched CASE")
+            };
+            let (group, old, _) = mapping[0].clone();
+            let cast = |column: &str| Expr::cast(Expr::col(column), cocoon_table::DataType::Int);
+            match miss {
+                0 => {
+                    arms[0].0 = Expr::and(
+                        Expr::eq(Expr::Literal(group), Expr::col(lhs)),
+                        Expr::eq(Expr::col(rhs), Expr::Literal(old)),
+                    )
+                }
+                1 => arms.push((
+                    Expr::and(
+                        Expr::eq(Expr::col(other_column(lhs)), Expr::Literal(group)),
+                        Expr::eq(Expr::col(rhs), Expr::Literal(old)),
+                    ),
+                    Expr::lit("other pair"),
+                )),
+                2 => arms[0].1 = cast(rhs),
+                _ => otherwise = Some(Box::new(cast(lhs))),
+            }
+            Expr::Case { operand: None, arms, otherwise }
+        })
 }
 
 fn projection() -> impl Strategy<Value = Projection> {
@@ -133,26 +234,49 @@ fn select() -> impl Strategy<Value = Select> {
         })
 }
 
+/// Columnar and row-wise execution of `s` agree: the same table on
+/// success, and when one errors (bad cast, untyped comparison, …) so does
+/// the other.
+fn executors_agree(s: &Select, t: &Table) -> Result<(), String> {
+    match (execute(s, t), execute_rowwise(s, t)) {
+        (Ok(c), Ok(r)) => prop_assert_eq!(c, r),
+        (Err(_), Err(_)) => {}
+        (c, r) => prop_assert!(
+            false,
+            "executors disagree: columnar={:?} rowwise={:?}",
+            c.map(|t| t.to_string()),
+            r.map(|t| t.to_string())
+        ),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The headline property: columnar and row-wise execution agree on
-    /// every generated query — same table on success, and when one errors
-    /// (bad cast, untyped comparison, …) so does the other.
+    /// The headline property: the executors agree on every generated query.
     #[test]
     fn columnar_matches_rowwise_oracle(t in table(), s in select()) {
-        let columnar = execute(&s, &t);
-        let rowwise = execute_rowwise(&s, &t);
-        match (columnar, rowwise) {
-            (Ok(c), Ok(r)) => prop_assert_eq!(c, r),
-            (Err(_), Err(_)) => {}
-            (c, r) => prop_assert!(
-                false,
-                "executors disagree: columnar={:?} rowwise={:?}",
-                c.map(|t| t.to_string()),
-                r.map(|t| t.to_string())
-            ),
-        }
+        executors_agree(&s, &t)?;
+    }
+
+    /// The pair-key probe and its near misses agree with the oracle, over
+    /// every row and under a `WHERE` selection.
+    #[test]
+    fn pair_maps_match_rowwise_oracle(
+        t in table_of(key),
+        map in prop_oneof![pair_map(), pair_map_near_miss()],
+        where_clause in prop_oneof![Just(None), expr().prop_map(Some)],
+    ) {
+        let s = Select {
+            distinct: false,
+            projections: vec![Projection::Star, Projection::aliased(map, "m")],
+            from: "t".into(),
+            where_clause,
+            qualify: None,
+            comment: None,
+        };
+        executors_agree(&s, &t)?;
     }
 
     /// Pass-through projections must share storage, not deep-copy: every
