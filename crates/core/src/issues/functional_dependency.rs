@@ -7,15 +7,15 @@
 //! meaningful FDs the LLM maps each violating group's wrong values to the
 //! correct one, compiled to a group-scoped `CASE WHEN`.
 //!
-//! Detect phase (concurrent, per candidate pair): violating groups on the
-//! stage-entry snapshot → semantic FD review. Decide phase (sequential):
-//! because FD repairs can interact (one repair may fix — or create —
-//! another candidate's violations), groups are taken from the snapshot only
-//! while no repair has been applied yet; after the first applied repair
-//! each remaining candidate reads its groups from the live table,
-//! exactly as the sequential pipeline always did. One [`FdScan`] serves
-//! both phases: each applied repair re-codes the column it rewrote, so the
-//! scan always describes the live table.
+//! Detect phase (concurrent, per candidate pair with violations on the
+//! stage-entry snapshot): violating groups → semantic FD review. Decide
+//! phase (sequential): because FD repairs can interact (one repair may fix
+//! — or create — another candidate's violations), groups are taken from
+//! the snapshot only while no repair has been applied yet; after the first
+//! applied repair each remaining candidate reads its groups from the live
+//! table, exactly as the sequential pipeline always did. One [`FdScan`]
+//! serves both phases: each applied repair re-codes the column it rewrote,
+//! so the scan always describes the live table.
 
 use crate::apply::{apply_and_count, column_rewrite_select};
 use crate::decision::{CleaningReview, Decision, DetectionReview};
@@ -38,11 +38,8 @@ struct Finding {
     lhs_name: String,
     rhs_name: String,
     strength: f64,
-    /// Semantic review prefetched on the snapshot. `None` when the snapshot
-    /// had no violating groups, so no review was spent; the decide phase
-    /// asks lazily in the rare case an earlier repair has since created
-    /// violations.
-    verdict: Option<FdVerdict>,
+    /// Semantic review, asked on the snapshot's violating groups.
+    verdict: FdVerdict,
     /// Violating-group count on the snapshot.
     groups_len: usize,
     /// Snapshot groups, fully rendered — only for meaningful verdicts (the
@@ -61,8 +58,12 @@ pub fn run(state: &mut PipelineState<'_>) {
     // groups all reuse it. It owns its codings, so it outlives the detect
     // phase's borrow of `state.table`.
     let mut scan = FdScan::new(&state.table);
-    let candidates =
+    let mut candidates =
         scan.candidates(state.config.fd_min_strength, state.config.fd_max_unique_ratio);
+    // A candidate without violations has strength exactly 1, so it ranks
+    // ahead of every candidate that could repair anything: no repair can
+    // land before it is decided, and it has nothing to decide.
+    candidates.retain(|candidate| candidate.violating_groups > 0);
     let outcomes =
         state.detect_map(candidates, |ctx, candidate| detect_candidate(ctx, &scan, candidate));
     // Becomes true once a repair lands; later candidates then read their
@@ -117,23 +118,11 @@ fn detect_inner(
     let lhs_name = ctx.table.schema().field(candidate.lhs)?.name().to_string();
     let rhs_name = ctx.table.schema().field(candidate.rhs)?.name().to_string();
     let groups = scan.violating_groups(candidate.lhs, candidate.rhs);
-    // No violations on the snapshot: no review to spend. The finding still
-    // reaches the decide phase, which re-checks against the live table.
-    let (verdict, rendered) = if groups.is_empty() {
-        (None, None)
-    } else {
-        let verdict = ask_review(
-            |prompt| ctx.ask(prompt),
-            &lhs_name,
-            &rhs_name,
-            candidate.strength,
-            &groups,
-        )?;
-        // The mapping step consumes the full rendered groups; only
-        // meaningful verdicts get there, so only they pay the render.
-        let rendered = verdict.meaningful.then(|| groups.iter().map(render_group).collect());
-        (Some(verdict), rendered)
-    };
+    let verdict =
+        ask_review(|prompt| ctx.ask(prompt), &lhs_name, &rhs_name, candidate.strength, &groups)?;
+    // The mapping step consumes the full rendered groups; only meaningful
+    // verdicts get there, so only they pay the render.
+    let rendered = verdict.meaningful.then(|| groups.iter().map(render_group).collect());
     Ok(Outcome::Finding(Finding {
         lhs: candidate.lhs,
         rhs: candidate.rhs,
@@ -156,46 +145,27 @@ fn decide(
     table_changed: bool,
 ) -> crate::error::Result<bool> {
     let (lhs_name, rhs_name) = (finding.lhs_name.as_str(), finding.rhs_name.as_str());
+    let FdVerdict { meaningful, reasoning, confidence: review_confidence } =
+        finding.verdict.clone();
     // Snapshot groups stay valid until the first applied repair; after one,
-    // read the live groups off the scan and render only what the next
-    // prompt needs.
-    let (groups_text, groups_len, verdict) = if table_changed {
+    // read the live groups off the scan. Rejected candidates never need the
+    // full render.
+    let (groups_text, groups_len) = if table_changed {
         let groups = scan.violating_groups(finding.lhs, finding.rhs);
         if groups.is_empty() {
             return Ok(false);
         }
-        let verdict = match &finding.verdict {
-            Some(verdict) => verdict.clone(),
-            // An earlier repair created violations the snapshot didn't
-            // have; ask for the semantic review now, on live groups.
-            None => ask_review(
-                |prompt| state.ask(prompt),
-                lhs_name,
-                rhs_name,
-                finding.strength,
-                &groups,
-            )?,
-        };
-        let groups_text = if verdict.meaningful {
-            groups.iter().map(render_group).collect()
-        } else {
-            GroupsText::new()
-        };
-        (groups_text, groups.len(), verdict)
+        let groups_text =
+            if meaningful { groups.iter().map(render_group).collect() } else { GroupsText::new() };
+        (groups_text, groups.len())
     } else {
-        if finding.groups_len == 0 {
-            return Ok(false);
-        }
-        let verdict = finding.verdict.clone().expect("non-empty snapshot groups were reviewed");
-        // Rejected candidates never need the full render.
-        let groups_text = if verdict.meaningful {
+        let groups_text = if meaningful {
             finding.groups.clone().expect("meaningful finding carries rendered groups")
         } else {
             GroupsText::new()
         };
-        (groups_text, finding.groups_len, verdict)
+        (groups_text, finding.groups_len)
     };
-    let FdVerdict { meaningful, reasoning, confidence: review_confidence } = verdict;
     let evidence =
         format!("entropy strength {:.3}; {} violating groups", finding.strength, groups_len);
     if !meaningful {
@@ -386,39 +356,6 @@ mod tests {
         let columns: Vec<&str> = ops.iter().filter_map(|op| op.column.as_deref()).collect();
         assert_eq!(columns, ["journal_abbreviation", "region"]);
         assert!(ops[1].statistical_evidence.ends_with("; 2 violating groups"));
-    }
-
-    #[test]
-    fn lazily_asked_review_reads_live_groups() {
-        // Without the region typo, journal_abbreviation → region has no
-        // violation on the snapshot, so detection spends no review on it.
-        // Such a candidate has strength 1 and ranks first in `run`; decide
-        // it after the typo repair here, which makes decide ask the review
-        // on the live groups.
-        let llm = SimLlm::new();
-        let config = CleanerConfig::default();
-        let mut hook = AutoApprove;
-        let mut state = PipelineState::new(journals(false), &llm, &config, &mut hook);
-        let mut scan = FdScan::new(&state.table);
-        let candidates = scan.candidates(config.fd_min_strength, config.fd_max_unique_ratio);
-        let findings: Vec<Finding> = state
-            .detect_map(candidates, |ctx, candidate| detect_candidate(ctx, &scan, candidate))
-            .into_iter()
-            .filter_map(|outcome| match outcome {
-                Outcome::Finding(finding) => Some(finding),
-                _ => None,
-            })
-            .collect();
-        let find = |lhs: &str, rhs: &str| {
-            findings.iter().find(|f| f.lhs_name == lhs && f.rhs_name == rhs).expect("candidate")
-        };
-        let (typo_fd, region_fd) =
-            (find("title", "journal_abbreviation"), find("journal_abbreviation", "region"));
-        assert!(region_fd.verdict.is_none());
-        assert!(decide(&mut state, &mut scan, typo_fd, false).unwrap());
-        assert!(decide(&mut state, &mut scan, region_fd, true).unwrap());
-        assert_eq!(state.table.render_cell(1, 2).unwrap(), "europe");
-        assert!(state.ops[1].statistical_evidence.ends_with("; 1 violating groups"));
     }
 
     #[test]

@@ -52,5 +52,5 @@ pub use responses::{
     parse_unique_verdict, CleaningMap, DetectVerdict, DmvVerdict, DupVerdict, FdVerdict,
     PatternPlan, RangeVerdict, TypeVerdict, UniqueVerdict,
 };
-pub use sim::{analyze_string_values, fd_semantically_meaningful, SimLlm, StringAnalysis};
+pub use sim::SimLlm;
 pub use transcript::{Exchange, Transcript};

@@ -155,16 +155,16 @@ fn string_confidence(issues: &[String]) -> f64 {
 
 /// The issues found in one column's value census.
 #[derive(Debug, Default, Clone)]
-pub struct StringAnalysis {
+struct StringAnalysis {
     /// old → new; "" means "meaningless, map to NULL".
-    pub mapping: BTreeMap<String, String>,
+    mapping: BTreeMap<String, String>,
     /// human-readable issue descriptions.
-    pub issues: Vec<String>,
+    issues: Vec<String>,
 }
 
 /// Analyses a distinct-value census for typos and inconsistent
 /// representations using only generic world knowledge.
-pub fn analyze_string_values(census: &[(String, usize)]) -> StringAnalysis {
+fn analyze_string_values(census: &[(String, usize)]) -> StringAnalysis {
     let mut analysis = StringAnalysis::default();
     let claim = |mapping: &mut BTreeMap<String, String>, from: &str, to: &str| {
         if from != to && !mapping.contains_key(from) {
@@ -782,7 +782,7 @@ fn answer_numeric_range(ctx: &Json) -> String {
 /// and geographic knowledge. Mirrors the paper's analysis: per-event
 /// measurements (e.g. *actual* departure/arrival times) are not functions of
 /// an identifier even when statistics suggest so.
-pub fn fd_semantically_meaningful(lhs: &str, rhs: &str) -> bool {
+fn fd_semantically_meaningful(lhs: &str, rhs: &str) -> bool {
     let l = lhs.to_lowercase();
     let r = rhs.to_lowercase();
     // Event-level measurements vary per occurrence; treating them as

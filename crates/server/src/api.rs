@@ -26,6 +26,7 @@
 
 use crate::http::{json_escape, Head, Request, Response};
 use crate::jobs::{DeleteOutcome, JobStatus};
+use crate::metrics::Counter;
 use crate::reviews::{AcceptOutcome, RejectOutcome};
 use crate::server::AppState;
 use cocoon_core::{CleanerConfig, CleaningRun, ProgressSnapshot};
@@ -309,9 +310,11 @@ pub fn route_streamed_csv(
     // a malformed CSV still counts against the endpoint it was aimed at
     // (like a malformed JSON body), but a framing/transport failure is the
     // connection handler's to count, like any other unreadable request.
+    // Counted up front, as in `route`, so a panicking clean is counted too.
+    state.metrics.count(Counter::Requests);
     match head.path.as_str() {
-        "/v1/clean" => state.metrics.count_clean(),
-        _ => state.metrics.count_job_submitted(),
+        "/v1/clean" => state.metrics.count(Counter::CleanRequests),
+        _ => state.metrics.count(Counter::JobsSubmitted),
     }
     let response = match parsed {
         Err(message) => Response::error(400, &message),
@@ -338,7 +341,6 @@ pub fn route_streamed_csv(
             }
         }
     };
-    state.metrics.count_request();
     state.metrics.count_status(response.status);
     response
 }
@@ -346,7 +348,7 @@ pub fn route_streamed_csv(
 /// Routes one request to its handler and counts it. The returned response
 /// is ready to serialise.
 pub fn route(state: &AppState, request: &Request) -> Response {
-    state.metrics.count_request();
+    state.metrics.count(Counter::Requests);
     let response = dispatch(state, request);
     state.metrics.count_status(response.status);
     response
@@ -366,7 +368,7 @@ fn dispatch(state: &AppState, request: &Request) -> Response {
         },
         "/v1/datasets" => match method {
             "GET" => {
-                state.metrics.count_datasets();
+                state.metrics.count(Counter::DatasetRequests);
                 Response::json(200, datasets_body())
             }
             _ => Response::error(405, "use GET /v1/datasets"),
@@ -377,14 +379,14 @@ fn dispatch(state: &AppState, request: &Request) -> Response {
         },
         "/v1/metrics" => match method {
             "GET" => {
-                state.metrics.count_metrics();
+                state.metrics.count(Counter::MetricsRequests);
                 Response::json(200, state.metrics_body())
             }
             _ => Response::error(405, "use GET /v1/metrics"),
         },
         "/metrics" => match method {
             "GET" => {
-                state.metrics.count_metrics();
+                state.metrics.count(Counter::MetricsRequests);
                 Response::text(200, "text/plain; version=0.0.4", state.prometheus_body())
             }
             _ => Response::error(405, "use GET /metrics"),
@@ -405,7 +407,7 @@ fn dispatch(state: &AppState, request: &Request) -> Response {
 }
 
 fn handle_clean(state: &AppState, request: &Request) -> Response {
-    state.metrics.count_clean();
+    state.metrics.count(Counter::CleanRequests);
     let payload = match parse_clean_payload(&request.body) {
         Ok(payload) => payload,
         Err(message) => return Response::error(400, &message),
@@ -417,7 +419,7 @@ fn handle_clean(state: &AppState, request: &Request) -> Response {
 }
 
 fn handle_submit(state: &AppState, request: &Request) -> Response {
-    state.metrics.count_job_submitted();
+    state.metrics.count(Counter::JobsSubmitted);
     // Validate up front so submitters learn about bad requests now, not
     // from a failed poll later.
     let payload = match parse_clean_payload(&request.body) {
@@ -431,7 +433,7 @@ fn handle_submit(state: &AppState, request: &Request) -> Response {
 }
 
 fn handle_poll(state: &AppState, id: &str, accept_csv: bool) -> Response {
-    state.metrics.count_job_polled();
+    state.metrics.count(Counter::JobsPolled);
     let Ok(id) = id.parse::<u64>() else {
         return Response::error(400, &format!("job id must be an integer, got {id:?}"));
     };
@@ -459,7 +461,7 @@ fn result_csv(result: Option<&str>) -> Option<String> {
 }
 
 fn handle_delete(state: &AppState, id: &str) -> Response {
-    state.metrics.count_job_deleted();
+    state.metrics.count(Counter::JobsDeleted);
     let Ok(id) = id.parse::<u64>() else {
         return Response::error(400, &format!("job id must be an integer, got {id:?}"));
     };
@@ -479,7 +481,7 @@ fn handle_delete(state: &AppState, id: &str) -> Response {
 
 /// `GET /v1/reviews` — every retained review item, in id order.
 fn handle_reviews_list(state: &AppState) -> Response {
-    state.metrics.count_reviews_listed();
+    state.metrics.count(Counter::ReviewsListed);
     let mut out = String::from("{\"reviews\": [");
     let views = state.reviews.list();
     for (i, view) in views.iter().enumerate() {
@@ -522,7 +524,7 @@ fn handle_review_action(state: &AppState, rest: &str) -> Response {
     };
     match action {
         "accept" => {
-            state.metrics.count_review_accepted();
+            state.metrics.count(Counter::ReviewAccepts);
             match state.reviews.accept(id) {
                 AcceptOutcome::Applied { cells_changed, csv } => Response::json(
                     200,
@@ -540,7 +542,7 @@ fn handle_review_action(state: &AppState, rest: &str) -> Response {
             }
         }
         "reject" => {
-            state.metrics.count_review_rejected();
+            state.metrics.count(Counter::ReviewRejects);
             match state.reviews.reject(id) {
                 RejectOutcome::Rejected => {
                     Response::json(200, format!("{{\"id\": {id}, \"status\": \"rejected\"}}"))

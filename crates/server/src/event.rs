@@ -33,6 +33,7 @@
 
 use crate::api;
 use crate::http::{BodyProgress, Head, HttpError, Request, RequestReader, Response};
+use crate::metrics::Counter;
 use crate::obs::{endpoint_label, RequestTrace};
 use crate::server::AppState;
 use cocoon_table::csv::CsvStream;
@@ -106,7 +107,7 @@ impl Shard {
         self.waker.wake();
     }
 
-    fn take_mail(&self) -> Vec<Mail> {
+    pub(crate) fn take_mail(&self) -> Vec<Mail> {
         std::mem::take(&mut *self.mailbox.lock().expect("shard mailbox"))
     }
 }
@@ -416,7 +417,7 @@ fn close_conn(
         let _ = shard.poller.remove(conn.fd());
         state.metrics.conn_closed();
         if reaped {
-            state.metrics.count_idle_reaped();
+            state.metrics.count(Counter::IdleReaped);
         }
     }
 }
@@ -445,15 +446,15 @@ fn drain_accepts(
         if state.shutdown_requested() {
             return;
         }
-        if state.metrics.open_connections() >= state.max_conns {
+        if state.metrics.get(Counter::ConnectionsOpen) >= state.max_conns {
             // The connection cap: refuse loudly rather than registering
             // without bound.
-            state.metrics.count_connection_rejected();
+            state.metrics.count(Counter::ConnectionsRejected);
             state.metrics.count_status(503);
             refuse_busy(stream);
             continue;
         }
-        state.metrics.count_connection_accepted();
+        state.metrics.count(Counter::ConnectionsAccepted);
         let target = state.next_shard() % state.shards.len();
         if target == shard_index {
             register_conn(state, shard, conns, next_token, stream);
@@ -657,7 +658,7 @@ fn dispatch(ctx: &Ctx<'_>, conn: &mut Conn, kind: WorkKind, reusable: bool, drai
         conn.phase = Phase::Dispatched;
         Next::Keep
     } else {
-        ctx.state.metrics.count_connection_rejected();
+        ctx.state.metrics.count(Counter::ConnectionsRejected);
         ctx.state.metrics.count_status(503);
         let response = Response::error(503, "server is at capacity; retry shortly");
         start_write(ctx, conn, response, false, drain)
@@ -669,7 +670,7 @@ fn dispatch(ctx: &Ctx<'_>, conn: &mut Conn, kind: WorkKind, reusable: bool, drai
 fn fail_request(ctx: &Ctx<'_>, conn: &mut Conn, error: &HttpError) -> Next {
     match error.status() {
         Some(status) => {
-            ctx.state.metrics.count_request();
+            ctx.state.metrics.count(Counter::Requests);
             ctx.state.metrics.count_status(status);
             let response = Response::error(status, &error.to_string());
             // The client may still be mid-send (oversized or malformed
@@ -757,7 +758,7 @@ fn drive_write(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 if !*counted {
                     *counted = true;
-                    ctx.state.metrics.count_partial_write();
+                    ctx.state.metrics.count(Counter::PartialWrites);
                 }
                 conn.want = Interest::WRITE;
                 return Next::Keep;

@@ -337,7 +337,9 @@ impl<R: Read> RequestReader<R> {
                     let size = usize::from_str_radix(size_text, 16).map_err(|_| {
                         HttpError::Malformed(format!("bad chunk size {size_text:?}"))
                     })?;
-                    if progress.streamed + size > self.max_body {
+                    // The size is client-chosen (up to `usize::MAX`), so the
+                    // cap check must not add it to anything.
+                    if size > self.max_body.saturating_sub(progress.streamed) {
                         return Err(HttpError::PayloadTooLarge);
                     }
                     progress.state = if size == 0 {
@@ -723,9 +725,16 @@ mod tests {
 
     #[test]
     fn oversized_chunked_body_is_413() {
-        let raw = b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nff\r\n";
-        let err = RequestReader::new(raw.as_slice(), 100).next_request().unwrap_err();
-        assert!(matches!(err, HttpError::PayloadTooLarge));
+        // The second input's `usize::MAX` chunk follows streamed bytes: the
+        // cap check must not overflow adding it to them.
+        for raw in [
+            b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\nff\r\n".as_slice(),
+            b"POST /p HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nabc\r\nffffffffffffffff\r\n"
+                .as_slice(),
+        ] {
+            let err = RequestReader::new(raw, 100).next_request().unwrap_err();
+            assert!(matches!(err, HttpError::PayloadTooLarge), "{err:?}");
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //! | `GET /v1/jobs/{id}` | Poll: status, stage-by-stage progress, result when done (JSON report, or just the cleaned CSV via `Accept: text/csv`) |
 //! | `DELETE /v1/jobs/{id}` | Cancel a queued job / free a finished one |
 //! | `GET /v1/datasets` | The benchmark catalog (paper Table 1 datasets) |
-//! | `GET /v1/metrics` | Request counters, work-queue and connection state (open/peak/reaped/partial writes), LLM cache hit/miss/eviction, dispatcher and job-store state, and per-endpoint / per-stage latency percentiles |
-//! | `GET /metrics` | The same counters and latency histograms in Prometheus text exposition format |
+//! | `GET /v1/metrics` | Request counters, work-queue and connection state (open/peak/reaped/partial writes), LLM cache hit/miss/eviction, dispatcher, job-store and review-queue state, and per-endpoint / per-stage latency percentiles |
+//! | `GET /metrics` | Every numeric `/v1/metrics` figure as one Prometheus series, plus the latency histograms, in text exposition format (only the model name and an unbounded cache capacity stay JSON-only) |
 //!
 //! The full request/response reference lives in `docs/API.md` at the repo
 //! root; `docs/ARCHITECTURE.md` traces a request end to end.
@@ -40,6 +40,9 @@
 //!   identical cold prompts single-flight (within and across batches),
 //!   distinct ones batch, and a token bucket bounds what the backend
 //!   sees. All of it is observable via `/v1/metrics`.
+//! * [`metrics`] — the counters and the one list that declares every
+//!   exported figure (JSON path, Prometheus series, how it is read); both
+//!   metrics endpoints render that list.
 //! * [`jobs`] — FIFO store polled through [`cocoon_core::RunProgress`]
 //!   snapshots; finished jobs bounded by a retention cap *and* a TTL
 //!   sweep, and deletable by clients.
@@ -72,7 +75,7 @@ pub mod server;
 pub use api::CleanPayload;
 pub use http::{Request, Response};
 pub use jobs::{DeleteOutcome, JobCounts, JobStatus, JobStore, JobView};
-pub use metrics::{Metrics, MetricsSnapshot};
+pub use metrics::{Counter, Metrics};
 pub use obs::{FinishedTrace, LogFormat, RequestTrace, ServerObs};
 pub use reviews::{
     AcceptOutcome, RejectOutcome, ReviewCounts, ReviewStatus, ReviewStore, ReviewView,

@@ -17,10 +17,10 @@
 //! `cocoon_obs::Histogram` convention.
 
 use cocoon_core::{StageObserver, StageTiming};
-use cocoon_llm::{BatchEvent, DispatchObserver};
+use cocoon_llm::{BatchEvent, DispatchObserver, Json};
 use cocoon_obs::{format_tree, Histogram, SpanRecord, SpanRecorder};
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -334,40 +334,45 @@ impl ServerObs {
         self.stages.lock().expect("stage registry lock").clone()
     }
 
-    /// The `"latency"` section of the `/v1/metrics` JSON body: per-endpoint
-    /// and per-stage percentiles in microseconds (plus the LLM batch
-    /// round-trip histogram under stage key `"llm_batch"`). Endpoints with
-    /// no samples are omitted.
-    pub fn latency_json(&self) -> String {
-        let mut out = String::from("{\"endpoints\": {");
-        let mut first = true;
+    /// Every latency histogram holding samples, in render order: one per
+    /// endpoint label, one per pipeline stage in first-seen order, and the
+    /// LLM batch round-trip histogram under stage label `"llm_batch"`. Both
+    /// metrics renderers loop over this.
+    fn for_each_histogram(&self, mut visit: impl FnMut(Family, &str, &Histogram)) {
         for (label, histogram) in &self.endpoints {
-            if histogram.count() == 0 {
-                continue;
+            if histogram.count() > 0 {
+                visit(Family::Endpoint, label, histogram);
             }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!("\"{label}\": {}", summary_json(histogram)));
         }
-        out.push_str("}, \"stages\": {");
-        let mut first = true;
         for (name, histogram) in self.stage_histograms() {
-            if !first {
-                out.push_str(", ");
+            if histogram.count() > 0 {
+                visit(Family::Stage, name, &histogram);
             }
-            first = false;
-            out.push_str(&format!("\"{name}\": {}", summary_json(&histogram)));
         }
         if self.batches.latency.count() > 0 {
-            if !first {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"llm_batch\": {}", summary_json(&self.batches.latency)));
+            visit(Family::Stage, "llm_batch", &self.batches.latency);
         }
-        out.push_str("}}");
-        out
+    }
+
+    /// The `"latency"` section of the `/v1/metrics` JSON body: per-endpoint
+    /// and per-stage percentiles in microseconds.
+    pub fn latency_json(&self) -> Json {
+        let mut sections = [BTreeMap::new(), BTreeMap::new()];
+        self.for_each_histogram(|family, label, histogram| {
+            let summary = Json::object([
+                ("count".to_string(), Json::Number(histogram.count() as f64)),
+                ("p50_us".to_string(), micros(histogram.percentile(50.0))),
+                ("p90_us".to_string(), micros(histogram.percentile(90.0))),
+                ("p99_us".to_string(), micros(histogram.percentile(99.0))),
+                ("max_us".to_string(), micros(histogram.max())),
+            ]);
+            sections[family as usize].insert(label.to_string(), summary);
+        });
+        let [endpoints, stages] = sections;
+        Json::object([
+            ("endpoints".to_string(), Json::Object(endpoints)),
+            ("stages".to_string(), Json::Object(stages)),
+        ])
     }
 
     /// Renders every latency histogram in Prometheus text format:
@@ -376,46 +381,38 @@ impl ServerObs {
     /// buckets (monotone by construction of
     /// [`Histogram::cumulative_below`]).
     pub fn prometheus_histograms(&self, out: &mut String) {
-        out.push_str("# HELP cocoon_request_duration_seconds Request latency by endpoint.\n");
-        out.push_str("# TYPE cocoon_request_duration_seconds histogram\n");
-        for (label, histogram) in &self.endpoints {
-            if histogram.count() > 0 {
-                prometheus_histogram(
-                    out,
-                    "cocoon_request_duration_seconds",
-                    "endpoint",
-                    label,
-                    histogram,
-                );
-            }
-        }
-        out.push_str("# HELP cocoon_stage_duration_seconds Pipeline stage latency.\n");
-        out.push_str("# TYPE cocoon_stage_duration_seconds histogram\n");
-        for (name, histogram) in self.stage_histograms() {
-            prometheus_histogram(out, "cocoon_stage_duration_seconds", "stage", name, &histogram);
-        }
-        if self.batches.latency.count() > 0 {
-            prometheus_histogram(
-                out,
-                "cocoon_stage_duration_seconds",
-                "stage",
-                "llm_batch",
-                &self.batches.latency,
-            );
+        for (family, metric, label_key, help) in [
+            (
+                Family::Endpoint,
+                "cocoon_request_duration_seconds",
+                "endpoint",
+                "Request latency by endpoint.",
+            ),
+            (Family::Stage, "cocoon_stage_duration_seconds", "stage", "Pipeline stage latency."),
+        ] {
+            out.push_str(&format!("# HELP {metric} {help}\n# TYPE {metric} histogram\n"));
+            self.for_each_histogram(|seen, label, histogram| {
+                if seen == family {
+                    prometheus_histogram(out, metric, label_key, label, histogram);
+                }
+            });
         }
     }
 }
 
-/// `{"count": …, "p50_us": …, "p90_us": …, "p99_us": …, "max_us": …}`.
-fn summary_json(histogram: &Histogram) -> String {
-    format!(
-        "{{\"count\": {}, \"p50_us\": {}, \"p90_us\": {}, \"p99_us\": {}, \"max_us\": {}}}",
-        histogram.count(),
-        histogram.percentile(50.0) / 1_000,
-        histogram.percentile(90.0) / 1_000,
-        histogram.percentile(99.0) / 1_000,
-        histogram.max() / 1_000,
-    )
+/// The two latency histogram families: which `latency` JSON section and
+/// which Prometheus metric carry a histogram.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Family {
+    /// Whole-request latency by endpoint label.
+    Endpoint,
+    /// Pipeline stage (and LLM batch round-trip) latency by stage label.
+    Stage,
+}
+
+/// Nanoseconds as whole microseconds.
+fn micros(ns: u64) -> Json {
+    Json::Number((ns / 1_000) as f64)
 }
 
 fn prometheus_histogram(
@@ -508,7 +505,7 @@ mod tests {
         assert_eq!((recent[0].route, recent[0].status, recent[0].bytes), ("/v1/clean", 200, 42));
         assert_eq!(recent[0].spans.len(), 1);
 
-        let json = cocoon_llm::json::parse(&obs.latency_json()).expect("latency json parses");
+        let json = obs.latency_json();
         let endpoints = json.get("endpoints").unwrap();
         assert_eq!(endpoints.get("/v1/clean").unwrap().get("count").unwrap().as_f64(), Some(1.0));
         assert!(endpoints.get("/v1/jobs").is_none(), "empty endpoints are omitted");

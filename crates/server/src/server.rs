@@ -20,15 +20,16 @@
 
 use crate::api::{self, CleanPayload};
 use crate::event::{self, Mail, Shard, Work, WorkKind, WorkQueue};
-use crate::http::DEFAULT_MAX_BODY_BYTES;
+use crate::http::{Response, DEFAULT_MAX_BODY_BYTES};
 use crate::jobs::JobStore;
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::obs::{self, LogFormat, ServerObs};
 use crate::reviews::ReviewStore;
 use cocoon_core::{AutoApprove, Cleaner, CleaningRun, RunProgress};
-use cocoon_llm::{CachedLlm, ChatModel, CoalescingDispatcher, DispatcherConfig, SimLlm};
+use cocoon_llm::{CachedLlm, CoalescingDispatcher, DispatcherConfig, SimLlm};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -216,162 +217,6 @@ impl AppState {
         self.reviews.register(&run, job);
         Ok(run)
     }
-
-    /// The `/v1/metrics` body: request counters, work-queue and
-    /// connection state, the live LLM cache and dispatcher figures, and
-    /// job-store state.
-    pub fn metrics_body(&self) -> String {
-        let m = self.metrics.snapshot();
-        let d = self.llm.inner().stats();
-        let j = self.jobs.counts();
-        let r = self.reviews.counts();
-        format!(
-            "{{\"requests\": {{\"total\": {}, \"clean\": {}, \"jobs_submitted\": {}, \
-             \"jobs_polled\": {}, \"jobs_deleted\": {}, \"datasets\": {}, \"metrics\": {}, \
-             \"responses_4xx\": {}, \"responses_5xx\": {}}}, \
-             \"accept\": {{\"accepted\": {}, \"rejected_busy\": {}, \"queue_depth\": {}, \
-             \"queue_capacity\": {}}}, \
-             \"connections\": {{\"open\": {}, \"peak\": {}, \"idle_reaped\": {}, \
-             \"partial_writes\": {}, \"event_threads\": {}}}, \
-             \"llm\": {{\"model\": {}, \"cache_hits\": {}, \"cache_misses\": {}, \
-             \"cache_evictions\": {}, \"cached_responses\": {}, \"cache_capacity\": {}, \
-             \"dispatcher\": {{\"coalesced\": {}, \"batches\": {}, \"batched_prompts\": {}, \
-             \"rate_limit_waits\": {}, \"rate_limited_ms\": {}}}}}, \
-             \"jobs\": {{\"queued\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \
-             \"expired\": {}, \"deleted\": {}, \"queue_depth\": {}}}, \
-             \"reviews\": {{\"listed\": {}, \"accept_requests\": {}, \"reject_requests\": {}, \
-             \"pending\": {}, \"accepted\": {}, \"rejected\": {}, \"dropped\": {}}}, \
-             \"latency\": {}}}",
-            m.requests_total,
-            m.clean_requests,
-            m.jobs_submitted,
-            m.jobs_polled,
-            m.jobs_deleted,
-            m.dataset_requests,
-            m.metrics_requests,
-            m.responses_4xx,
-            m.responses_5xx,
-            m.connections_accepted,
-            m.connections_rejected,
-            self.work.depth(),
-            self.work.capacity,
-            m.connections_open,
-            m.connections_peak,
-            m.idle_reaped,
-            m.partial_writes,
-            self.shards.len(),
-            crate::http::json_escape(self.llm.model_name()),
-            self.llm.hits(),
-            self.llm.misses(),
-            self.llm.evictions(),
-            self.llm.len(),
-            match self.llm.capacity() {
-                Some(capacity) => capacity.to_string(),
-                None => "null".to_string(),
-            },
-            d.coalesced,
-            d.batches,
-            d.batched_prompts,
-            d.rate_limit_waits,
-            d.rate_limited_ms,
-            j.queued,
-            j.running,
-            j.done,
-            j.failed,
-            j.expired,
-            j.deleted,
-            self.jobs.depth(),
-            m.reviews_listed,
-            m.reviews_accepted,
-            m.reviews_rejected,
-            r.pending,
-            r.accepted,
-            r.rejected,
-            r.dropped,
-            self.obs.latency_json(),
-        )
-    }
-
-    /// The `GET /metrics` body: the same counters and histograms in
-    /// Prometheus text exposition format (`text/plain; version=0.0.4`).
-    pub fn prometheus_body(&self) -> String {
-        let m = self.metrics.snapshot();
-        let j = self.jobs.counts();
-        let mut out = String::with_capacity(4096);
-        let mut counter = |name: &str, help: &str, kind: &str, value: usize| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}\n"));
-        };
-        counter(
-            "cocoon_requests_total",
-            "Requests routed, all endpoints.",
-            "counter",
-            m.requests_total,
-        );
-        counter(
-            "cocoon_responses_4xx_total",
-            "Responses with a 4xx status.",
-            "counter",
-            m.responses_4xx,
-        );
-        counter(
-            "cocoon_responses_5xx_total",
-            "Responses with a 5xx status.",
-            "counter",
-            m.responses_5xx,
-        );
-        counter(
-            "cocoon_connections_accepted_total",
-            "Connections accepted into an event loop.",
-            "counter",
-            m.connections_accepted,
-        );
-        counter(
-            "cocoon_connections_rejected_total",
-            "Connections refused with a fast 503 at saturation.",
-            "counter",
-            m.connections_rejected,
-        );
-        counter(
-            "cocoon_connections_open",
-            "Connections open right now.",
-            "gauge",
-            m.connections_open,
-        );
-        counter(
-            "cocoon_connections_peak",
-            "High-water mark of open connections.",
-            "gauge",
-            m.connections_peak,
-        );
-        counter(
-            "cocoon_work_queue_depth",
-            "Complete requests waiting for a worker.",
-            "gauge",
-            self.work.depth(),
-        );
-        counter("cocoon_jobs_queued", "Jobs waiting in the async queue.", "gauge", j.queued);
-        counter("cocoon_jobs_running", "Jobs being cleaned right now.", "gauge", j.running);
-        counter(
-            "cocoon_reviews_pending",
-            "Low-confidence repairs waiting for a reviewer.",
-            "gauge",
-            self.reviews.counts().pending,
-        );
-        counter(
-            "cocoon_llm_cache_hits_total",
-            "Completion cache hits.",
-            "counter",
-            self.llm.hits(),
-        );
-        counter(
-            "cocoon_llm_cache_misses_total",
-            "Completion cache misses.",
-            "counter",
-            self.llm.misses(),
-        );
-        self.obs.prometheus_histograms(&mut out);
-        out
-    }
 }
 
 /// A bound-but-not-yet-serving server.
@@ -425,10 +270,10 @@ impl Server {
                 scope.spawn(move || event::event_loop(state, shard_index, listener));
             }
             for _ in 0..self.workers {
-                scope.spawn(move || worker_loop(state));
+                scope.spawn(move || worker_loop(state, route_work));
             }
             for _ in 0..self.job_workers {
-                scope.spawn(move || job_loop(state));
+                scope.spawn(move || job_loop(state, clean_job));
             }
         });
         Ok(())
@@ -470,10 +315,30 @@ impl ServerHandle {
     }
 }
 
-/// One worker: pop complete requests off the queue, run them, and post the
-/// response back to the owning shard, until shutdown. Workers never touch
-/// a socket.
-fn worker_loop(state: &AppState) {
+/// Runs `work`, counting a panic and answering `on_panic()` instead: a bug
+/// in one request or job costs neither its worker thread nor its client.
+fn contain<T>(state: &AppState, work: impl FnOnce() -> T, on_panic: impl FnOnce() -> T) -> T {
+    // Unwind safety: everything a handler shares lives in `AppState` behind
+    // a mutex (which a panic poisons) or in atomics, so nothing is left
+    // half-updated in a way the next request could read as valid.
+    panic::catch_unwind(AssertUnwindSafe(work)).unwrap_or_else(|_| {
+        state.metrics.count(Counter::HandlerPanics);
+        on_panic()
+    })
+}
+
+/// Routes one complete request to its handler.
+fn route_work(state: &AppState, kind: WorkKind) -> Response {
+    match kind {
+        WorkKind::Request(request) => api::route(state, &request),
+        WorkKind::CsvClean { head, table } => api::route_streamed_csv(state, &head, table),
+    }
+}
+
+/// One worker: pop complete requests off the queue, run them through
+/// `handle` (the server passes [`route_work`]), and post the response back
+/// to the owning shard, until shutdown. Workers never touch a socket.
+fn worker_loop(state: &AppState, handle: impl Fn(&AppState, WorkKind) -> Response) {
     while let Some(work) = state.work.pop(|| state.shutdown_requested()) {
         let Work { shard, token, kind, reusable, drain, trace, queued_at } = work;
         // The queue-wait segment runs from the event loop's push to this
@@ -486,9 +351,17 @@ fn worker_loop(state: &AppState) {
         });
         let current =
             trace.as_ref().zip(handler).map(|(trace, handler)| (Arc::clone(trace), handler));
-        let response = obs::with_current_trace(current, || match kind {
-            WorkKind::Request(request) => api::route(state, &request),
-            WorkKind::CsvClean { head, table } => api::route_streamed_csv(state, &head, table),
+        // The catch sits inside the trace scope, so a panic still restores
+        // the thread's current trace and closes the handler span.
+        let response = obs::with_current_trace(current, || {
+            contain(
+                state,
+                || handle(state, kind),
+                || {
+                    state.metrics.count_status(500);
+                    Response::error(500, "the handler panicked; see the server log")
+                },
+            )
         });
         if let (Some(trace), Some(handler)) = (&trace, handler) {
             trace.recorder.close(handler, Instant::now());
@@ -497,14 +370,32 @@ fn worker_loop(state: &AppState) {
     }
 }
 
-/// Drains the job queue until shutdown. Job results are always rendered as
-/// the JSON body a synchronous `/v1/clean` would have returned.
-fn job_loop(state: &AppState) {
+/// Runs one job's clean, rendered as the JSON body a synchronous
+/// `/v1/clean` would have returned.
+fn clean_job(
+    state: &AppState,
+    id: u64,
+    payload: &CleanPayload,
+    progress: &RunProgress,
+) -> Result<String, String> {
+    state
+        .run_clean(payload, Some(progress), Some(id))
+        .map(|run| api::clean_response_body(&run, payload.include_rows))
+        .map_err(|e| format!("clean failed: {e}"))
+}
+
+/// Drains the job queue through `clean` (the server passes [`clean_job`])
+/// until shutdown; a panicking clean fails its job.
+fn job_loop(
+    state: &AppState,
+    clean: impl Fn(&AppState, u64, &CleanPayload, &RunProgress) -> Result<String, String>,
+) {
     while let Some((id, payload, progress)) = state.jobs.next_job(|| state.shutdown_requested()) {
-        let outcome = state
-            .run_clean(&payload, Some(&progress), Some(id))
-            .map(|run| api::clean_response_body(&run, payload.include_rows))
-            .map_err(|e| format!("clean failed: {e}"));
+        let outcome = contain(
+            state,
+            || clean(state, id, &payload, &progress),
+            || Err("clean failed: the job worker panicked; see the server log".to_string()),
+        );
         state.jobs.finish(id, outcome);
     }
 }
@@ -513,6 +404,7 @@ fn job_loop(state: &AppState) {
 mod tests {
     use super::*;
     use crate::http::{Request, RequestReader};
+    use cocoon_llm::Json;
 
     fn test_state() -> AppState {
         AppState::new(&ServerConfig { addr: "127.0.0.1:0".into(), ..ServerConfig::default() })
@@ -539,11 +431,7 @@ mod tests {
     /// exactly as `job_loop` would.
     fn run_one_job(state: &AppState) -> u64 {
         let (id, payload, progress) = state.jobs.next_job(|| false).unwrap();
-        let outcome = state
-            .run_clean(&payload, Some(&progress), Some(id))
-            .map(|run| api::clean_response_body(&run, payload.include_rows))
-            .map_err(|e| e.to_string());
-        state.jobs.finish(id, outcome);
+        state.jobs.finish(id, clean_job(state, id, &payload, &progress));
         id
     }
 
@@ -678,6 +566,181 @@ mod tests {
             "second clean is served entirely from the shared cache"
         );
         assert!(state.llm.hits() > 0);
+    }
+
+    /// `requests.handler_panics` as `/v1/metrics` and `GET /metrics` report it.
+    fn panics_in_both_outputs(state: &AppState) -> (f64, bool) {
+        let json = cocoon_llm::json::parse(&state.metrics_body()).unwrap();
+        let reported = json.get("requests").unwrap().get("handler_panics").unwrap();
+        let scraped = state.prometheus_body().lines().any(|l| l == "cocoon_handler_panics_total 1");
+        (reported.as_f64().unwrap(), scraped)
+    }
+
+    #[test]
+    fn handler_panic_answers_500_and_the_worker_serves_on() {
+        let state = test_state();
+        let trace = Arc::new(state.obs.begin_request(Instant::now()));
+        for (token, path) in [(1, "/panic"), (2, "/v1/datasets")] {
+            let kind = WorkKind::Request(get(path));
+            let trace = Some(Arc::clone(&trace));
+            let (reusable, drain, queued_at) = (true, false, Instant::now());
+            assert!(state.work.push(Work {
+                shard: 0,
+                token,
+                kind,
+                reusable,
+                drain,
+                trace,
+                queued_at
+            }));
+        }
+        // Runs on this thread and returns once the second request asks the
+        // loop to stop: the panic cost neither the thread nor the loop.
+        worker_loop(&state, |state, kind| match &kind {
+            WorkKind::Request(request) if request.path == "/panic" => panic!("injected"),
+            _ => {
+                state.request_shutdown();
+                route_work(state, kind)
+            }
+        });
+        let statuses: Vec<(u64, u16)> = state.shards[0]
+            .take_mail()
+            .into_iter()
+            .filter_map(|mail| match mail {
+                Mail::Done { token, response, .. } => Some((token, response.status)),
+                Mail::Conn(_) => None,
+            })
+            .collect();
+        assert_eq!(statuses, [(1, 500), (2, 200)]);
+        assert!(obs::current_trace().is_none(), "the thread's current trace is restored");
+        let handlers = trace.recorder.finish().iter().filter(|s| s.name == "handler").count();
+        assert_eq!(handlers, 2, "both handler spans were recorded");
+        assert_eq!(panics_in_both_outputs(&state), (1.0, true));
+        assert_eq!(state.metrics.get(Counter::Responses5xx), 1);
+    }
+
+    #[test]
+    fn job_panic_fails_the_job_and_the_worker_cleans_on() {
+        let state = test_state();
+        let payload = |csv: &str| api::parse_clean_payload(csv.as_bytes()).unwrap();
+        let first = state.jobs.submit(payload(r#"{"csv": "a\n1\n"}"#)).unwrap();
+        let second = state.jobs.submit(payload(r#"{"csv": "a\n2\n"}"#)).unwrap();
+        // As above: the loop runs here and cleans the second job after the
+        // first one panicked.
+        job_loop(&state, |state, id, payload, progress| {
+            if id == first {
+                panic!("injected");
+            }
+            state.request_shutdown();
+            clean_job(state, id, payload, progress)
+        });
+        let failed = state.jobs.view(first).unwrap();
+        assert_eq!(failed.status, crate::jobs::JobStatus::Failed);
+        assert!(failed.error.unwrap().contains("panicked"));
+        assert_eq!(state.jobs.view(second).unwrap().status, crate::jobs::JobStatus::Done);
+        assert_eq!(panics_in_both_outputs(&state), (1.0, true));
+    }
+
+    /// Every numeric `/v1/metrics` figure outside `latency` has exactly one
+    /// `GET /metrics` counter or gauge with the same value, named
+    /// `cocoon_<section>_<key>` (plus `_total` on counters) unless listed
+    /// as an exception, and every counter or gauge maps back to a figure.
+    #[test]
+    fn json_and_prometheus_report_the_same_figures() {
+        let state = test_state();
+        let config = cocoon_core::CleanerConfig {
+            confidence_threshold: 0.9,
+            ..cocoon_core::CleanerConfig::only_issue("string_outliers")
+        };
+        let mut csv = String::from("drink,country\n");
+        csv.push_str(&"coffee,USA\n".repeat(50));
+        csv.push_str(&"tea,India\n".repeat(10));
+        csv.push_str("cofffee,Hindi\n");
+        let body = format!(
+            "{{\"csv\": {}, \"config\": {}}}",
+            cocoon_llm::json::escape(&csv),
+            config.to_json()
+        );
+        assert_eq!(api::route(&state, &post("/v1/clean", &body)).status, 200);
+        assert_eq!(api::route(&state, &post("/v1/jobs", &body)).status, 202);
+        let id = run_one_job(&state);
+        assert_eq!(api::route(&state, &get(&format!("/v1/jobs/{id}"))).status, 200);
+        let review = state.reviews.list()[0].id;
+        let accept = post(&format!("/v1/reviews/{review}/accept"), "");
+        assert_eq!(api::route(&state, &accept).status, 200);
+        assert_eq!(api::route(&state, &get("/nope")).status, 404);
+
+        let json = cocoon_llm::json::parse(&state.metrics_body()).unwrap();
+        let mut figures = Vec::new();
+        let mut pending = vec![(String::new(), &json)];
+        while let Some((path, node)) = pending.pop() {
+            match node {
+                Json::Object(members) => pending.extend(
+                    members
+                        .iter()
+                        .filter(|(key, _)| !(path.is_empty() && *key == "latency"))
+                        .map(|(key, child)| (format!("{path}.{key}"), child)),
+                ),
+                Json::Number(value) => figures.push((path[1..].to_string(), *value)),
+                _ => {}
+            }
+        }
+        // Series named before the naming rule, and the panic counter's
+        // short name.
+        let exceptions = [
+            ("requests.total", "cocoon_requests_total"),
+            ("requests.responses_4xx", "cocoon_responses_4xx_total"),
+            ("requests.responses_5xx", "cocoon_responses_5xx_total"),
+            ("requests.handler_panics", "cocoon_handler_panics_total"),
+            ("accept.accepted", "cocoon_connections_accepted_total"),
+            ("accept.rejected_busy", "cocoon_connections_rejected_total"),
+            ("accept.queue_depth", "cocoon_work_queue_depth"),
+        ];
+
+        let text = state.prometheus_body();
+        let mut types = std::collections::HashMap::new();
+        let mut samples = Vec::new();
+        for line in text.lines() {
+            if let Some(typed) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = typed.split_once(' ').unwrap();
+                types.insert(name, kind);
+            } else if !line.starts_with('#') && !line.contains('{') {
+                let (name, value) = line.split_once(' ').unwrap();
+                samples.push((name, value.parse::<f64>().unwrap()));
+            }
+        }
+        let mut missing = Vec::new();
+        let mut mapped = std::collections::HashSet::new();
+        for (path, value) in &figures {
+            let name = match exceptions.iter().find(|(p, _)| p == path) {
+                Some((_, name)) => name.to_string(),
+                None => format!("cocoon_{}", path.replace('.', "_")),
+            };
+            let matching: Vec<_> = samples
+                .iter()
+                .filter(|(sample, _)| {
+                    *sample == name || sample.strip_suffix("_total") == Some(name.as_str())
+                })
+                .collect();
+            match matching[..] {
+                [(sample, scraped)] => {
+                    assert_eq!(scraped, value, "{path} vs {sample}");
+                    let kind = if sample.ends_with("_total") { "counter" } else { "gauge" };
+                    assert_eq!(types.get(sample), Some(&kind), "{sample}");
+                    mapped.insert(*sample);
+                }
+                _ => missing.push(path.as_str()),
+            }
+        }
+        assert!(
+            missing.is_empty(),
+            "{} figures lack one Prometheus sample: {missing:?}",
+            missing.len()
+        );
+        let unmapped: Vec<_> = samples.iter().filter(|(name, _)| !mapped.contains(name)).collect();
+        assert!(unmapped.is_empty(), "counters or gauges with no figure: {unmapped:?}");
+        assert!(figures.iter().any(|(path, v)| path == "reviews.accepted" && *v == 1.0));
+        assert!(figures.iter().any(|(path, v)| path == "jobs.done" && *v == 1.0));
     }
 
     #[test]

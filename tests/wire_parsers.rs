@@ -1,0 +1,256 @@
+//! No-panic properties for every parser that reads bytes from outside the
+//! process: HTTP framing, streamed CSV, the JSON clean payload, the JSON
+//! and YAML model-reply parsers with their typed response parsers, and the
+//! SQL parser. Each may reject its input with an error, never panic.
+//!
+//! Inputs are arbitrary bytes plus byte strings spliced from fragments of
+//! the format under test (framing headers, oversized hex chunk sizes, a
+//! lone `"`, half a UTF-8 character), which reach the deep parser states
+//! that uniform bytes almost never do.
+
+use cocoon_llm::{json, responses, yaml};
+use cocoon_server::api::parse_clean_payload;
+use cocoon_server::http::{HttpError, RequestReader};
+use cocoon_table::csv::CsvStream;
+use proptest::collection;
+use proptest::prelude::*;
+use std::io::Read;
+
+/// Half of `€` (U+20AC), then the other half: a character split across
+/// two reads or two fragments.
+const SPLIT_UTF8: [&[u8]; 2] = [b"\xe2\x82", b"\xac"];
+
+/// Up to `parts` fragments, concatenated.
+fn picked(fragments: &'static [&'static [u8]], parts: usize) -> BoxedStrategy<Vec<u8>> {
+    collection::vec(0..fragments.len(), 0..parts)
+        .prop_map(move |picks| picks.iter().flat_map(|&i| fragments[i].to_vec()).collect())
+        .boxed()
+}
+
+/// Up to `parts` pieces, each a fragment or a few arbitrary bytes.
+fn spliced(fragments: &'static [&'static [u8]], parts: usize) -> BoxedStrategy<Vec<u8>> {
+    let piece = prop_oneof![3 => picked(fragments, 2), 1 => collection::vec(any::<u8>(), 0..6)];
+    collection::vec(piece, 0..parts).prop_map(|pieces| pieces.concat()).boxed()
+}
+
+/// Arbitrary bytes or a splice of `fragments`.
+fn wire_bytes(fragments: &'static [&'static [u8]]) -> BoxedStrategy<Vec<u8>> {
+    prop_oneof![collection::vec(any::<u8>(), 0..512), spliced(fragments, 24)].boxed()
+}
+
+/// A reader handing out its bytes `step` at a time, so heads, chunk-size
+/// lines and bodies split across reads.
+struct Trickle {
+    bytes: Vec<u8>,
+    at: usize,
+    step: usize,
+}
+
+impl Read for Trickle {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.step).min(self.bytes.len() - self.at);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+const FRAMING: &[&[u8]] = &[
+    b"Content-Length: 5\r\n",
+    b"Content-Length: 99999999999999999999999\r\n",
+    b"Transfer-Encoding: gzip\r\n",
+    b"",
+];
+
+const HEADERS: &[&[u8]] = &[
+    b"Content-Length: 6\r\n",
+    b"Transfer-Encoding: chunked\r\n",
+    b"Connection: close\r\n",
+    b"X: \"\r\n",
+    b"\n",
+    SPLIT_UTF8[0],
+];
+
+/// Whole chunks (three valid ones, one whose size overflows the cap
+/// arithmetic, two terminators) and fixed-length body bytes.
+const BODY: &[&[u8]] = &[
+    b"3\r\nabc\r\n",
+    b"1;ext=\"\r\nx\r\n",
+    b"2\r\n\xe2\x82\r\n",
+    b"ffffffffffffffff\r\n",
+    b"0\r\n\r\n",
+    b"0\r\nTrailer: x\r\n\r\n",
+    b"abcde",
+];
+
+/// A request line, a framing header (chunked half the time), more headers,
+/// a blank line and a body of chunk-size lines and data, twice over for
+/// pipelining; or arbitrary bytes.
+fn http_bytes() -> BoxedStrategy<Vec<u8>> {
+    let framing = prop_oneof![
+        1 => Just(b"Transfer-Encoding: chunked\r\n".to_vec()),
+        1 => (0..FRAMING.len()).prop_map(|i| FRAMING[i].to_vec()),
+    ];
+    let message =
+        (framing, picked(HEADERS, 3), picked(BODY, 10)).prop_map(|(framing, headers, body)| {
+            [b"POST / HTTP/1.1\r\n".to_vec(), framing, headers, b"\r\n".to_vec(), body].concat()
+        });
+    prop_oneof![
+        collection::vec(any::<u8>(), 0..512),
+        (message.clone(), message).prop_map(|(a, b)| [a, b].concat()),
+    ]
+    .boxed()
+}
+
+const CSV: &[&[u8]] =
+    &[b",", b"\"", b"\"\"", b"\n", b"\r\n", b"\r", b"a", b"12", b"x,y\n", b"\xff"];
+
+const JSON_AND_YAML: &[&[u8]] = &[
+    b"```json\n",
+    b"```yaml\n",
+    b"```\n",
+    b"{",
+    b"}",
+    b"[",
+    b"]",
+    b"\"",
+    b":",
+    b",",
+    b"null",
+    b"true",
+    b"1e999",
+    b"-",
+    b"\\u12",
+    b"\\",
+    b"\"csv\": ",
+    b"\"a\\nx\\n\"",
+    b"\"columns\": [\"a\"], \"rows\": [[1]]",
+    b"\"config\": {\"threads\": ",
+    b"\"meaningful\": ",
+    b"\"mapping\": {",
+    b"\"confidence\": ",
+    b"key: value\n",
+    b"mapping:\n",
+    b"  'a': 'b'\n",
+    b"- x\n",
+    b"  ",
+    b"#",
+    SPLIT_UTF8[0],
+    SPLIT_UTF8[1],
+];
+
+const SQL: &[&[u8]] = &[
+    b"SELECT ",
+    b"*",
+    b"a",
+    b"\"b c\"",
+    b", ",
+    b" FROM t",
+    b" WHERE ",
+    b"CASE WHEN ",
+    b" THEN ",
+    b" ELSE ",
+    b" END",
+    b"(",
+    b")",
+    b"'",
+    b"''",
+    b"CAST(",
+    b"TRY_CAST(",
+    b" AS INTEGER",
+    b"99999999999999999999",
+    b"1e999",
+    b"-",
+    b" = ",
+    b" AND ",
+    b"NOT ",
+    b" IS NULL",
+    b" IN (",
+    b" QUALIFY ROW_NUMBER() OVER (PARTITION BY a ORDER BY b) = 1",
+    b"REGEXP_REPLACE(",
+    SPLIT_UTF8[0],
+];
+
+/// Reads every request off `bytes` through the incremental framing API,
+/// the way the event loop does, until the stream fails or closes.
+fn frame_all(bytes: Vec<u8>, step: usize, max_body: usize) {
+    let mut reader = RequestReader::new(Trickle { bytes, at: 0, step }, max_body);
+    let mut buf = [0u8; 7];
+    loop {
+        let Ok(head) = reader.next_head() else { return };
+        let mut progress = reader.begin_body(&head);
+        loop {
+            match reader.read_body(&mut progress, &mut buf) {
+                Ok(0) => break,
+                Ok(_) => {}
+                Err(HttpError::Closed | HttpError::Malformed(_) | HttpError::PayloadTooLarge) => {
+                    return
+                }
+                Err(HttpError::Io(e)) => panic!("an in-memory source cannot fail: {e}"),
+            }
+        }
+        assert!(progress.is_complete(), "Ok(0) means the body is complete");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn http_framing_never_panics(
+        bytes in http_bytes(),
+        step in 1usize..64,
+        max_body in prop_oneof![Just(4usize), Just(64), Just(1 << 20)],
+    ) {
+        frame_all(bytes, step, max_body);
+    }
+
+    #[test]
+    fn csv_stream_never_panics(
+        bytes in wire_bytes(CSV),
+        cuts in collection::vec(any::<usize>(), 0..4),
+    ) {
+        let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut stream = CsvStream::new();
+        let mut from = 0;
+        let mut ok = true;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            if stream.push_bytes(&bytes[from..cut]).is_err() {
+                ok = false;
+                break;
+            }
+            from = cut;
+        }
+        if ok {
+            let _ = stream.finish_table();
+        }
+    }
+
+    #[test]
+    fn json_yaml_and_reply_parsers_never_panic(bytes in wire_bytes(JSON_AND_YAML)) {
+        let _ = parse_clean_payload(&bytes);
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = json::parse(&text);
+        let _ = json::extract(&text);
+        let _ = yaml::parse(&text);
+        let _ = yaml::extract(&text);
+        let _ = responses::parse_detect_verdict(&text);
+        let _ = responses::parse_cleaning_map(&text);
+        let _ = responses::parse_pattern_plan(&text);
+        let _ = responses::parse_dmv_verdict(&text);
+        let _ = responses::parse_type_verdict(&text);
+        let _ = responses::parse_range_verdict(&text);
+        let _ = responses::parse_fd_verdict(&text);
+        let _ = responses::parse_dup_verdict(&text);
+        let _ = responses::parse_unique_verdict(&text);
+        let _ = responses::parse_repair_verdict(&text);
+    }
+
+    #[test]
+    fn sql_parser_never_panics(bytes in wire_bytes(SQL)) {
+        let text = String::from_utf8_lossy(&bytes);
+        let _ = cocoon_sql::parse_select(&text);
+        let _ = cocoon_sql::parse_expr(&text);
+    }
+}
