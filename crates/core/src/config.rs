@@ -73,17 +73,16 @@ pub struct CleanerConfig {
     /// is that statistics give the LLM context; turning this off degrades
     /// detection).
     pub statistical_context: bool,
-    /// Worker threads for the per-stage detection fan-out. `None` defers to
-    /// the `COCOON_THREADS` environment variable, falling back to the
-    /// machine's available parallelism.
+    /// Worker threads for the detection steps of each prompt wave. `None`
+    /// defers to the `COCOON_THREADS` environment variable, falling back
+    /// to the machine's available parallelism.
     ///
-    /// With a model whose answers are a pure function of the prompt
-    /// (`SimLlm`, `CachedLlm` over one) output is byte-identical at any
-    /// thread count — threads only trade wall-clock for cores. Models with
-    /// call-order state (`ScriptedLlm`'s positional script, a sampling API
-    /// backend) lose that guarantee above 1 thread, because concurrent
-    /// detection workers consume answers in completion order; pin
-    /// `threads: Some(1)` to script multi-column interactions.
+    /// Threads only trade wall-clock for cores: the cleaning thread makes
+    /// every model call itself, in a fixed order (one batch per prompt
+    /// wave, prompts in unit order, then the sequential decide phase's
+    /// calls). So with a model whose answers depend only on its calls —
+    /// `SimLlm`, `CachedLlm` over one, even `ScriptedLlm`'s positional
+    /// script — output is byte-identical at any thread count.
     pub threads: Option<usize>,
 }
 
@@ -132,7 +131,7 @@ impl CleanerConfig {
     ///
     /// This is the request-config format of `cocoon-server`'s clean
     /// endpoints. Partial objects are the norm (`{"threads": 1}` pins the
-    /// fan-out, everything else stays default); unknown keys are rejected
+    /// detection workers, everything else stays default); unknown keys are rejected
     /// so client typos fail loudly instead of silently running defaults.
     pub fn from_json(json: &Json) -> Result<Self> {
         let mut config = CleanerConfig::default();

@@ -6,14 +6,16 @@
 //! non-numeric spellings ("1 hr. 30 min."), by a semantic value map
 //! (Appendix B).
 //!
-//! Detect phase (concurrent, per text column): type prompt → verdict →
-//! numeric-conversion map prefetch. Decide phase (sequential): hook review
-//! → cast compile → apply with the destructive-cast guard.
+//! Detect phase (prompt waves over the text columns): type prompt in the
+//! first wave; for numeric verdicts whose census holds non-numeric
+//! spellings, the numeric-conversion map prompt in the second. Decide phase
+//! (sequential): hook review → cast compile → apply with the
+//! destructive-cast guard.
 
 use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values, restrict_mapping};
 use crate::decision::{Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_cleaning_map, parse_type_verdict, prompts};
 use cocoon_sql::Expr;
 use cocoon_table::{infer_column_type, DataType};
@@ -31,98 +33,117 @@ struct Finding {
     confidence: Option<f64>,
 }
 
+/// What a column waits on: the type verdict (holding the statistical
+/// evidence), then the conversion map (holding the finding it completes
+/// and the values it was asked about).
+enum Asked {
+    Verdict(String),
+    Conversion(Finding, Vec<(String, usize)>),
+}
+
 fn degraded(column: &str, err: &crate::error::CoreError) -> String {
     format!("column-type review on {column:?} degraded to statistical-only: {err}")
 }
 
 /// Runs column-type review and casting over every text column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
+    let columns = state.columns(|ty| ty == DataType::Text);
+    let outcomes =
+        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
     state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if field.data_type() != DataType::Text {
-        return Outcome::Clean;
-    }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
-    let census = ctx.census(index, 50);
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Finding>> {
+    let census = ctx.census(column.index, 50);
     if census.is_empty() {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
-    let inference = infer_column_type(ctx.table.column(index)?, ctx.config.type_tolerance);
-    let declared = ctx.table.schema().field(index)?.data_type();
-
-    let response = ctx.ask(prompts::column_type(
-        column,
+    let inference = infer_column_type(ctx.table.column(column.index)?, ctx.config.type_tolerance);
+    let declared = ctx.table.schema().field(column.index)?.data_type();
+    let prompt = prompts::column_type(
+        &column.name,
         declared.sql_name(),
         inference.data_type.sql_name(),
         inference.confidence,
         &census,
-    ))?;
-    let verdict = parse_type_verdict(&response)?;
-    let Some(target) = DataType::from_sql_name(&verdict.type_name) else {
-        return Ok(Outcome::Note(format!(
-            "column-type review on {column:?} suggested unknown type {:?}",
-            verdict.type_name
-        )));
-    };
-    if target == DataType::Text {
-        return Ok(Outcome::Clean);
-    }
+    );
     let evidence = format!(
         "declared {}, inferred {} at {:.0}% confidence",
         declared.sql_name(),
         inference.data_type.sql_name(),
         inference.confidence * 100.0
     );
+    Ok(Step::ask(Asked::Verdict(evidence), prompt))
+}
 
-    // For numeric targets, values that don't parse as numbers first get a
-    // semantic numeric-conversion map (Appendix B: "1 hr. 30 min." → 90).
-    // The map must cover the column's full distinct census — the 50-value
-    // sample shown in the type prompt is not enough to cast every cell.
-    let mut conversion_mapping: Vec<(String, String)> = Vec::new();
-    let mut conversion_reasoning = String::new();
-    let mut confidence = verdict.confidence;
-    if target.is_numeric() {
-        let full_census = ctx.census(index, ctx.config.sample_size);
-        let failing: Vec<(String, usize)> =
-            full_census.iter().filter(|(v, _)| v.trim().parse::<f64>().is_err()).cloned().collect();
-        if !failing.is_empty() {
-            let response = ctx.ask(prompts::numeric_conversion(column, &failing))?;
+fn resume(
+    ctx: &DetectCtx<'_>,
+    column: &Column,
+    asked: Asked,
+    mut answers: Answers,
+) -> crate::error::Result<Step<Asked, Finding>> {
+    let response = answers.remove(0)?;
+    match asked {
+        Asked::Verdict(evidence) => review(ctx, column, evidence, &response),
+        Asked::Conversion(mut finding, failing) => {
             let map = parse_cleaning_map(&response)?;
-            conversion_mapping = restrict_mapping(&map.mapping, &failing);
-            if !conversion_mapping.is_empty() {
-                conversion_reasoning = map.explanation;
-                confidence = match (confidence, map.confidence) {
+            finding.conversion_mapping = restrict_mapping(&map.mapping, &failing);
+            if !finding.conversion_mapping.is_empty() {
+                finding.conversion_reasoning = map.explanation;
+                finding.confidence = match (finding.confidence, map.confidence) {
                     (Some(a), Some(b)) => Some(a.min(b)),
                     (a, b) => a.or(b),
                 };
             }
+            Ok(Step::Done(Outcome::Finding(finding)))
         }
     }
-    Ok(Outcome::Finding(Finding {
-        index,
-        column: column.to_string(),
+}
+
+/// Reads the type verdict. A numeric target whose census holds values that
+/// do not parse as numbers asks for the conversion map next.
+fn review(
+    ctx: &DetectCtx<'_>,
+    column: &Column,
+    evidence: String,
+    response: &str,
+) -> crate::error::Result<Step<Asked, Finding>> {
+    let verdict = parse_type_verdict(response)?;
+    let Some(target) = DataType::from_sql_name(&verdict.type_name) else {
+        return Ok(Step::Done(Outcome::Note(format!(
+            "column-type review on {:?} suggested unknown type {:?}",
+            column.name, verdict.type_name
+        ))));
+    };
+    if target == DataType::Text {
+        return Ok(Step::clean());
+    }
+    let finding = Finding {
+        index: column.index,
+        column: column.name.clone(),
         evidence,
         reasoning: verdict.reasoning,
         target,
-        conversion_mapping,
-        conversion_reasoning,
-        confidence,
-    }))
+        conversion_mapping: Vec::new(),
+        conversion_reasoning: String::new(),
+        confidence: verdict.confidence,
+    };
+    if target.is_numeric() {
+        // Values that don't parse as numbers first get a semantic
+        // numeric-conversion map (Appendix B: "1 hr. 30 min." → 90). The
+        // map must cover the column's full distinct census — the 50-value
+        // sample shown in the type prompt is not enough to cast every cell.
+        let failing: Vec<(String, usize)> = ctx
+            .census(column.index, ctx.config.sample_size)
+            .into_iter()
+            .filter(|(v, _)| v.trim().parse::<f64>().is_err())
+            .collect();
+        if !failing.is_empty() {
+            let prompt = prompts::numeric_conversion(&column.name, &failing);
+            return Ok(Step::ask(Asked::Conversion(finding, failing), prompt));
+        }
+    }
+    Ok(Step::Done(Outcome::Finding(finding)))
 }
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {

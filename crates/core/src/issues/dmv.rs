@@ -4,13 +4,14 @@
 //! not-NULL values that semantically mean "missing" ("N/A", "null", "-");
 //! cleaning is `CASE WHEN … THEN NULL`.
 //!
-//! Detect phase (concurrent, per text column): census → DMV prompt → token
-//! filter. Decide phase (sequential): cleaning review → SQL compile → apply.
+//! Detect phase (one prompt wave over the text columns): census → DMV
+//! prompt → token filter. Decide phase (sequential): cleaning review → SQL
+//! compile → apply.
 
 use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values};
 use crate::decision::{CleaningReview, Decision};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_dmv_verdict, prompts};
 use cocoon_sql::{render_select, Expr};
 use cocoon_table::DataType;
@@ -24,62 +25,62 @@ struct Finding {
     confidence: Option<f64>,
 }
 
+/// What a column's DMV prompt was shown: its census and numeric share.
+struct Asked {
+    census: Vec<(String, usize)>,
+    numeric_share: f64,
+}
+
 fn degraded(column: &str, err: &crate::error::CoreError) -> String {
     format!("DMV detection on {column:?} degraded to statistical-only: {err}")
 }
 
 /// Runs DMV detection and cleaning over every text column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
+    let columns = state.columns(|ty| ty == DataType::Text);
+    let outcomes =
+        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
     state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if field.data_type() != DataType::Text {
-        return Outcome::Clean;
-    }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
-    let census = ctx.census(index, ctx.config.sample_size);
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Finding>> {
+    let census = ctx.census(column.index, ctx.config.sample_size);
     if census.is_empty() {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
     // Numeric share guides whether sentinel values (9999, -1) count as DMVs.
     let total: usize = census.iter().map(|(_, c)| c).sum();
     let numeric: usize =
         census.iter().filter(|(v, _)| v.trim().parse::<f64>().is_ok()).map(|(_, c)| c).sum();
     let numeric_share = if total == 0 { 0.0 } else { numeric as f64 / total as f64 };
+    let prompt = prompts::dmv_detect(&column.name, &census, numeric_share);
+    Ok(Step::ask(Asked { census, numeric_share }, prompt))
+}
 
-    let response = ctx.ask(prompts::dmv_detect(column, &census, numeric_share))?;
-    let verdict = parse_dmv_verdict(&response)?;
+fn resume(
+    _ctx: &DetectCtx<'_>,
+    column: &Column,
+    Asked { census, numeric_share }: Asked,
+    mut answers: Answers,
+) -> crate::error::Result<Step<Asked, Finding>> {
+    let verdict = parse_dmv_verdict(&answers.remove(0)?)?;
     let tokens: Vec<String> =
         verdict.tokens.into_iter().filter(|t| census.iter().any(|(v, _)| v == t)).collect();
     if tokens.is_empty() {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
 
     let mapping: Vec<(String, String)> =
         tokens.iter().map(|t| (t.clone(), String::new())).collect();
     let evidence =
         format!("{} distinct values reviewed; numeric share {numeric_share:.2}", census.len());
-    Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
+    Ok(Step::Done(Outcome::Finding(Finding {
+        column: column.name.clone(),
         evidence,
         reasoning: verdict.reasoning,
         mapping,
         confidence: verdict.confidence,
-    }))
+    })))
 }
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {

@@ -5,12 +5,13 @@
 //! erroneous; cleaning is `SELECT DISTINCT`.
 //!
 //! The whole table is one detection unit, so the detect phase is a single
-//! read-only task; the decide phase reviews and applies as usual.
+//! prompt wave of at most one prompt; the decide phase reviews and applies
+//! as usual.
 
 use crate::apply::apply_and_count;
 use crate::decision::{Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::state::{Answers, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_dup_verdict, prompts};
 use cocoon_profile::duplicate_profile;
 use cocoon_sql::Select;
@@ -21,53 +22,50 @@ struct Finding {
     confidence: Option<f64>,
 }
 
+fn degraded(err: &crate::error::CoreError) -> String {
+    format!("duplication review degraded to statistical-only: {err}")
+}
+
 /// Runs duplicate-row review over the whole table.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcome = detect(&state.detect_ctx());
-    match outcome {
-        Outcome::Clean => {}
-        Outcome::Note(note) => state.note(note),
-        Outcome::Finding(finding) => {
-            if let Err(err) = decide(state, &finding) {
-                state.note(format!("duplication review degraded to statistical-only: {err}"));
-            }
-        }
-    }
+    let outcomes = state.detect_waves(vec![()], start, resume, |_, err| degraded(err));
+    state.decide_outcomes(outcomes, decide, |_, err| degraded(err));
 }
 
-fn detect(ctx: &DetectCtx<'_>) -> Outcome<Finding> {
-    match detect_inner(ctx) {
-        Ok(outcome) => outcome,
-        Err(err) => {
-            Outcome::Note(format!("duplication review degraded to statistical-only: {err}"))
-        }
-    }
-}
-
-fn detect_inner(ctx: &DetectCtx<'_>) -> crate::error::Result<Outcome<Finding>> {
+/// Asks the review of the table's exact duplicates; resumes holding the
+/// statistical evidence.
+fn start(ctx: &DetectCtx<'_>, _: &()) -> crate::error::Result<Step<String, Finding>> {
     let profile = duplicate_profile(ctx.table);
     if profile.duplicate_rows == 0 {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
     let columns: Vec<String> = ctx.table.schema().names().iter().map(|s| s.to_string()).collect();
-    let response =
-        ctx.ask(prompts::duplication_review(profile.duplicate_rows, profile.rows, &columns))?;
-    let verdict = parse_dup_verdict(&response)?;
+    let prompt = prompts::duplication_review(profile.duplicate_rows, profile.rows, &columns);
     let evidence = format!(
         "{} of {} rows are exact duplicates ({} groups)",
         profile.duplicate_rows, profile.rows, profile.duplicated_groups
     );
+    Ok(Step::ask(evidence, prompt))
+}
+
+fn resume(
+    _ctx: &DetectCtx<'_>,
+    _: &(),
+    evidence: String,
+    mut answers: Answers,
+) -> crate::error::Result<Step<String, Finding>> {
+    let verdict = parse_dup_verdict(&answers.remove(0)?)?;
     if verdict.acceptable {
-        return Ok(Outcome::Note(format!(
+        return Ok(Step::Done(Outcome::Note(format!(
             "duplicates kept as semantically acceptable: {}",
             verdict.reasoning
-        )));
+        ))));
     }
-    Ok(Outcome::Finding(Finding {
+    Ok(Step::Done(Outcome::Finding(Finding {
         evidence,
         reasoning: verdict.reasoning,
         confidence: verdict.confidence,
-    }))
+    })))
 }
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {

@@ -7,8 +7,9 @@
 //! meaningful FDs the LLM maps each violating group's wrong values to the
 //! correct one, compiled to a group-scoped `CASE WHEN`.
 //!
-//! Detect phase (concurrent, per candidate pair with violations on the
-//! stage-entry snapshot): violating groups → semantic FD review. Decide
+//! Detect phase (one prompt wave over the candidate pairs with violations
+//! on the stage-entry snapshot): violating groups → semantic FD review;
+//! only meaningful verdicts re-read and render their full groups. Decide
 //! phase (sequential): because FD repairs can interact (one repair may fix
 //! — or create — another candidate's violations), groups are taken from
 //! the snapshot only while no repair has been applied yet; after the first
@@ -20,7 +21,7 @@
 use crate::apply::{apply_and_count, column_rewrite_select};
 use crate::decision::{CleaningReview, Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::state::{Answers, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_cleaning_map, parse_fd_verdict, prompts, FdVerdict};
 use cocoon_profile::{FdCandidate, FdScan};
 use cocoon_sql::{render_select, Expr};
@@ -64,8 +65,12 @@ pub fn run(state: &mut PipelineState<'_>) {
     // ahead of every candidate that could repair anything: no repair can
     // land before it is decided, and it has nothing to decide.
     candidates.retain(|candidate| candidate.violating_groups > 0);
-    let outcomes =
-        state.detect_map(candidates, |ctx, candidate| detect_candidate(ctx, &scan, candidate));
+    let outcomes = state.detect_waves(
+        candidates,
+        |ctx, candidate| start(ctx, &scan, candidate),
+        |ctx, candidate, groups_len, answers| resume(ctx, &scan, candidate, groups_len, answers),
+        |_, err| degraded(err),
+    );
     // Becomes true once a repair lands; later candidates then read their
     // groups from the (re-coded) scan instead of the snapshot.
     let mut table_changed = false;
@@ -85,54 +90,54 @@ fn render_group((lhs, census): &Group) -> (String, Vec<(String, usize)>) {
     (lhs.render(), census.iter().map(|(v, c)| (v.render(), *c)).collect())
 }
 
+fn names(ctx: &DetectCtx<'_>, candidate: &FdCandidate) -> crate::error::Result<(String, String)> {
+    let schema = ctx.table.schema();
+    Ok((
+        schema.field(candidate.lhs)?.name().to_string(),
+        schema.field(candidate.rhs)?.name().to_string(),
+    ))
+}
+
 /// Asks the semantic FD review, which shows the model the first five
-/// groups; only those are rendered.
-fn ask_review(
-    ask: impl FnOnce(String) -> crate::error::Result<String>,
-    lhs_name: &str,
-    rhs_name: &str,
-    strength: f64,
-    groups: &[Group],
-) -> crate::error::Result<FdVerdict> {
-    let head: GroupsText = groups.iter().take(5).map(render_group).collect();
-    let response = ask(prompts::fd_review(lhs_name, rhs_name, strength, groups.len(), &head))?;
-    Ok(parse_fd_verdict(&response)?)
-}
-
-fn detect_candidate(
-    ctx: &DetectCtx<'_>,
-    scan: &FdScan,
-    candidate: FdCandidate,
-) -> Outcome<Finding> {
-    match detect_inner(ctx, scan, &candidate) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&err)),
-    }
-}
-
-fn detect_inner(
+/// violating groups; only those are rendered. The unit resumes holding the
+/// group count alone, so a wave never keeps every candidate's groups.
+fn start(
     ctx: &DetectCtx<'_>,
     scan: &FdScan,
     candidate: &FdCandidate,
-) -> crate::error::Result<Outcome<Finding>> {
-    let lhs_name = ctx.table.schema().field(candidate.lhs)?.name().to_string();
-    let rhs_name = ctx.table.schema().field(candidate.rhs)?.name().to_string();
+) -> crate::error::Result<Step<usize, Finding>> {
+    let (lhs_name, rhs_name) = names(ctx, candidate)?;
     let groups = scan.violating_groups(candidate.lhs, candidate.rhs);
-    let verdict =
-        ask_review(|prompt| ctx.ask(prompt), &lhs_name, &rhs_name, candidate.strength, &groups)?;
+    let head: GroupsText = groups.iter().take(5).map(render_group).collect();
+    let prompt = prompts::fd_review(&lhs_name, &rhs_name, candidate.strength, groups.len(), &head);
+    Ok(Step::ask(groups.len(), prompt))
+}
+
+fn resume(
+    ctx: &DetectCtx<'_>,
+    scan: &FdScan,
+    candidate: &FdCandidate,
+    groups_len: usize,
+    mut answers: Answers,
+) -> crate::error::Result<Step<usize, Finding>> {
+    let verdict = parse_fd_verdict(&answers.remove(0)?)?;
+    let (lhs_name, rhs_name) = names(ctx, candidate)?;
     // The mapping step consumes the full rendered groups; only meaningful
-    // verdicts get there, so only they pay the render.
-    let rendered = verdict.meaningful.then(|| groups.iter().map(render_group).collect());
-    Ok(Outcome::Finding(Finding {
+    // verdicts get there, so only they re-read (from the memoised pair
+    // scan) and pay the render.
+    let rendered = verdict.meaningful.then(|| {
+        scan.violating_groups(candidate.lhs, candidate.rhs).iter().map(render_group).collect()
+    });
+    Ok(Step::Done(Outcome::Finding(Finding {
         lhs: candidate.lhs,
         rhs: candidate.rhs,
         lhs_name,
         rhs_name,
         strength: candidate.strength,
         verdict,
-        groups_len: groups.len(),
+        groups_len,
         groups: rendered,
-    }))
+    })))
 }
 
 /// Reviews and (when approved) repairs one candidate. Returns whether a

@@ -2,11 +2,13 @@
 //! detection, semantic detection and semantic cleaning (Figure 1b).
 //!
 //! Every module follows the same two-phase shape (see [`crate::state`]):
-//! a read-only `detect` that fans out across columns (or FD candidates) on
-//! the stage thread pool and returns ordered `Outcome`s, and a sequential
-//! `decide` that routes each finding through the [`crate::DecisionHook`]
-//! reviews and applies the compiled SQL. Detection sees the table as it
-//! stood when the stage began; mutation happens only in the decide phase.
+//! a read-only detection split at its prompts into `start` and `resume`
+//! steps, which run as prompt waves over the columns (or FD candidates, or
+//! the whole table) on the stage thread pool and return ordered
+//! `Outcome`s, and a sequential `decide` that routes each finding through
+//! the [`crate::DecisionHook`] reviews and applies the compiled SQL.
+//! Detection sees the table as it stood when the stage began; mutation
+//! happens only in the decide phase.
 
 pub mod column_type;
 pub mod dmv;

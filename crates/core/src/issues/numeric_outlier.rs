@@ -6,15 +6,16 @@
 //!
 //! Runs after the column-type step (§2.1 ordering note: "Only when the
 //! column is cast … can we show the distribution for numeric outliers").
-//! Detect phase (concurrent, per numeric column): profile → range prompt →
-//! offender count. Decide phase (sequential): hook review → SQL → apply.
+//! Detect phase (one prompt wave over the numeric columns): profile →
+//! range prompt → offender count. Decide phase (sequential): hook review →
+//! SQL → apply.
 
 use crate::apply::{apply_and_count, column_rewrite_select};
 use crate::decision::{Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_range_verdict, prompts};
-use cocoon_profile::numeric_profile;
+use cocoon_profile::{numeric_profile, NumericStats};
 use cocoon_sql::{BinaryOp, Expr};
 
 struct Finding {
@@ -32,70 +33,65 @@ fn degraded(column: &str, err: &crate::error::CoreError) -> String {
 
 /// Runs numeric-outlier review over every numeric column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
+    let columns = state.columns(|ty| ty.is_numeric());
+    let outcomes =
+        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
     state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if !field.data_type().is_numeric() {
-        return Outcome::Clean;
-    }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
+/// Asks the range review of the column's distribution; resumes holding its
+/// statistics.
+fn start(
+    ctx: &DetectCtx<'_>,
+    column: &Column,
+) -> crate::error::Result<Step<NumericStats, Finding>> {
+    let Some(profile) = numeric_profile(ctx.table.column(column.index)?) else {
+        return Ok(Step::clean());
+    };
+    let stats = profile.stats;
+    let prompt = prompts::numeric_range(&column.name, stats.min, stats.max, stats.q1, stats.q3);
+    Ok(Step::ask(stats, prompt))
 }
 
-fn detect_inner(
+fn resume(
     ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
-    let Some(profile) = numeric_profile(ctx.table.column(index)?) else {
-        return Ok(Outcome::Clean);
-    };
-    let response = ctx.ask(prompts::numeric_range(
-        column,
-        profile.stats.min,
-        profile.stats.max,
-        profile.stats.q1,
-        profile.stats.q3,
-    ))?;
-    let verdict = parse_range_verdict(&response)?;
+    column: &Column,
+    stats: NumericStats,
+    mut answers: Answers,
+) -> crate::error::Result<Step<NumericStats, Finding>> {
+    let verdict = parse_range_verdict(&answers.remove(0)?)?;
     let (low, high) = (verdict.low, verdict.high);
     if low.is_none() && high.is_none() {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
 
     // Count offenders before committing to an op.
     let offenders = ctx
         .table
-        .column(index)?
+        .column(column.index)?
         .non_null()
         .filter_map(|v| v.as_f64())
         .filter(|x| low.is_some_and(|l| *x < l) || high.is_some_and(|h| *x > h))
         .count();
     if offenders == 0 {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
     let evidence = format!(
         "observed range [{}, {}]; {} values outside accepted [{}, {}]",
-        profile.stats.min,
-        profile.stats.max,
+        stats.min,
+        stats.max,
         offenders,
         low.map(|v| v.to_string()).unwrap_or_else(|| "-∞".into()),
         high.map(|v| v.to_string()).unwrap_or_else(|| "+∞".into()),
     );
-    Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
+    Ok(Step::Done(Outcome::Finding(Finding {
+        column: column.name.clone(),
         evidence,
         reasoning: verdict.reasoning,
         low,
         high,
         confidence: verdict.confidence,
-    }))
+    })))
 }
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {

@@ -5,14 +5,14 @@
 //! against the data, the paper's "verify them with SQL"), and supplies
 //! regex transformations; cleaning compiles to nested `REGEXP_REPLACE`.
 //!
-//! Detect phase (concurrent, per text column): shape census → review prompt
-//! → pattern verification. Decide phase (sequential): hook review → SQL
-//! compile → apply.
+//! Detect phase (one prompt wave over the text columns): shape census →
+//! review prompt → pattern verification. Decide phase (sequential): hook
+//! review → SQL compile → apply.
 
 use crate::apply::{apply_and_count, column_rewrite_select};
 use crate::decision::{Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_pattern_plan, prompts};
 use cocoon_pattern::Regex;
 use cocoon_profile::pattern_census;
@@ -34,30 +34,18 @@ fn degraded(column: &str, err: &crate::error::CoreError) -> String {
 
 /// Runs pattern-outlier detection and cleaning over every text column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
+    let columns = state.columns(|ty| ty == DataType::Text);
+    let outcomes =
+        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
     state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if field.data_type() != DataType::Text {
-        return Outcome::Clean;
-    }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
-    let census = pattern_census(ctx.table.column(index)?, true);
+/// Asks the review of the column's value shapes; resumes holding how many
+/// shapes there were.
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<usize, Finding>> {
+    let census = pattern_census(ctx.table.column(column.index)?, true);
     if census.buckets.len() < 2 {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
     let buckets: Vec<(String, usize, Vec<String>)> = census
         .buckets
@@ -65,41 +53,49 @@ fn detect_inner(
         .take(50)
         .map(|b| (b.pattern.clone(), b.count, b.examples.clone()))
         .collect();
+    let prompt = prompts::pattern_review(&column.name, &buckets);
+    Ok(Step::ask(census.buckets.len(), prompt))
+}
 
-    let response = ctx.ask(prompts::pattern_review(column, &buckets))?;
-    let plan = parse_pattern_plan(&response)?;
+fn resume(
+    ctx: &DetectCtx<'_>,
+    column: &Column,
+    shapes: usize,
+    mut answers: Answers,
+) -> crate::error::Result<Step<usize, Finding>> {
+    let plan = parse_pattern_plan(&answers.remove(0)?)?;
 
     // Verify the proposed patterns against the data ("verify them with
     // SQL"): each must compile, and together they should cover most values.
     let compiled: Vec<Regex> = plan.patterns.iter().filter_map(|p| Regex::new(p).ok()).collect();
-    let distinct = ctx.census(index, ctx.config.sample_size);
+    let distinct = ctx.census(column.index, ctx.config.sample_size);
     let covered =
         distinct.iter().filter(|(v, _)| compiled.iter().any(|re| re.full_match(v))).count();
     let evidence = format!(
         "{} value shapes; {} proposed patterns cover {}/{} distinct values",
-        census.buckets.len(),
+        shapes,
         compiled.len(),
         covered,
         distinct.len()
     );
 
     if !plan.inconsistent || plan.transforms.is_empty() {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
 
     // Validate transforms compile before emitting SQL.
     let valid_transforms: Vec<(String, String)> =
         plan.transforms.iter().filter(|(p, _)| Regex::new(p).is_ok()).cloned().collect();
     if valid_transforms.is_empty() {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
-    Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
+    Ok(Step::Done(Outcome::Finding(Finding {
+        column: column.name.clone(),
         evidence,
         reasoning: plan.reasoning,
         transforms: valid_transforms,
         confidence: plan.confidence,
-    }))
+    })))
 }
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {

@@ -2,20 +2,20 @@
 //!
 //! Statistical detection samples the most frequent distinct values (default
 //! 1000); semantic detection is the Figure 2 prompt; semantic cleaning is
-//! the Figure 3 prompt, sent as one batch per column; the repair compiles to
-//! a `CASE WHEN` value map.
+//! the Figure 3 prompt, one per value batch; the repair compiles to a
+//! `CASE WHEN` value map.
 //!
-//! Detect phase (concurrent, per text column): census → detect prompt →
-//! cleaning-map prompts, prefetched via
-//! [`cocoon_llm::ChatModel::complete_batch`] so a batching backend amortises
-//! them. Decide phase (sequential): hook reviews → SQL compile → apply.
+//! Detect phase (prompt waves over the text columns): census → detect
+//! prompt in the first wave; the flagged columns' cleaning-map prompts, one
+//! per value batch, all go in the second. Decide phase (sequential): hook
+//! reviews → SQL compile → apply.
 
 use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values, restrict_mapping};
 use crate::decision::{CleaningReview, Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::prompts;
-use cocoon_llm::{parse_cleaning_map, parse_detect_verdict};
+use cocoon_llm::{parse_cleaning_map, parse_detect_verdict, DetectVerdict};
 use cocoon_profile::batches;
 use cocoon_sql::{render_select, Expr};
 use cocoon_table::DataType;
@@ -33,83 +33,89 @@ struct Finding {
     confidence: Option<f64>,
 }
 
+/// What a column waits on: its detect verdict (holding the census), then
+/// its cleaning maps (holding the value batches they were asked about).
+enum Asked {
+    Verdict(Vec<(String, usize)>),
+    Maps { value_batches: Vec<Vec<(String, usize)>>, verdict: DetectVerdict, evidence: String },
+}
+
 fn degraded(column: &str, err: &crate::error::CoreError) -> String {
     format!("string outliers on {column:?} degraded to statistical-only: {err}")
 }
 
 /// Runs string-outlier detection and cleaning over every text column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
+    let columns = state.columns(|ty| ty == DataType::Text);
+    let outcomes =
+        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
     state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    if field.data_type() != DataType::Text {
-        return Outcome::Clean;
+/// Statistical detection, then the semantic detection prompt (Figure 2).
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Finding>> {
+    let census = ctx.census(column.index, ctx.config.sample_size);
+    if census.len() < 2 {
+        return Ok(Step::clean());
     }
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
+    let prompt = prompts::string_outliers_detect(&column.name, &census);
+    Ok(Step::ask(Asked::Verdict(census), prompt))
 }
 
-fn detect_inner(
+fn resume(
     ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
-    let census = ctx.census(index, ctx.config.sample_size);
-    if census.len() < 2 {
-        return Ok(Outcome::Clean);
-    }
-
-    // Semantic detection (Figure 2).
-    let response = ctx.ask(prompts::string_outliers_detect(column, &census))?;
-    let verdict = parse_detect_verdict(&response)?;
-    if !verdict.unusual {
-        return Ok(Outcome::Clean);
-    }
-    let evidence = format!(
-        "{} distinct values sampled by frequency (top {})",
-        census.len(),
-        ctx.config.sample_size
-    );
-
-    // Semantic cleaning (Figure 3): all value batches prefetched as one
-    // model batch, so the decide phase needs no further completions.
-    let value_batches = batches(&census, ctx.config.batch_size);
-    let clean_prompts: Vec<String> = value_batches
-        .iter()
-        .map(|batch| prompts::string_outliers_clean(column, &verdict.summary, batch))
-        .collect();
-    let responses = ctx.ask_batch(clean_prompts);
-    let mut mapping: Vec<(String, String)> = Vec::new();
-    let mut explanations: Vec<String> = Vec::new();
-    let mut confidence = verdict.confidence;
-    for (batch, response) in value_batches.iter().zip(responses) {
-        let map = parse_cleaning_map(&response?)?;
-        if !map.explanation.is_empty() {
-            explanations.push(map.explanation.clone());
+    column: &Column,
+    asked: Asked,
+    mut answers: Answers,
+) -> crate::error::Result<Step<Asked, Finding>> {
+    match asked {
+        Asked::Verdict(census) => {
+            let verdict = parse_detect_verdict(&answers.remove(0)?)?;
+            if !verdict.unusual {
+                return Ok(Step::clean());
+            }
+            let evidence = format!(
+                "{} distinct values sampled by frequency (top {})",
+                census.len(),
+                ctx.config.sample_size
+            );
+            // Semantic cleaning (Figure 3): one prompt per value batch, all
+            // in the next wave, so the decide phase needs no completions.
+            let value_batches = batches(&census, ctx.config.batch_size);
+            let clean_prompts = value_batches
+                .iter()
+                .map(|batch| prompts::string_outliers_clean(&column.name, &verdict.summary, batch))
+                .collect();
+            Ok(Step::Ask(Asked::Maps { value_batches, verdict, evidence }, clean_prompts))
         }
-        confidence = match (confidence, map.confidence) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        mapping.extend(restrict_mapping(&map.mapping, batch));
+        Asked::Maps { value_batches, verdict, evidence } => {
+            let mut mapping: Vec<(String, String)> = Vec::new();
+            let mut explanations: Vec<String> = Vec::new();
+            let mut confidence = verdict.confidence;
+            for (batch, response) in value_batches.iter().zip(answers) {
+                let map = parse_cleaning_map(&response?)?;
+                if !map.explanation.is_empty() {
+                    explanations.push(map.explanation.clone());
+                }
+                confidence = match (confidence, map.confidence) {
+                    (Some(a), Some(b)) => Some(a.min(b)),
+                    (a, b) => a.or(b),
+                };
+                mapping.extend(restrict_mapping(&map.mapping, batch));
+            }
+            if mapping.is_empty() {
+                return Ok(Step::clean());
+            }
+            Ok(Step::Done(Outcome::Finding(Finding {
+                column: column.name.clone(),
+                evidence,
+                reasoning: verdict.reasoning,
+                explanations,
+                mapping,
+                confidence,
+            })))
+        }
     }
-    if mapping.is_empty() {
-        return Ok(Outcome::Clean);
-    }
-    Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
-        evidence,
-        reasoning: verdict.reasoning,
-        explanations,
-        mapping,
-        confidence,
-    }))
 }
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {

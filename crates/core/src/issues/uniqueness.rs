@@ -5,15 +5,15 @@
 //! key), and names a column that prioritises which record survives;
 //! cleaning is a `ROW_NUMBER()` window filter.
 //!
-//! Detect phase (concurrent, per column): uniqueness profile → review
-//! prompt. Decide phase (sequential): hook review → window filter → apply.
-//! Dedup drops rows, so the filter is always applied against the live
-//! table; a `removed == 0` apply (rows already gone) is a no-op.
+//! Detect phase (one prompt wave over every column): uniqueness profile →
+//! review prompt. Decide phase (sequential): hook review → window filter →
+//! apply. Dedup drops rows, so the filter is always applied against the
+//! live table; a `removed == 0` apply (rows already gone) is a no-op.
 
 use crate::apply::apply_and_count;
 use crate::decision::{Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{DetectCtx, Outcome, PipelineState};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_unique_verdict, prompts};
 use cocoon_profile::uniqueness_profile;
 use cocoon_sql::{Expr, Projection, RowNumberFilter, Select, SortOrder};
@@ -32,50 +32,50 @@ fn degraded(column: &str, err: &crate::error::CoreError) -> String {
 
 /// Runs uniqueness review over every nearly-unique column.
 pub fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_columns(detect_column);
+    let columns = state.columns(|_| true);
+    let outcomes =
+        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
     state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
 }
 
-fn detect_column(ctx: &DetectCtx<'_>, index: usize) -> Outcome<Finding> {
-    let Ok(field) = ctx.table.schema().field(index) else { return Outcome::Clean };
-    let column = field.name().to_string();
-    match detect_inner(ctx, index, &column) {
-        Ok(outcome) => outcome,
-        Err(err) => Outcome::Note(degraded(&column, &err)),
-    }
-}
-
-fn detect_inner(
-    ctx: &DetectCtx<'_>,
-    index: usize,
-    column: &str,
-) -> crate::error::Result<Outcome<Finding>> {
-    let profile = uniqueness_profile(ctx.table.column(index)?);
+/// Asks the key review of a nearly-unique column; resumes holding the
+/// statistical evidence.
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<String, Finding>> {
+    let profile = uniqueness_profile(ctx.table.column(column.index)?);
     // Only nearly-unique-but-not-unique columns are worth reviewing: fully
     // unique columns need no repair, low-ratio columns aren't keys.
     if profile.unique_ratio < ctx.config.uniqueness_review_threshold
         || profile.duplicated_values.is_empty()
     {
-        return Ok(Outcome::Clean);
+        return Ok(Step::clean());
     }
     let columns: Vec<String> = ctx.table.schema().names().iter().map(|s| s.to_string()).collect();
-    let response = ctx.ask(prompts::uniqueness_review(column, profile.unique_ratio, &columns))?;
-    let verdict = parse_unique_verdict(&response)?;
-    if !verdict.should_be_unique {
-        return Ok(Outcome::Clean);
-    }
+    let prompt = prompts::uniqueness_review(&column.name, profile.unique_ratio, &columns);
     let evidence = format!(
         "unique ratio {:.4}; {} duplicated values",
         profile.unique_ratio,
         profile.duplicated_values.len()
     );
-    Ok(Outcome::Finding(Finding {
-        column: column.to_string(),
+    Ok(Step::ask(evidence, prompt))
+}
+
+fn resume(
+    _ctx: &DetectCtx<'_>,
+    column: &Column,
+    evidence: String,
+    mut answers: Answers,
+) -> crate::error::Result<Step<String, Finding>> {
+    let verdict = parse_unique_verdict(&answers.remove(0)?)?;
+    if !verdict.should_be_unique {
+        return Ok(Step::clean());
+    }
+    Ok(Step::Done(Outcome::Finding(Finding {
+        column: column.name.clone(),
         evidence,
         reasoning: verdict.reasoning,
         order_by: verdict.order_by,
         confidence: verdict.confidence,
-    }))
+    })))
 }
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {

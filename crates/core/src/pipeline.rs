@@ -8,9 +8,11 @@
 //! before casts, casts before numeric distributions); whole-table issues
 //! run afterwards: functional dependencies → duplication → uniqueness.
 //!
-//! Stages execute in that fixed order, but inside each stage detection is
-//! a concurrent fan-out across columns (the paper's hosted deployment
-//! issues per-issue prompts concurrently); decisions and applies stay
+//! Stages execute in that fixed order, but inside each stage detection
+//! runs as prompt waves: the per-column (or per-candidate) steps run
+//! concurrently, and each wave's prompts reach the model as one batch (the
+//! paper's hosted deployment issues per-issue prompts concurrently; a
+//! batch is the shape a hosted API amortises). Decisions and applies stay
 //! sequential, so with a prompt-deterministic model a [`CleaningRun`] is
 //! byte-identical at any thread count ([`CleanerConfig::threads`] spells
 //! out the precondition). See [`crate::state`] for the detect/decide model

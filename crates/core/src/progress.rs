@@ -22,10 +22,10 @@ use std::time::{Duration, Instant};
 pub struct StageTiming {
     /// Stage name ([`IssueKind::name`](crate::IssueKind::name)).
     pub stage: &'static str,
-    /// Total wall time of the stage (detect fan-out + decide/apply).
+    /// Total wall time of the stage (detect waves + decide/apply).
     pub total: Duration,
-    /// Wall time of the concurrent detect fan-out within the stage; the
-    /// sequential decide/apply phase is `total - detect`.
+    /// Wall time of the stage's detection prompt waves, model waits
+    /// included; the sequential decide/apply phase is `total - detect`.
     pub detect: Duration,
     /// Cumulative operations applied once the stage finished.
     pub ops_applied: usize,
@@ -111,7 +111,7 @@ impl RunProgress {
         self.detect_ns.store(0, Ordering::Relaxed);
     }
 
-    /// Detect fan-outs report their wall time here; accumulated per stage
+    /// Detection prompt waves report their wall time here; accumulated per stage
     /// and reset by [`RunProgress::start_stage`].
     pub(crate) fn add_detect_time(&self, elapsed: Duration) {
         self.detect_ns.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);

@@ -3,59 +3,46 @@
 //! Every issue stage is split in two:
 //!
 //! * a **detect** phase — read-only against the table as it stood when the
-//!   stage began. Each unit of detection (a column, an FD candidate) runs
-//!   as an independent task on the stage's thread pool; tasks profile,
-//!   prompt the LLM, and assemble candidate findings (`Outcome::Finding`).
-//!   Results come back in submission order, so output never depends on
-//!   worker scheduling.
+//!   stage began, run as **prompt waves** by `PipelineState::detect_waves`.
+//!   Each unit of detection (a column, an FD candidate, the whole table)
+//!   first runs a `start` step on the stage's thread pool: it profiles and
+//!   either concludes or asks. The prompts of every asking unit then go to
+//!   the model as one [`ChatModel::complete_batch`] call, in unit order,
+//!   and each asking unit runs a `resume` step on its own answers, which
+//!   concludes it or asks again for the next wave. Outcomes
+//!   (`Outcome::Finding` for a candidate finding) come back in unit order,
+//!   so output never depends on worker scheduling.
 //! * a **decide** phase — sequential and ordered. Findings pass through the
 //!   [`DecisionHook`] reviews, compile to SQL, and are applied one at a
-//!   time; `ops` and `notes` record them in deterministic order.
+//!   time; `ops` and `notes` record them in deterministic order. Its model
+//!   calls (FD mapping prompts, [`PipelineState::commit_op`]'s re-asks) are
+//!   sequential too.
 //!
 //! [`PipelineState`] is the mutable half threaded through the decide
 //! phases; [`DetectCtx`] is the shared read-only view handed to detection
-//! workers.
+//! steps, which never call the model themselves.
 
 use crate::config::CleanerConfig;
 use crate::decision::DecisionHook;
-use crate::error::Result;
+use crate::error::{CoreError, Result};
 use crate::ops::CleaningOp;
 use crate::progress::RunProgress;
 use cocoon_llm::responses::parse_repair_verdict;
-use cocoon_llm::{prompts, ChatModel, ChatRequest};
+use cocoon_llm::{prompts, ChatModel, ChatRequest, LlmError};
 use cocoon_sql::render_select;
-use cocoon_table::Table;
+use cocoon_table::{DataType, Table};
 use threadpool::ThreadPool;
 
-/// Read-only view for concurrent detection: the stage-entry table, the
-/// (thread-safe) model, and the configuration. Cheap to share by reference
-/// across detection workers.
+/// Read-only view for concurrent detection: the stage-entry table and the
+/// configuration. Cheap to share by reference across detection workers.
 pub struct DetectCtx<'a> {
     /// The table as it stood when the stage began.
     pub table: &'a Table,
-    /// The model answering detection prompts.
-    pub llm: &'a dyn ChatModel,
     /// Pipeline configuration (thresholds, toggles).
     pub config: &'a CleanerConfig,
 }
 
 impl DetectCtx<'_> {
-    /// Sends a prompt and returns the completion text.
-    pub fn ask(&self, prompt: String) -> Result<String> {
-        Ok(self.llm.complete(&ChatRequest::simple(prompt))?.content)
-    }
-
-    /// Sends a batch of prompts through [`ChatModel::complete_batch`] so
-    /// batching-capable backends (caches, hosted APIs) see the whole set.
-    pub fn ask_batch(&self, prompts: Vec<String>) -> Vec<Result<String>> {
-        let requests: Vec<ChatRequest> = prompts.into_iter().map(ChatRequest::simple).collect();
-        self.llm
-            .complete_batch(&requests)
-            .into_iter()
-            .map(|r| r.map(|resp| resp.content).map_err(Into::into))
-            .collect()
-    }
-
     /// Distinct-value census of a column (rendered text, ordered by
     /// descending frequency), truncated to `limit` values. When
     /// [`CleanerConfig::statistical_context`] is off, counts are erased to 1
@@ -92,6 +79,36 @@ pub(crate) enum Outcome<F> {
     Finding(F),
 }
 
+/// Where a detection step left its unit: concluded, or asking the next
+/// wave's prompts and keeping `P` to resume with on their answers.
+pub(crate) enum Step<P, F> {
+    /// The unit concluded.
+    Done(Outcome<F>),
+    /// The unit asks these prompts.
+    Ask(P, Vec<String>),
+}
+
+impl<P, F> Step<P, F> {
+    /// Concludes with nothing to report.
+    pub(crate) fn clean() -> Self {
+        Step::Done(Outcome::Clean)
+    }
+
+    /// Asks one prompt.
+    pub(crate) fn ask(pending: P, prompt: String) -> Self {
+        Step::Ask(pending, vec![prompt])
+    }
+}
+
+/// The answers to one unit's prompts, in prompt order.
+pub(crate) type Answers = Vec<Result<String>>;
+
+/// A column a per-column stage examines.
+pub(crate) struct Column {
+    pub(crate) index: usize,
+    pub(crate) name: String,
+}
+
 /// State shared by all issue steps while a table is being cleaned.
 pub struct PipelineState<'a> {
     /// The table, progressively rewritten by each applied op.
@@ -102,7 +119,7 @@ pub struct PipelineState<'a> {
     pub config: &'a CleanerConfig,
     /// Human-in-the-loop decision boundary.
     pub hook: &'a mut dyn DecisionHook,
-    /// Worker policy for the per-stage detection fan-out.
+    /// Worker policy for the detection steps of each prompt wave.
     pub pool: ThreadPool,
     /// Applied operations, in order.
     pub ops: Vec<CleaningOp>,
@@ -112,8 +129,9 @@ pub struct PipelineState<'a> {
     pub pending: Vec<CleaningOp>,
     /// Narrative notes: rejected FDs, skipped steps, LLM failures.
     pub notes: Vec<String>,
-    /// Progress channel of the run, when observed: detect fan-outs report
-    /// their wall time here so stage timings can split detect from decide.
+    /// Progress channel of the run, when observed: each stage's prompt
+    /// waves report their wall time here so stage timings can split detect
+    /// from decide.
     pub progress: Option<&'a RunProgress>,
 }
 
@@ -142,47 +160,104 @@ impl<'a> PipelineState<'a> {
         }
     }
 
-    /// The read-only view detection workers receive. Borrows the *current*
+    /// The read-only view detection steps receive. Borrows the *current*
     /// table: stages construct it once, before their decide phase mutates
     /// anything, so every detection unit of a stage sees the same snapshot.
     pub fn detect_ctx(&self) -> DetectCtx<'_> {
-        DetectCtx { table: &self.table, llm: self.llm, config: self.config }
+        DetectCtx { table: &self.table, config: self.config }
     }
 
-    /// Fans `detect` out over `items` on the stage pool and returns the
-    /// outcomes in submission order (the determinism contract: outcome `i`
-    /// is always `detect(ctx, items[i])`, whatever the thread count).
-    pub(crate) fn detect_map<T, R>(
+    /// The columns whose declared type passes `keep`, in table order.
+    pub(crate) fn columns(&self, keep: impl Fn(DataType) -> bool) -> Vec<Column> {
+        self.table
+            .schema()
+            .fields()
+            .iter()
+            .enumerate()
+            .filter(|(_, field)| keep(field.data_type()))
+            .map(|(index, field)| Column { index, name: field.name().to_string() })
+            .collect()
+    }
+
+    /// Runs a stage's detection over `units` as prompt waves and returns
+    /// one outcome per unit, in unit order.
+    ///
+    /// `start` runs for every unit on the stage pool. The prompts of every
+    /// unit that asks go to the model as one [`ChatModel::complete_batch`]
+    /// call, in unit order; then `resume` runs for each asking unit on the
+    /// pool with its own answers, and either concludes or asks again, for
+    /// the next wave. A failed slot reaches only the unit that asked it. A
+    /// step that errs concludes its unit with `degraded`'s note.
+    ///
+    /// Determinism contract: outcome `i` depends only on unit `i`, its
+    /// answers and the snapshot, whatever the thread count; and a wave's
+    /// batch lists its prompts in unit order, so the model sees the same
+    /// batches at any thread count.
+    pub(crate) fn detect_waves<U, P, F>(
         &self,
-        items: Vec<T>,
-        detect: impl Fn(&DetectCtx<'_>, T) -> R + Sync,
-    ) -> Vec<R>
+        units: Vec<U>,
+        start: impl Fn(&DetectCtx<'_>, &U) -> Result<Step<P, F>> + Sync,
+        resume: impl Fn(&DetectCtx<'_>, &U, P, Answers) -> Result<Step<P, F>> + Sync,
+        degraded: impl Fn(&U, &CoreError) -> String + Sync,
+    ) -> Vec<Outcome<F>>
     where
-        T: Send,
-        R: Send,
+        U: Sync,
+        P: Send,
+        F: Send,
     {
         let ctx = self.detect_ctx();
         let started = std::time::Instant::now();
-        let out = self.pool.map_ordered(items, |item| detect(&ctx, item));
+        let settle = |i: usize, step: Result<Step<P, F>>| match step {
+            Ok(step) => (i, step),
+            Err(err) => (i, Step::Done(Outcome::Note(degraded(&units[i], &err)))),
+        };
+        let mut steps = self
+            .pool
+            .map_ordered((0..units.len()).collect(), |i| settle(i, start(&ctx, &units[i])));
+        let mut outcomes: Vec<Option<Outcome<F>>> = units.iter().map(|_| None).collect();
+        loop {
+            let mut asking = Vec::new();
+            let mut requests = Vec::new();
+            for (i, step) in steps {
+                match step {
+                    Step::Done(outcome) => outcomes[i] = Some(outcome),
+                    Step::Ask(pending, prompts) => {
+                        asking.push((i, pending, prompts.len()));
+                        requests.extend(prompts.into_iter().map(ChatRequest::simple));
+                    }
+                }
+            }
+            if asking.is_empty() {
+                break;
+            }
+            let mut answers = self.llm.complete_batch(&requests).into_iter();
+            let answered: Vec<(usize, P, Answers)> = asking
+                .into_iter()
+                .map(|(i, pending, asked)| {
+                    // A model that answers short fails the missing slots.
+                    let own: Answers = (0..asked)
+                        .map(|_| match answers.next() {
+                            Some(answer) => Ok(answer?.content),
+                            None => Err(LlmError::Empty.into()),
+                        })
+                        .collect();
+                    (i, pending, own)
+                })
+                .collect();
+            steps = self.pool.map_ordered(answered, |(i, pending, own)| {
+                settle(i, resume(&ctx, &units[i], pending, own))
+            });
+        }
         if let Some(progress) = self.progress {
             progress.add_detect_time(started.elapsed());
         }
-        out
+        outcomes.into_iter().map(|outcome| outcome.expect("every unit concludes")).collect()
     }
 
-    /// Fans a per-column detection function out across every column.
-    pub(crate) fn detect_columns<R: Send>(
-        &self,
-        detect: impl Fn(&DetectCtx<'_>, usize) -> R + Sync,
-    ) -> Vec<R> {
-        self.detect_map((0..self.table.width()).collect(), detect)
-    }
-
-    /// The decide phase shared by the per-column stages: outcomes are
-    /// consumed in detection order, notes pass straight through, findings
-    /// go to `decide`, and a decide-phase error degrades the finding to
-    /// the stage's note via `degraded_note`. (FD and duplication keep
-    /// bespoke loops — cross-finding state and single-unit detection.)
+    /// The decide phase shared by every stage but FD (which carries state
+    /// across findings): outcomes are consumed in detection order, notes
+    /// pass straight through, findings go to `decide`, and a decide-phase
+    /// error degrades the finding to the stage's note via `degraded_note`.
     pub(crate) fn decide_outcomes<F>(
         &mut self,
         outcomes: Vec<Outcome<F>>,
@@ -203,7 +278,7 @@ impl<'a> PipelineState<'a> {
     }
 
     /// Sends a prompt and returns the completion text (decide-phase calls;
-    /// detection workers use [`DetectCtx::ask`]).
+    /// detection asks through its prompt waves).
     pub fn ask(&self, prompt: String) -> Result<String> {
         Ok(self.llm.complete(&ChatRequest::simple(prompt))?.content)
     }
@@ -310,7 +385,7 @@ fn sampled_for_verification(op: &CleaningOp) -> bool {
 mod tests {
     use super::*;
     use crate::decision::AutoApprove;
-    use cocoon_llm::SimLlm;
+    use cocoon_llm::{ChatResponse, SimLlm};
 
     fn table() -> Table {
         let rows: Vec<Vec<String>> = vec![vec!["a".into()], vec!["a".into()], vec!["b".into()]];
@@ -347,16 +422,111 @@ mod tests {
         assert_eq!(state.pool.threads(), 3);
     }
 
+    /// Answers each prompt with its own text and records every batch; fails
+    /// the prompts containing "bad".
+    #[derive(Default)]
+    struct Echo(std::sync::Mutex<Vec<Vec<String>>>);
+
+    impl ChatModel for Echo {
+        fn model_name(&self) -> &str {
+            "echo"
+        }
+
+        fn complete(&self, request: &ChatRequest) -> cocoon_llm::Result<ChatResponse> {
+            let text = request.user_text();
+            if text.contains("bad") {
+                return Err(LlmError::Completion(format!("refused {text}")));
+            }
+            Ok(ChatResponse { content: text, usage: Default::default() })
+        }
+
+        fn complete_batch(
+            &self,
+            requests: &[ChatRequest],
+        ) -> Vec<cocoon_llm::Result<ChatResponse>> {
+            self.0.lock().unwrap().push(requests.iter().map(ChatRequest::user_text).collect());
+            requests.iter().map(|r| self.complete(r)).collect()
+        }
+    }
+
     #[test]
-    fn detect_map_orders_results_at_any_thread_count() {
-        let llm = SimLlm::new();
+    fn detect_waves_order_outcomes_at_any_thread_count() {
+        // Unit i asks `i % 4` waves before concluding, so units finish in
+        // different waves; outcome i is still unit i's, and each wave is one
+        // batch listing its prompts in unit order.
         let mut hook = AutoApprove;
         for threads in [1usize, 8] {
+            let llm = Echo::default();
             let config = CleanerConfig { threads: Some(threads), ..CleanerConfig::default() };
             let state = PipelineState::new(table(), &llm, &config, &mut hook);
-            let out = state.detect_map((0..32).collect::<Vec<usize>>(), |_, i| i * 2);
-            assert_eq!(out, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+            let step = |i: usize, waves_left: usize| match waves_left {
+                0 => Step::Done(Outcome::Finding(i * 2)),
+                n => Step::ask(n, format!("unit {i} wave {n}")),
+            };
+            let out = state.detect_waves(
+                (0..32).collect(),
+                |_, &i| Ok(step(i, i % 4)),
+                |_, &i, waves_left, answers| {
+                    assert_eq!(answers, vec![Ok(format!("unit {i} wave {waves_left}"))]);
+                    Ok(step(i, waves_left - 1))
+                },
+                |_, err| panic!("no step fails: {err}"),
+            );
+            let findings: Vec<usize> = out
+                .into_iter()
+                .map(|outcome| match outcome {
+                    Outcome::Finding(value) => value,
+                    _ => panic!("every unit finds"),
+                })
+                .collect();
+            assert_eq!(findings, (0..32).map(|i| i * 2).collect::<Vec<_>>());
+            // Wave w carries the units with at least w waves to ask, in unit
+            // order: units 1, 2, 3, 5, 6, 7, … ask first, units 3, 7, … last.
+            let wave = |w: usize| -> Vec<String> {
+                (0..32)
+                    .filter(|i| i % 4 >= w)
+                    .map(|i| format!("unit {i} wave {}", i % 4 - w + 1))
+                    .collect()
+            };
+            assert_eq!(llm.0.into_inner().unwrap(), [wave(1), wave(2), wave(3)]);
         }
+    }
+
+    #[test]
+    fn detect_waves_degrade_only_the_unit_whose_step_failed() {
+        // Unit 1's prompt fails in a batch whose other slots succeed, and
+        // unit 3's start step errs: each concludes with its own note while
+        // the others keep their answers.
+        let llm = Echo::default();
+        let config = CleanerConfig::default();
+        let mut hook = AutoApprove;
+        let state = PipelineState::new(table(), &llm, &config, &mut hook);
+        let out = state.detect_waves(
+            (0..4).collect(),
+            |_, &i| match i {
+                3 => Err(CoreError::Config("no start".into())),
+                1 => Ok(Step::ask((), "bad prompt".to_string())),
+                _ => Ok(Step::ask((), format!("prompt {i}"))),
+            },
+            |_, _, (), mut answers| Ok(Step::Done(Outcome::Finding(answers.remove(0)?))),
+            |i, err| format!("unit {i} degraded: {err}"),
+        );
+        let described: Vec<String> = out
+            .into_iter()
+            .map(|outcome| match outcome {
+                Outcome::Finding(answer) => answer,
+                Outcome::Note(note) => note,
+                Outcome::Clean => "clean".into(),
+            })
+            .collect();
+        assert_eq!(described[0], "prompt 0");
+        assert!(
+            described[1].starts_with("unit 1 degraded: llm: completion failed"),
+            "{described:?}"
+        );
+        assert_eq!(described[2], "prompt 2");
+        assert_eq!(described[3], "unit 3 degraded: config: no start");
+        assert_eq!(llm.0.into_inner().unwrap().len(), 1, "one wave, one batch");
     }
 
     #[test]
@@ -413,18 +583,5 @@ mod tests {
             super::sampled_for_verification(&op("evidence 0")),
             super::sampled_for_verification(&op("evidence 0")),
         );
-    }
-
-    #[test]
-    fn detect_ctx_batch_ask() {
-        let llm = SimLlm::new();
-        let config = CleanerConfig::default();
-        let mut hook = AutoApprove;
-        let state = PipelineState::new(table(), &llm, &config, &mut hook);
-        let ctx = state.detect_ctx();
-        // SimLlm rejects free-form prompts: each slot carries its own error.
-        let out = ctx.ask_batch(vec!["p1".into(), "p2".into()]);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|r| r.is_err()));
     }
 }

@@ -180,10 +180,13 @@ impl<M: ChatModel + ?Sized> ChatModel for std::sync::Arc<M> {
 /// Replays a fixed script of responses, in order. Extra calls fail with
 /// [`LlmError::Empty`]. Used by unit tests and failure-injection tests.
 ///
-/// The script is positional (answers pair with calls by arrival order), so
-/// under a concurrent caller the pairing follows scheduling; scripts that
-/// must line up with specific prompts belong in single-threaded runs (the
-/// pipeline's `threads: Some(1)`).
+/// The script is positional: answers pair with prompts in arrival order,
+/// a batch's prompts in request order. The cleaning pipeline asks in a
+/// fixed order at any thread count (each detection prompt wave is one
+/// batch in unit order, and decide-phase calls are sequential), so a
+/// script pairs with its prompts deterministically; a caller that
+/// completes from several threads at once gets a scheduling-dependent
+/// pairing.
 pub struct ScriptedLlm {
     responses: Mutex<std::collections::VecDeque<String>>,
     calls: Mutex<Vec<String>>,

@@ -20,6 +20,7 @@ use crate::yaml::emit_cleaning_response_scored;
 use cocoon_semantic as sem;
 use cocoon_table::{Date, TimeOfDay};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The simulated LLM. Stateless and cheap to clone.
 #[derive(Debug, Clone, Default)]
@@ -75,6 +76,42 @@ impl ChatModel for SimLlm {
             },
             content,
         })
+    }
+
+    /// Answers a batch on scoped workers, one per available core: each
+    /// claims the next prompt from a shared counter, longest prompt first
+    /// (the oracle's work grows with the values a prompt carries, so a
+    /// long prompt claimed last would leave the other workers idle), and
+    /// the answers come back in request order. The oracle is stateless, so
+    /// this equals [`complete`](ChatModel::complete) on every prompt, slot
+    /// for slot.
+    fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let workers = cores.min(requests.len());
+        if workers <= 1 {
+            return requests.iter().map(|r| self.complete(r)).collect();
+        }
+        let mut order: Vec<usize> = (0..requests.len()).collect();
+        order.sort_by_key(|&i| {
+            std::cmp::Reverse(requests[i].messages.iter().map(|m| m.content.len()).sum::<usize>())
+        });
+        let next = AtomicUsize::new(0);
+        let claim = || {
+            let mut answered = Vec::new();
+            while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                answered.push((i, self.complete(&requests[i])));
+            }
+            answered
+        };
+        let mut answered: Vec<(usize, Result<ChatResponse>)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(claim)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                .collect()
+        });
+        answered.sort_unstable_by_key(|(i, _)| *i);
+        answered.into_iter().map(|(_, answer)| answer).collect()
     }
 }
 
@@ -1068,6 +1105,28 @@ mod tests {
 
     fn ask(prompt: String) -> String {
         SimLlm::new().complete(&ChatRequest::simple(prompt)).unwrap().content
+    }
+
+    #[test]
+    fn batch_answers_equal_single_completions_slot_for_slot() {
+        let census = vec![("eng".to_string(), 40), ("English".to_string(), 9)];
+        let mut requests: Vec<ChatRequest> = (0..12)
+            .map(|i| {
+                ChatRequest::simple(match i % 3 {
+                    0 => prompts::string_outliers_detect(&format!("lang_{i}"), &census),
+                    1 => prompts::dmv_detect(&format!("city_{i}"), &census, 0.0),
+                    _ => prompts::numeric_range(&format!("rating_{i}"), 0.0, 99.0, 5.0, 8.0),
+                })
+            })
+            .collect();
+        // A prompt without a context block fails in its own slot only.
+        requests.insert(5, ChatRequest::simple("free-form question"));
+        let llm = SimLlm::new();
+        let batch = llm.complete_batch(&requests);
+        let single: Vec<_> = requests.iter().map(|r| llm.complete(r)).collect();
+        assert_eq!(batch, single);
+        assert!(batch[5].is_err());
+        assert_eq!(batch.iter().filter(|answer| answer.is_ok()).count(), 12);
     }
 
     #[test]

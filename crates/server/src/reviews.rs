@@ -26,7 +26,7 @@
 use cocoon_core::{apply_and_count, CleaningOp, CleaningRun};
 use cocoon_table::{csv, Table};
 use std::collections::{HashMap, VecDeque};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Review runs retained at once; beyond this the oldest run (and its
@@ -189,6 +189,14 @@ impl ReviewStore {
         }
     }
 
+    /// The store's lock, recovered if a panic poisoned it. A panic under
+    /// the lock can only come from `accept`'s SQL apply or CSV write, and
+    /// `accept` mutates the store only once both have returned, so the
+    /// store a panic leaves behind is consistent and keeps serving.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn remove_run(inner: &mut Inner, run_id: u64) {
         if let Some(entry) = inner.runs.remove(&run_id) {
             for item in entry.items {
@@ -223,7 +231,7 @@ impl ReviewStore {
         if run.pending.is_empty() {
             return Vec::new();
         }
-        let mut inner = self.inner.lock().expect("review lock");
+        let mut inner = self.lock();
         Self::sweep(self.ttl, &mut inner);
         let run_id = inner.next_run;
         inner.next_run += 1;
@@ -261,7 +269,7 @@ impl ReviewStore {
 
     /// Every retained item, in id order.
     pub fn list(&self) -> Vec<ReviewView> {
-        let mut inner = self.inner.lock().expect("review lock");
+        let mut inner = self.lock();
         Self::sweep(self.ttl, &mut inner);
         let mut views: Vec<ReviewView> = inner
             .items
@@ -289,7 +297,7 @@ impl ReviewStore {
     /// Accepts an item: applies its SQL to the run's current table (first
     /// accept) or replays the recorded outcome (repeat accepts).
     pub fn accept(&self, id: u64) -> AcceptOutcome {
-        let mut inner = self.inner.lock().expect("review lock");
+        let mut inner = self.lock();
         Self::sweep(self.ttl, &mut inner);
         let Some(item) = inner.items.get(&id) else { return AcceptOutcome::NotFound };
         let run_id = item.run;
@@ -307,8 +315,10 @@ impl ReviewStore {
                 };
                 match apply_and_count(&select, &entry.table) {
                     Ok((table, cells_changed)) => {
+                        // Written before anything changes, so a panic in the
+                        // writer leaves the store as it was.
+                        let body = csv::write_str(&table);
                         entry.table = table;
-                        let body = csv::write_str(&entry.table);
                         let item = inner.items.get_mut(&id).expect("item still present");
                         item.status = ReviewStatus::Accepted;
                         item.applied_changes = cells_changed;
@@ -322,7 +332,7 @@ impl ReviewStore {
 
     /// Rejects an item (idempotent on repeats; conflict after an accept).
     pub fn reject(&self, id: u64) -> RejectOutcome {
-        let mut inner = self.inner.lock().expect("review lock");
+        let mut inner = self.lock();
         Self::sweep(self.ttl, &mut inner);
         let Some(item) = inner.items.get_mut(&id) else { return RejectOutcome::NotFound };
         match item.status {
@@ -338,7 +348,7 @@ impl ReviewStore {
     /// /v1/jobs/{id}` hook). Their item ids answer NotFound afterwards.
     /// Returns how many runs were dropped.
     pub fn drop_job(&self, job_id: u64) -> usize {
-        let mut inner = self.inner.lock().expect("review lock");
+        let mut inner = self.lock();
         let doomed: Vec<u64> = inner
             .runs
             .iter()
@@ -353,7 +363,7 @@ impl ReviewStore {
 
     /// Aggregate counts for the metrics endpoint.
     pub fn counts(&self) -> ReviewCounts {
-        let mut inner = self.inner.lock().expect("review lock");
+        let mut inner = self.lock();
         Self::sweep(self.ttl, &mut inner);
         let mut counts = ReviewCounts { dropped: inner.dropped, ..ReviewCounts::default() };
         for item in inner.items.values() {
@@ -416,6 +426,25 @@ mod tests {
         assert!(cells_changed > 0);
         assert!(!csv.contains("Hindi"), "the withheld repair is applied now");
         assert_eq!(store.counts(), ReviewCounts { accepted: 1, ..Default::default() });
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_take_the_store_down() {
+        let store = ReviewStore::new();
+        let ids = store.register(&withheld_run(), None);
+        let second = store.register(&withheld_run(), None);
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _guard = store.lock();
+                panic!("a panic while the review lock is held");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(store.inner.is_poisoned());
+        assert_eq!(store.list().len(), 2);
+        assert!(matches!(store.accept(ids[0]), AcceptOutcome::Applied { .. }));
+        assert_eq!(store.reject(second[0]), RejectOutcome::Rejected);
+        assert_eq!(store.counts(), ReviewCounts { accepted: 1, rejected: 1, ..Default::default() });
     }
 
     #[test]

@@ -282,14 +282,22 @@ pub fn read_reader(mut reader: impl Read) -> Result<Table> {
 pub fn write_str(table: &Table) -> String {
     let mut out = String::new();
     let header: Vec<String> = table.schema().names().iter().map(|n| escape_field(n)).collect();
-    out.push_str(&header.join(","));
-    out.push('\n');
+    push_record(&mut out, &header);
     for row in table.rows() {
         let fields: Vec<String> = row.iter().map(|v| escape_field(&v.render())).collect();
-        out.push_str(&fields.join(","));
-        out.push('\n');
+        push_record(&mut out, &fields);
     }
     out
+}
+
+/// Appends one record of escaped fields. A lone empty field is written as
+/// `""`: an empty line would read back as no record at all.
+fn push_record(out: &mut String, fields: &[String]) {
+    match fields {
+        [only] if only.is_empty() => out.push_str("\"\""),
+        _ => out.push_str(&fields.join(",")),
+    }
+    out.push('\n');
 }
 
 /// Writes a table to a CSV file.
@@ -374,6 +382,12 @@ mod tests {
         table.set_cell(0, 1, Value::Null).unwrap();
         let out = write_str(&table);
         assert_eq!(out, "a,b\n1,\n");
+        // A lone empty field is quoted: an empty line reads back as no row.
+        let mut table = read_str("a\nx\n\"\"\ny\n").unwrap();
+        table.set_cell(2, 0, Value::Null).unwrap();
+        let out = write_str(&table);
+        assert_eq!(out, "a\nx\n\"\"\n\"\"\n");
+        assert_eq!(read_str(&out).unwrap().height(), 3);
     }
 
     #[test]

@@ -93,8 +93,10 @@ fn garbage_responses_degrade_per_column() {
 
 #[test]
 fn half_broken_llm_applies_only_parseable_steps() {
-    // First (detection) answer is valid and flags the column; the cleaning
-    // answer is malformed → the column degrades; everything after fails.
+    // The script pairs with prompts in call order. The first detection
+    // wave asks both columns: `id` gets the valid verdict that flags it,
+    // `lang` the malformed answer (it degrades). `id`'s cleaning map then
+    // finds the script exhausted (it degrades too); everything after fails.
     let responses = vec![
         r#"{"Reasoning": "mixed", "Unusualness": true, "Summary": "mixed reps"}"#.to_string(),
         "not yaml at all".to_string(),

@@ -1,19 +1,23 @@
 //! No-panic properties for every parser that reads bytes from outside the
 //! process: HTTP framing, streamed CSV, the JSON clean payload, the JSON
 //! and YAML model-reply parsers with their typed response parsers, and the
-//! SQL parser. Each may reject its input with an error, never panic.
+//! SQL parser. Each may reject its input with an error, never panic. Then
+//! round-trip properties for the writers whose output those parsers read
+//! back: CSV tables and JSON strings.
 //!
 //! Inputs are arbitrary bytes plus byte strings spliced from fragments of
 //! the format under test (framing headers, oversized hex chunk sizes, a
 //! lone `"`, half a UTF-8 character), which reach the deep parser states
 //! that uniform bytes almost never do.
 
-use cocoon_llm::{json, responses, yaml};
+use cocoon_llm::{json, responses, yaml, Json};
 use cocoon_server::api::parse_clean_payload;
 use cocoon_server::http::{HttpError, RequestReader};
-use cocoon_table::csv::CsvStream;
+use cocoon_table::csv::{self, CsvStream};
+use cocoon_table::Table;
 use proptest::collection;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::io::Read;
 
 /// Half of `€` (U+20AC), then the other half: a character split across
@@ -252,5 +256,66 @@ proptest! {
         let text = String::from_utf8_lossy(&bytes);
         let _ = cocoon_sql::parse_select(&text);
         let _ = cocoon_sql::parse_expr(&text);
+    }
+}
+
+/// Any character: often printable ASCII, sometimes one CSV must quote.
+fn text_char() -> BoxedStrategy<char> {
+    prop_oneof![
+        2 => proptest::char::range('\0', char::MAX),
+        2 => proptest::char::range(' ', '~'),
+        1 => (0..4usize).prop_map(|i| [',', '"', '\r', '\n'][i]),
+    ]
+    .boxed()
+}
+
+/// Up to `max` characters; the empty string included.
+fn text(max: usize) -> BoxedStrategy<String> {
+    collection::vec(text_char(), 0..max + 1).prop_map(|chars| chars.into_iter().collect()).boxed()
+}
+
+/// An all-text table of 1–4 columns with distinct non-empty names and up
+/// to 5 rows.
+fn text_table() -> BoxedStrategy<Table> {
+    (1usize..5)
+        .prop_flat_map(|width| {
+            let names = collection::vec(text(4), width).prop_filter("distinct names", |names| {
+                let distinct: HashSet<&String> = names.iter().collect();
+                distinct.len() == names.len() && names.iter().all(|name| !name.is_empty())
+            });
+            let rows = collection::vec(collection::vec(text(5), width), 0..6);
+            (names, rows).prop_map(|(names, rows)| Table::from_text_rows(&names, &rows).unwrap())
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn csv_round_trips_text_tables(table in text_table()) {
+        prop_assert_eq!(csv::read_str(&csv::write_str(&table)).unwrap(), table);
+    }
+
+    #[test]
+    fn streamed_csv_round_trips_text_tables(
+        table in text_table(),
+        cuts in collection::vec(any::<usize>(), 0..4),
+    ) {
+        let bytes = csv::write_str(&table).into_bytes();
+        let mut cuts: Vec<usize> = cuts.iter().map(|cut| cut % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut stream = CsvStream::new();
+        let mut from = 0;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            stream.push_bytes(&bytes[from..cut]).unwrap();
+            from = cut;
+        }
+        prop_assert_eq!(stream.finish_table().unwrap(), table);
+    }
+
+    #[test]
+    fn json_escape_round_trips_strings(text in text(24)) {
+        prop_assert_eq!(json::parse(&json::escape(&text)).unwrap(), Json::String(text));
     }
 }
