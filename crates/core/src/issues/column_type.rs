@@ -18,7 +18,7 @@ use crate::ops::{CleaningOp, Confidence, IssueKind};
 use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_cleaning_map, parse_type_verdict, prompts};
 use cocoon_sql::Expr;
-use cocoon_table::{infer_column_type, DataType};
+use cocoon_table::{infer_from_distinct, DataType};
 
 struct Finding {
     index: usize,
@@ -58,7 +58,8 @@ fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Aske
     if census.is_empty() {
         return Ok(Step::clean());
     }
-    let inference = infer_column_type(ctx.table.column(column.index)?, ctx.config.type_tolerance);
+    let inference =
+        infer_from_distinct(ctx.column_census(column.index)?.distinct(), ctx.config.type_tolerance);
     let declared = ctx.table.schema().field(column.index)?.data_type();
     let prompt = prompts::column_type(
         &column.name,

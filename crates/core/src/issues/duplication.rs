@@ -13,7 +13,7 @@ use crate::decision::{Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
 use crate::state::{Answers, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_dup_verdict, prompts};
-use cocoon_profile::duplicate_profile;
+use cocoon_profile::duplicates_from_censuses;
 use cocoon_sql::Select;
 
 struct Finding {
@@ -35,7 +35,7 @@ pub fn run(state: &mut PipelineState<'_>) {
 /// Asks the review of the table's exact duplicates; resumes holding the
 /// statistical evidence.
 fn start(ctx: &DetectCtx<'_>, _: &()) -> crate::error::Result<Step<String, Finding>> {
-    let profile = duplicate_profile(ctx.table);
+    let profile = duplicates_from_censuses(&ctx.table_censuses());
     if profile.duplicate_rows == 0 {
         return Ok(Step::clean());
     }

@@ -15,8 +15,9 @@
 //! the snapshot only while no repair has been applied yet; after the first
 //! applied repair each remaining candidate reads its groups from the live
 //! table, exactly as the sequential pipeline always did. One [`FdScan`]
-//! serves both phases: each applied repair re-codes the column it rewrote,
-//! so the scan always describes the live table.
+//! serves both phases: it reads the clean's column censuses, and each
+//! applied repair hands it the census of the column it rewrote, so the scan
+//! always describes the live table.
 
 use crate::apply::{apply_and_count, column_rewrite_select};
 use crate::decision::{CleaningReview, Decision, DetectionReview};
@@ -54,11 +55,11 @@ fn degraded(err: &crate::error::CoreError) -> String {
 
 /// Runs FD review and repair over the whole table.
 pub fn run(state: &mut PipelineState<'_>) {
-    // One scan encodes every column once; candidate scoring, each
+    // One scan over the clean's column censuses; candidate scoring, each
     // detection worker's group extraction and the decide phase's live
-    // groups all reuse it. It owns its codings, so it outlives the detect
-    // phase's borrow of `state.table`.
-    let mut scan = FdScan::new(&state.table);
+    // groups all reuse it. It shares the censuses, so it outlives the
+    // detect phase's borrow of `state.table`.
+    let mut scan = FdScan::from_censuses(state.detect_ctx().table_censuses());
     let mut candidates =
         scan.candidates(state.config.fd_min_strength, state.config.fd_max_unique_ratio);
     // A candidate without violations has strength exactly 1, so it ranks
@@ -142,7 +143,8 @@ fn resume(
 
 /// Reviews and (when approved) repairs one candidate. Returns whether a
 /// repair was applied to the table; an applied repair re-codes its column
-/// in `scan`, keeping the scan live for the candidates after it.
+/// in `scan` from the rewritten column's census, keeping the scan live for
+/// the candidates after it.
 fn decide(
     state: &mut PipelineState<'_>,
     scan: &mut FdScan,
@@ -260,7 +262,7 @@ fn decide(
         },
     );
     if applied {
-        scan.recode(&state.table, finding.rhs);
+        scan.recode(finding.rhs, state.detect_ctx().column_census(finding.rhs)?);
     }
     Ok(applied)
 }

@@ -15,7 +15,7 @@ use crate::decision::{Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
 use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_range_verdict, prompts};
-use cocoon_profile::{numeric_profile, NumericStats};
+use cocoon_profile::{numeric_from_distinct, NumericStats};
 use cocoon_sql::{BinaryOp, Expr};
 
 struct Finding {
@@ -45,7 +45,7 @@ fn start(
     ctx: &DetectCtx<'_>,
     column: &Column,
 ) -> crate::error::Result<Step<NumericStats, Finding>> {
-    let Some(profile) = numeric_profile(ctx.table.column(column.index)?) else {
+    let Some(profile) = numeric_from_distinct(ctx.column_census(column.index)?.distinct()) else {
         return Ok(Step::clean());
     };
     let stats = profile.stats;

@@ -15,7 +15,7 @@ use crate::ops::{CleaningOp, Confidence, IssueKind};
 use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_pattern_plan, prompts};
 use cocoon_pattern::Regex;
-use cocoon_profile::pattern_census;
+use cocoon_profile::pattern_census_from_distinct;
 use cocoon_sql::Expr;
 use cocoon_table::DataType;
 
@@ -43,7 +43,8 @@ pub fn run(state: &mut PipelineState<'_>) {
 /// Asks the review of the column's value shapes; resumes holding how many
 /// shapes there were.
 fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<usize, Finding>> {
-    let census = pattern_census(ctx.table.column(column.index)?, true);
+    let values = ctx.column_census(column.index)?;
+    let census = pattern_census_from_distinct(values.distinct(), values.null_count(), true);
     if census.buckets.len() < 2 {
         return Ok(Step::clean());
     }

@@ -15,7 +15,7 @@ use crate::decision::{Decision, DetectionReview};
 use crate::ops::{CleaningOp, Confidence, IssueKind};
 use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
 use cocoon_llm::{parse_unique_verdict, prompts};
-use cocoon_profile::uniqueness_profile;
+use cocoon_profile::uniqueness_from_distinct;
 use cocoon_sql::{Expr, Projection, RowNumberFilter, Select, SortOrder};
 
 struct Finding {
@@ -41,7 +41,7 @@ pub fn run(state: &mut PipelineState<'_>) {
 /// Asks the key review of a nearly-unique column; resumes holding the
 /// statistical evidence.
 fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<String, Finding>> {
-    let profile = uniqueness_profile(ctx.table.column(column.index)?);
+    let profile = uniqueness_from_distinct(ctx.column_census(column.index)?.distinct());
     // Only nearly-unique-but-not-unique columns are worth reviewing: fully
     // unique columns need no repair, low-ratio columns aren't keys.
     if profile.unique_ratio < ctx.config.uniqueness_review_threshold

@@ -147,6 +147,20 @@ impl<M: ChatModel> Cleaner<M> {
         hook: &mut dyn DecisionHook,
         progress: Option<&RunProgress>,
     ) -> Result<CleaningRun> {
+        let mut state = PipelineState::new(table.clone(), &self.llm, &self.config, hook);
+        state.progress = progress;
+        self.run_stages(&mut state);
+        Ok(CleaningRun {
+            table: state.table,
+            ops: state.ops,
+            pending: state.pending,
+            notes: state.notes,
+        })
+    }
+
+    /// Runs every enabled stage over `state`, in pipeline order, reporting
+    /// to `state.progress` when observed.
+    fn run_stages(&self, state: &mut PipelineState<'_>) {
         type StageFn = for<'a, 'b> fn(&'b mut PipelineState<'a>);
         let toggles = &self.config.issues;
         let stages: [(bool, IssueKind, StageFn); 8] = [
@@ -163,8 +177,7 @@ impl<M: ChatModel> Cleaner<M> {
             (toggles.duplication, IssueKind::Duplication, issues::duplication::run),
             (toggles.uniqueness, IssueKind::Uniqueness, issues::uniqueness::run),
         ];
-        let mut state = PipelineState::new(table.clone(), &self.llm, &self.config, hook);
-        state.progress = progress;
+        let progress = state.progress;
         if let Some(p) = progress {
             p.begin(stages.iter().filter(|(enabled, _, _)| *enabled).count());
         }
@@ -175,7 +188,7 @@ impl<M: ChatModel> Cleaner<M> {
             if let Some(p) = progress {
                 p.start_stage(kind.name());
             }
-            run(&mut state);
+            run(state);
             if let Some(p) = progress {
                 p.finish_stage(state.ops.len());
             }
@@ -183,12 +196,6 @@ impl<M: ChatModel> Cleaner<M> {
         if let Some(p) = progress {
             p.finish(state.ops.len());
         }
-        Ok(CleaningRun {
-            table: state.table,
-            ops: state.ops,
-            pending: state.pending,
-            notes: state.notes,
-        })
     }
 }
 
@@ -234,6 +241,62 @@ mod tests {
         assert_eq!(run.table.cell(21, 3).unwrap(), &Value::Null);
         // rating outlier nulled.
         assert_eq!(run.table.cell(21, 4).unwrap(), &Value::Null);
+    }
+
+    /// title → journal_abbreviation → region over 10 journals × 8 rows.
+    /// Row 1 carries another journal's abbreviation and region, row 9 a
+    /// wrong region: two FD repairs of two columns in one stage (the second
+    /// reads groups the first re-coded), then a dedup of the repeated rows.
+    fn journals() -> Table {
+        let regions = [
+            "europe", "europe", "europe", "europe", "asia", "asia", "asia", "america", "america",
+            "america",
+        ];
+        let mut csv_text = String::from("title,journal_abbreviation,region\n");
+        for i in 0..80 {
+            let (abbreviation, region) = match i {
+                1 => ("J5".to_string(), "asia"),
+                9 => ("J1".to_string(), "america"),
+                _ => (format!("J{}", i / 8), regions[i / 8]),
+            };
+            csv_text.push_str(&format!("journal {},{abbreviation},{region}\n", i / 8));
+        }
+        csv::read_str(&csv_text).unwrap()
+    }
+
+    #[test]
+    fn each_column_version_is_censused_once_per_clean() {
+        // `messy` rewrites a column in five stages; `journals` rewrites two
+        // inside the FD stage and then every column in a dedup.
+        for (table, fd_repairs) in [(messy(), 0), (journals(), 2)] {
+            let width = table.width();
+            let mut builds_at = Vec::new();
+            for threads in [1usize, 8] {
+                let config = CleanerConfig { threads: Some(threads), ..CleanerConfig::default() };
+                let cleaner = Cleaner::with_config(SimLlm::new(), config).unwrap();
+                let mut hook = AutoApprove;
+                let mut state =
+                    PipelineState::new(table.clone(), cleaner.llm(), cleaner.config(), &mut hook);
+                cleaner.run_stages(&mut state);
+                // A column repair makes one new column version; a row
+                // filter (dedup) makes a new version of every column.
+                let versions: usize = width
+                    + state
+                        .ops
+                        .iter()
+                        .map(|op| match op.issue {
+                            IssueKind::Duplication | IssueKind::Uniqueness => width,
+                            _ => 1,
+                        })
+                        .sum::<usize>();
+                let fd = state.ops.iter().filter(|op| op.issue == IssueKind::FunctionalDependency);
+                assert_eq!(fd.count(), fd_repairs);
+                let builds = state.census_builds();
+                assert!(builds <= versions, "{builds} builds for {versions} column versions");
+                builds_at.push((builds, state.ops.len()));
+            }
+            assert_eq!(builds_at[0], builds_at[1], "same builds and ops at 1 and 8 threads");
+        }
     }
 
     #[test]

@@ -21,6 +21,13 @@
 //! [`PipelineState`] is the mutable half threaded through the decide
 //! phases; [`DetectCtx`] is the shared read-only view handed to detection
 //! steps, which never call the model themselves.
+//!
+//! Both read column statistics from one per-clean census cache: a column
+//! version (an `Arc<Column>`) is censused the first time any stage asks,
+//! and every later statistic of that version, in any stage, reads the same
+//! [`ColumnCensus`]. Copy-on-write keeps an untouched column the same
+//! `Arc` across ops and stages; a rewrite makes a new `Arc`, which is
+//! censused afresh when first read.
 
 use crate::config::CleanerConfig;
 use crate::decision::DecisionHook;
@@ -29,35 +36,99 @@ use crate::ops::CleaningOp;
 use crate::progress::RunProgress;
 use cocoon_llm::responses::parse_repair_verdict;
 use cocoon_llm::{prompts, ChatModel, ChatRequest, LlmError};
+use cocoon_profile::ColumnCensus;
 use cocoon_sql::render_select;
-use cocoon_table::{DataType, Table};
+use cocoon_table::{Column as TableColumn, DataType, Table};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 use threadpool::ThreadPool;
 
-/// Read-only view for concurrent detection: the stage-entry table and the
-/// configuration. Cheap to share by reference across detection workers.
+/// A census slot, filled by whichever caller first asks for its version.
+type CensusSlot = Arc<OnceLock<Arc<ColumnCensus>>>;
+
+/// One [`ColumnCensus`] per column version, for the length of one clean.
+///
+/// Entries are keyed by the address of the version's `Arc<Column>` and hold
+/// that `Arc`, so the address cannot be freed and reused by another column
+/// while its entry lives. Each version is censused once: concurrent askers
+/// of one version wait on its slot. When an applied op replaces the working
+/// table, the entries of versions it no longer holds are dropped.
+#[derive(Default)]
+struct CensusCache {
+    slots: Mutex<HashMap<usize, (Arc<TableColumn>, CensusSlot)>>,
+    /// Census builds so far (test observability).
+    #[cfg(test)]
+    builds: std::sync::atomic::AtomicUsize,
+}
+
+impl CensusCache {
+    /// The census of `column`'s version, built on first request.
+    fn census(&self, column: &Arc<TableColumn>) -> Arc<ColumnCensus> {
+        let key = Arc::as_ptr(column) as usize;
+        let slot = {
+            let mut slots = self.slots.lock().expect("census cache lock poisoned");
+            let (_, slot) =
+                slots.entry(key).or_insert_with(|| (Arc::clone(column), CensusSlot::default()));
+            Arc::clone(slot)
+        };
+        let census = slot.get_or_init(|| {
+            #[cfg(test)]
+            self.builds.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            Arc::new(ColumnCensus::of(column))
+        });
+        Arc::clone(census)
+    }
+
+    /// Drops the censuses of column versions `table` does not hold.
+    fn retain_columns_of(&mut self, table: &Table) {
+        let live: Vec<usize> = (0..table.width())
+            .filter_map(|c| table.shared_column(c).ok())
+            .map(|column| Arc::as_ptr(column) as usize)
+            .collect();
+        let slots = self.slots.get_mut().expect("census cache lock poisoned");
+        slots.retain(|key, _| live.contains(key));
+    }
+}
+
+/// Read-only view for concurrent detection: the stage-entry table, the
+/// configuration and the clean's column censuses. Cheap to share by
+/// reference across detection workers.
 pub struct DetectCtx<'a> {
     /// The table as it stood when the stage began.
     pub table: &'a Table,
     /// Pipeline configuration (thresholds, toggles).
     pub config: &'a CleanerConfig,
+    censuses: &'a CensusCache,
 }
 
 impl DetectCtx<'_> {
+    /// The value census of the column at `column_index`, shared with every
+    /// other reader of the same column version in this clean.
+    pub(crate) fn column_census(&self, column_index: usize) -> Result<Arc<ColumnCensus>> {
+        Ok(self.censuses.census(self.table.shared_column(column_index)?))
+    }
+
+    /// The census of every column, in column order.
+    pub(crate) fn table_censuses(&self) -> Vec<Arc<ColumnCensus>> {
+        (0..self.table.width())
+            .map(|c| self.column_census(c).expect("column index below the table width"))
+            .collect()
+    }
+
     /// Distinct-value census of a column (rendered text, ordered by
     /// descending frequency), truncated to `limit` values. When
     /// [`CleanerConfig::statistical_context`] is off, counts are erased to 1
     /// — the ablation of the paper's "statistics give the LLM context"
     /// claim.
     pub fn census(&self, column_index: usize, limit: usize) -> Vec<(String, usize)> {
-        let column = match self.table.column(column_index) {
-            Ok(c) => c,
-            Err(_) => return Vec::new(),
+        let Ok(census) = self.column_census(column_index) else {
+            return Vec::new();
         };
-        let mut out: Vec<(String, usize)> = column
-            .distinct_by_frequency()
-            .into_iter()
+        let mut out: Vec<(String, usize)> = census
+            .distinct()
+            .iter()
             .take(limit)
-            .map(|(v, c)| (v.render(), if self.config.statistical_context { c } else { 1 }))
+            .map(|(v, c)| (v.render(), if self.config.statistical_context { *c } else { 1 }))
             .collect();
         if !self.config.statistical_context {
             // Without statistics the model sees values in an arbitrary but
@@ -133,6 +204,8 @@ pub struct PipelineState<'a> {
     /// waves report their wall time here so stage timings can split detect
     /// from decide.
     pub progress: Option<&'a RunProgress>,
+    /// Column censuses of this clean, one per column version.
+    censuses: CensusCache,
 }
 
 impl<'a> PipelineState<'a> {
@@ -157,6 +230,7 @@ impl<'a> PipelineState<'a> {
             pending: Vec::new(),
             notes: Vec::new(),
             progress: None,
+            censuses: CensusCache::default(),
         }
     }
 
@@ -164,7 +238,13 @@ impl<'a> PipelineState<'a> {
     /// table: stages construct it once, before their decide phase mutates
     /// anything, so every detection unit of a stage sees the same snapshot.
     pub fn detect_ctx(&self) -> DetectCtx<'_> {
-        DetectCtx { table: &self.table, config: self.config }
+        DetectCtx { table: &self.table, config: self.config, censuses: &self.censuses }
+    }
+
+    /// Column censuses built so far in this clean.
+    #[cfg(test)]
+    pub(crate) fn census_builds(&self) -> usize {
+        self.censuses.builds.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// The columns whose declared type passes `keep`, in table order.
@@ -283,11 +363,6 @@ impl<'a> PipelineState<'a> {
         Ok(self.llm.complete(&ChatRequest::simple(prompt))?.content)
     }
 
-    /// Distinct-value census of a column; see [`DetectCtx::census`].
-    pub fn census(&self, column_index: usize, limit: usize) -> Vec<(String, usize)> {
-        self.detect_ctx().census(column_index, limit)
-    }
-
     /// Records a note for the run report.
     pub fn note(&mut self, text: impl Into<String>) {
         self.notes.push(text.into());
@@ -340,6 +415,7 @@ impl<'a> PipelineState<'a> {
         }
         if op.confidence.score() >= self.config.confidence_threshold {
             self.table = table;
+            self.censuses.retain_columns_of(&self.table);
             self.ops.push(op);
             true
         } else {
@@ -398,9 +474,9 @@ mod tests {
         let config = CleanerConfig::default();
         let mut hook = AutoApprove;
         let state = PipelineState::new(table(), &llm, &config, &mut hook);
-        let census = state.census(0, 10);
+        let census = state.detect_ctx().census(0, 10);
         assert_eq!(census, vec![("a".to_string(), 2), ("b".to_string(), 1)]);
-        assert!(state.census(9, 10).is_empty());
+        assert!(state.detect_ctx().census(9, 10).is_empty());
     }
 
     #[test]
@@ -409,8 +485,41 @@ mod tests {
         let config = CleanerConfig { statistical_context: false, ..CleanerConfig::default() };
         let mut hook = AutoApprove;
         let state = PipelineState::new(table(), &llm, &config, &mut hook);
-        let census = state.census(0, 10);
+        let census = state.detect_ctx().census(0, 10);
         assert!(census.iter().all(|(_, c)| *c == 1));
+    }
+
+    #[test]
+    fn concurrent_askers_of_one_version_share_one_build() {
+        let cache = CensusCache::default();
+        let column = Arc::new(TableColumn::from_strings(["a", "b", "a"]));
+        let barrier = std::sync::Barrier::new(8);
+        let censuses: Vec<Arc<ColumnCensus>> = std::thread::scope(|scope| {
+            let askers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        cache.census(&column)
+                    })
+                })
+                .collect();
+            askers.into_iter().map(|asker| asker.join().expect("asker")).collect()
+        });
+        assert_eq!(cache.builds.load(std::sync::atomic::Ordering::Relaxed), 1);
+        assert!(censuses.iter().all(|census| Arc::ptr_eq(census, &censuses[0])));
+        assert_eq!(censuses[0].distinct()[0], (cocoon_table::Value::from("a"), 2));
+
+        // A rewrite is a new version, censused afresh; once the working
+        // table holds only the new version, the first one's entry goes.
+        let mut cache = cache;
+        let rewritten = Arc::new(TableColumn::from_strings(["a", "a", "a"]));
+        assert_eq!(cache.census(&rewritten).distinct()[0].1, 3);
+        assert_eq!(cache.builds.load(std::sync::atomic::Ordering::Relaxed), 2);
+        let schema = cocoon_table::Schema::new(vec![cocoon_table::Field::new("x", DataType::Text)]);
+        let table = Table::from_shared(schema.unwrap(), vec![rewritten]).unwrap();
+        cache.retain_columns_of(&table);
+        let held: Vec<usize> = cache.slots.lock().unwrap().keys().copied().collect();
+        assert_eq!(held, [Arc::as_ptr(table.shared_column(0).unwrap()) as usize]);
     }
 
     #[test]

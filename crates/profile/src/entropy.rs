@@ -5,6 +5,7 @@
 //! by an entropy measurement, and hands the statistically strong ones to the
 //! LLM for a semantic meaningfulness review.
 
+use crate::census::ColumnCensus;
 use cocoon_table::{Table, Value};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -41,7 +42,8 @@ pub(crate) const NULL_CODE: u32 = u32::MAX;
 /// per-column profile: value counts are `dict × counts`, the null count is
 /// `codes.len() − Σcounts`, and [`absorb`](Self::absorb) merges the coded
 /// state of consecutive row chunks into exactly the coding a whole-column
-/// pass would produce — the foundation of [`crate::PartialProfile`].
+/// pass would produce — the foundation of [`crate::PartialProfile`]. It is
+/// the coder behind every [`ColumnCensus`].
 #[derive(Debug, Clone)]
 pub(crate) struct CodedColumn {
     /// One code per row, `NULL_CODE` for NULL cells.
@@ -110,32 +112,16 @@ impl CodedColumn {
             }
         }));
     }
-
-    /// Distinct non-null values.
-    pub(crate) fn cardinality(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Rows covered by this coding (NULL cells included).
-    #[cfg(test)]
-    fn rows(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// NULL cells in this coding.
-    pub(crate) fn null_count(&self) -> usize {
-        self.codes.len() - self.counts.iter().sum::<usize>()
-    }
 }
 
 /// Sorted `(lhs_code << 32 | rhs_code)` keys with pair counts, plus the
 /// number of rows where both sides are non-null. Sorting (instead of a
 /// hash map) keeps the downstream float summation order deterministic.
-fn pair_counts(lhs: &CodedColumn, rhs: &CodedColumn) -> (Vec<(u64, usize)>, usize) {
+fn pair_counts(lhs: &ColumnCensus, rhs: &ColumnCensus) -> (Vec<(u64, usize)>, usize) {
     let mut keys: Vec<u64> = lhs
-        .codes
+        .codes()
         .iter()
-        .zip(&rhs.codes)
+        .zip(rhs.codes())
         .filter(|(&l, &r)| l != NULL_CODE && r != NULL_CODE)
         .map(|(&l, &r)| (u64::from(l) << 32) | u64::from(r))
         .collect();
@@ -160,10 +146,10 @@ struct LhsGroups {
     starts: Vec<usize>,
 }
 
-fn group_rows_by_code(coded: &CodedColumn) -> LhsGroups {
+fn group_rows_by_code(coded: &ColumnCensus) -> LhsGroups {
     let cardinality = coded.cardinality();
     let mut starts = vec![0usize; cardinality + 1];
-    for &c in &coded.codes {
+    for &c in coded.codes() {
         if c != NULL_CODE {
             starts[c as usize + 1] += 1;
         }
@@ -173,7 +159,7 @@ fn group_rows_by_code(coded: &CodedColumn) -> LhsGroups {
     }
     let mut cursor = starts.clone();
     let mut rows = vec![0u32; starts[cardinality]];
-    for (row, &c) in coded.codes.iter().enumerate() {
+    for (row, &c) in coded.codes().iter().enumerate() {
         if c != NULL_CODE {
             rows[cursor[c as usize]] = row as u32;
             cursor[c as usize] += 1;
@@ -190,19 +176,20 @@ fn group_rows_by_code(coded: &CodedColumn) -> LhsGroups {
 /// is restored to all-zero before returning.
 fn pair_counts_grouped(
     groups: &LhsGroups,
-    rhs: &CodedColumn,
+    rhs: &ColumnCensus,
     scratch: &mut Vec<usize>,
     touched: &mut Vec<u32>,
 ) -> (Vec<(u64, usize)>, usize) {
     if scratch.len() < rhs.cardinality() {
         scratch.resize(rhs.cardinality(), 0);
     }
+    let rhs_codes = rhs.codes();
     let mut pairs: Vec<(u64, usize)> = Vec::new();
     let mut total = 0usize;
     for lhs_code in 0..groups.starts.len() - 1 {
         touched.clear();
         for &row in &groups.rows[groups.starts[lhs_code]..groups.starts[lhs_code + 1]] {
-            let r = rhs.codes[row as usize];
+            let r = rhs_codes[row as usize];
             if r == NULL_CODE {
                 continue;
             }
@@ -263,8 +250,12 @@ fn violating_groups_from_pairs(pairs: &[(u64, usize)]) -> usize {
 /// considering only rows where both sides are non-null.
 pub fn conditional_entropy(lhs: &[Value], rhs: &[Value]) -> f64 {
     debug_assert_eq!(lhs.len(), rhs.len());
-    let (pairs, total) = pair_counts(&CodedColumn::encode(lhs), &CodedColumn::encode(rhs));
+    let (pairs, total) = pair_counts(&census_of(lhs), &census_of(rhs));
     conditional_entropy_from_pairs(&pairs, total)
+}
+
+fn census_of(values: &[Value]) -> ColumnCensus {
+    ColumnCensus::from_coded(CodedColumn::encode(values))
 }
 
 /// A scored single-attribute functional-dependency candidate
@@ -288,19 +279,20 @@ pub struct FdCandidate {
 /// scoring pass that produced them and later group extraction.
 type PairMemo = Mutex<HashMap<(usize, usize), Arc<Vec<(u64, usize)>>>>;
 
-/// A reusable FD scan over one table: every column dictionary-coded once,
-/// serving both candidate scoring and per-candidate violating-group
-/// extraction without re-hashing any value. Shareable across detection
-/// workers (`&self` methods only; the pair memo locks internally).
+/// A reusable FD scan over one table: the codes of every column's
+/// [`ColumnCensus`], serving both candidate scoring and per-candidate
+/// violating-group extraction without re-hashing any value. Shareable
+/// across detection workers (`&self` methods only; the pair memo locks
+/// internally).
 ///
-/// The scan owns its codings, so it can be built either from a table
-/// ([`FdScan::new`]) or from codings merged out of row-chunk partials
-/// (`from_columns`, the [`crate::PartialProfile`] path) — the two produce
-/// identical candidates because chunk merging reproduces the whole-column
-/// coding exactly.
+/// The scan has no coder of its own: it reads censuses, whether a caller
+/// keeps them per column version ([`FdScan::from_censuses`]), builds them
+/// from a table ([`FdScan::new`]), or merges them out of row-chunk
+/// partials (the [`crate::PartialProfile`] path). All three produce
+/// identical candidates because they share one coding.
 pub struct FdScan {
-    /// Per column: the coding (None for columns that cannot be read).
-    columns: Vec<Option<CodedColumn>>,
+    /// Per column: its census, in column order.
+    columns: Vec<Arc<ColumnCensus>>,
     height: usize,
     /// Sorted pair scans kept from [`candidates`](Self::candidates) for the
     /// pairs that became candidates — exactly the ones
@@ -311,16 +303,26 @@ pub struct FdScan {
 }
 
 impl FdScan {
-    /// Prepares a scan over `table`, encoding each column once.
+    /// Prepares a scan over `table`, censusing each column once.
     pub fn new(table: &Table) -> Self {
         let columns = (0..table.width())
-            .map(|c| table.column(c).ok().map(|col| CodedColumn::encode(col.values())))
+            .map(|c| Arc::new(ColumnCensus::of(table.column(c).expect("index in range"))))
             .collect();
-        FdScan::from_columns(columns, table.height())
+        FdScan::from_censuses(columns)
     }
 
-    /// Wraps prebuilt codings (the merged-partial path).
-    pub(crate) fn from_columns(columns: Vec<Option<CodedColumn>>, height: usize) -> Self {
+    /// A scan over the columns these censuses describe, in column order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the censuses cover different row counts: they must
+    /// describe the columns of one table.
+    pub fn from_censuses(columns: Vec<Arc<ColumnCensus>>) -> Self {
+        let height = columns.first().map_or(0, |census| census.rows());
+        assert!(
+            columns.iter().all(|census| census.rows() == height),
+            "censuses of one table cover the same rows"
+        );
         FdScan { columns, height, pair_memo: Mutex::new(HashMap::new()) }
     }
 
@@ -343,25 +345,21 @@ impl FdScan {
             return Vec::new();
         }
         let mut out = Vec::new();
-        let column_entropy: Vec<f64> = self
-            .columns
-            .iter()
-            .map(|c| c.as_ref().map(|coded| entropy(&coded.counts)).unwrap_or(0.0))
-            .collect();
+        // Code-order counts: the entropy's float summation order.
+        let column_entropy: Vec<f64> =
+            self.columns.iter().map(|census| entropy(census.counts())).collect();
         let mut scratch: Vec<usize> = Vec::new();
         let mut touched: Vec<u32> = Vec::new();
-        for lhs in 0..self.columns.len() {
-            let Some(lhs_coded) = self.columns[lhs].as_ref() else { continue };
+        for (lhs, lhs_coded) in self.columns.iter().enumerate() {
             let lhs_unique_ratio = lhs_coded.cardinality() as f64 / height as f64;
             if lhs_unique_ratio > max_unique_ratio || lhs_coded.cardinality() <= 1 {
                 continue;
             }
             let groups = group_rows_by_code(lhs_coded);
-            for (rhs, rhs_column) in self.columns.iter().enumerate() {
+            for (rhs, rhs_coded) in self.columns.iter().enumerate() {
                 if lhs == rhs {
                     continue;
                 }
-                let Some(rhs_coded) = rhs_column.as_ref() else { continue };
                 let rhs_distinct = rhs_coded.cardinality();
                 if rhs_distinct <= 1 {
                     continue;
@@ -400,12 +398,11 @@ impl FdScan {
     }
 
     /// Violating groups of `lhs → rhs` (see [`fd_violating_groups`]),
-    /// served from the prebuilt encodings — and from the memoised pair
-    /// scan when [`candidates`](Self::candidates) already scored this pair.
-    /// Empty when either column index is unreadable.
+    /// served from the censuses' codes — and from the memoised pair scan
+    /// when [`candidates`](Self::candidates) already scored this pair.
+    /// Empty when either column index is out of range.
     pub fn violating_groups(&self, lhs: usize, rhs: usize) -> Vec<(Value, Vec<(Value, usize)>)> {
-        let (Some(Some(lhs_coded)), Some(Some(rhs_coded))) =
-            (self.columns.get(lhs), self.columns.get(rhs))
+        let (Some(lhs_coded), Some(rhs_coded)) = (self.columns.get(lhs), self.columns.get(rhs))
         else {
             return Vec::new();
         };
@@ -417,14 +414,15 @@ impl FdScan {
         groups_from_pairs(lhs_coded, rhs_coded, &pairs)
     }
 
-    /// Re-codes `column` from `table` after a repair rewrote it, and drops
-    /// the memoised pair scans that read it. Every other column keeps its
-    /// coding, so the scan keeps answering for the live table as long as
-    /// each rewritten column is re-coded and the rows stay the same.
-    pub fn recode(&mut self, table: &Table, column: usize) {
-        assert_eq!(table.height(), self.height, "recode needs the rows the scan was built from");
+    /// Replaces `column`'s coding with `census`, the census of the column
+    /// a repair rewrote, and drops the memoised pair scans that read it.
+    /// Every other column keeps its coding, so the scan keeps answering for
+    /// the live table as long as each rewritten column is re-coded and the
+    /// rows stay the same.
+    pub fn recode(&mut self, column: usize, census: Arc<ColumnCensus>) {
+        assert_eq!(census.rows(), self.height, "recode needs the rows the scan was built from");
         if let Some(coded) = self.columns.get_mut(column) {
-            *coded = table.column(column).ok().map(|col| CodedColumn::encode(col.values()));
+            *coded = census;
         }
         self.pair_memo
             .get_mut()
@@ -449,18 +447,18 @@ pub fn fd_candidates(table: &Table, min_strength: f64, max_unique_ratio: f64) ->
 /// than one distinct rhs value, returns `(lhs value, rhs value census)` with
 /// the census ordered by descending count.
 pub fn fd_violating_groups(lhs: &[Value], rhs: &[Value]) -> Vec<(Value, Vec<(Value, usize)>)> {
-    let lhs_coded = CodedColumn::encode(lhs);
-    let rhs_coded = CodedColumn::encode(rhs);
+    let lhs_coded = census_of(lhs);
+    let rhs_coded = census_of(rhs);
     let (pairs, _) = pair_counts(&lhs_coded, &rhs_coded);
     groups_from_pairs(&lhs_coded, &rhs_coded, &pairs)
 }
 
 /// Shared group extraction: read the violating groups off the sorted pair
-/// keys; values are decoded straight from the dictionaries (and cloned)
-/// only for the violating minority.
+/// keys; values are decoded straight from the censuses (and cloned) only
+/// for the violating minority.
 fn groups_from_pairs(
-    lhs_coded: &CodedColumn,
-    rhs_coded: &CodedColumn,
+    lhs_coded: &ColumnCensus,
+    rhs_coded: &ColumnCensus,
     pairs: &[(u64, usize)],
 ) -> Vec<(Value, Vec<(Value, usize)>)> {
     let mut out: Vec<(Value, Vec<(Value, usize)>)> = Vec::new();
@@ -476,10 +474,10 @@ fn groups_from_pairs(
         }
         let mut census: Vec<(Value, usize)> = pairs[start..i]
             .iter()
-            .map(|&(key, count)| (rhs_coded.dict[(key & 0xFFFF_FFFF) as usize].clone(), count))
+            .map(|&(key, count)| (rhs_coded.value((key & 0xFFFF_FFFF) as u32).clone(), count))
             .collect();
         census.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.push((lhs_coded.dict[group as usize].clone(), census));
+        out.push((lhs_coded.value(group as u32).clone(), census));
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));
     out
@@ -600,7 +598,7 @@ mod tests {
         // Fix the typo and move a Dallas row into a new conflict.
         t.set_cell(2, 1, Value::from("Austin")).unwrap();
         t.set_cell(4, 1, Value::from("Houston")).unwrap();
-        scan.recode(&t, 1);
+        scan.recode(1, Arc::new(ColumnCensus::of(t.column(1).unwrap())));
         assert_eq!(
             scan.memoised_pairs(),
             candidates.iter().filter(|c| c.lhs != 1 && c.rhs != 1).count(),
@@ -626,13 +624,13 @@ mod tests {
         // The lhs-grouped pass must emit the identical sorted pair vector
         // (keys, order, counts, total) as the sort-based pass — including
         // NULLs on either side.
-        let lhs = CodedColumn::encode(
+        let lhs = census_of(
             &["b", "a", "", "b", "c", "a", "b", ""]
                 .iter()
                 .map(|s| if s.is_empty() { Value::Null } else { Value::from(*s) })
                 .collect::<Vec<_>>(),
         );
-        let rhs = CodedColumn::encode(
+        let rhs = census_of(
             &["y", "x", "z", "", "z", "x", "y", "w"]
                 .iter()
                 .map(|s| if s.is_empty() { Value::Null } else { Value::from(*s) })
@@ -662,8 +660,8 @@ mod tests {
             assert_eq!(merged.counts, whole.counts, "split at {split}");
             assert_eq!(merged.dict, whole.dict, "split at {split}");
         }
-        assert_eq!(whole.null_count(), 2);
-        assert_eq!(whole.rows(), 9);
+        let census = ColumnCensus::from_coded(whole);
+        assert_eq!((census.null_count(), census.rows()), (2, 9));
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! The paper's LLM prompts never see raw tables; they see statistical
 //! summaries produced here:
 //!
+//! * the per-column value [census] every other per-column
+//!   statistic, the FD scan and duplicate grouping are read from,
 //! * value [distributions](distribution) (Example 1's `"eng"` 46.4% /
 //!   `"English"` 9.5% census),
 //! * [numeric ranges and outlier fences](numeric) (§2.1.5),
@@ -21,6 +23,7 @@
 
 #![warn(missing_docs)]
 
+pub mod census;
 pub mod distribution;
 pub mod entropy;
 pub mod numeric;
@@ -31,6 +34,7 @@ pub mod sampling;
 pub mod stats;
 pub mod uniqueness;
 
+pub use census::ColumnCensus;
 pub use distribution::{Distribution, ValueFrequency};
 pub use entropy::{
     conditional_entropy, entropy, fd_candidates, fd_violating_groups, FdCandidate, FdScan,
@@ -42,6 +46,6 @@ pub use profile::{profile_table, ColumnProfile, ProfileOptions, TableProfile};
 pub use sampling::{batches, frequent_values, DEFAULT_BATCH_SIZE, DEFAULT_SAMPLE_SIZE};
 pub use stats::{quantile_sorted, NumericStats};
 pub use uniqueness::{
-    duplicate_profile, uniqueness_from_distinct, uniqueness_profile, DuplicateProfile,
-    UniquenessProfile,
+    duplicate_profile, duplicates_from_censuses, uniqueness_from_distinct, uniqueness_profile,
+    DuplicateProfile, UniquenessProfile,
 };

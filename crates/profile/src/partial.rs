@@ -21,15 +21,16 @@
 //! at the bottom of this file pin the identity across random tables, chunk
 //! sizes and thread counts.
 
+use crate::census::ColumnCensus;
 use crate::distribution::Distribution;
 use crate::entropy::{CodedColumn, FdScan};
 use crate::numeric::numeric_from_distinct;
 use crate::patterns::pattern_census_from_distinct;
 use crate::profile::{ColumnProfile, ProfileOptions, TableProfile};
-use crate::uniqueness::{duplicates_from_group_counts, uniqueness_from_distinct};
-use cocoon_table::{infer_from_distinct, DataType, Table, Value};
-use std::collections::HashMap;
+use crate::uniqueness::{duplicates_from_censuses, uniqueness_from_distinct};
+use cocoon_table::{infer_from_distinct, DataType, Table};
 use std::ops::Range;
+use std::sync::Arc;
 use threadpool::ThreadPool;
 
 /// Default rows per profiling chunk.
@@ -100,37 +101,34 @@ impl PartialProfile {
     /// whole-table pass would have produced over the same rows.
     pub fn finalize(self, options: &ProfileOptions) -> TableProfile {
         let rows = self.rows;
-        let mut profiles = Vec::with_capacity(self.columns.len());
-        for ((coded, name), declared) in self.columns.iter().zip(&self.names).zip(&self.declared) {
-            let null_count = coded.null_count();
-            let mut sorted: Vec<(Value, usize)> =
-                coded.dict.iter().cloned().zip(coded.counts.iter().copied()).collect();
-            sorted.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-            profiles.push(ColumnProfile {
-                name: name.clone(),
-                declared_type: *declared,
-                inference: infer_from_distinct(&sorted, options.type_tolerance),
-                distribution: Distribution::from_distinct(sorted.clone(), null_count),
-                uniqueness: uniqueness_from_distinct(&sorted),
-                numeric: numeric_from_distinct(&sorted),
-                patterns: pattern_census_from_distinct(sorted, null_count, options.exact_patterns),
-            });
-        }
-        // Rows are Value-equal exactly when their per-column code tuples
-        // are equal (codes identify Value-equality classes, NULLs
-        // included), so duplicate groups fall out of the codes without
-        // cloning a single cell.
-        let duplicates = if self.columns.is_empty() {
-            duplicates_from_group_counts(rows, std::iter::empty())
-        } else {
-            let mut groups: HashMap<Vec<u32>, usize> = HashMap::new();
-            for r in 0..rows {
-                let key: Vec<u32> = self.columns.iter().map(|c| c.codes[r]).collect();
-                *groups.entry(key).or_insert(0) += 1;
-            }
-            duplicates_from_group_counts(rows, groups.into_values())
-        };
-        let scan = FdScan::from_columns(self.columns.into_iter().map(Some).collect(), rows);
+        let censuses: Vec<Arc<ColumnCensus>> = self
+            .columns
+            .into_iter()
+            .map(|coded| Arc::new(ColumnCensus::from_coded(coded)))
+            .collect();
+        let profiles = censuses
+            .iter()
+            .zip(&self.names)
+            .zip(&self.declared)
+            .map(|((census, name), declared)| {
+                let (sorted, null_count) = (census.distinct(), census.null_count());
+                ColumnProfile {
+                    name: name.clone(),
+                    declared_type: *declared,
+                    inference: infer_from_distinct(sorted, options.type_tolerance),
+                    distribution: Distribution::from_distinct(sorted.to_vec(), null_count),
+                    uniqueness: uniqueness_from_distinct(sorted),
+                    numeric: numeric_from_distinct(sorted),
+                    patterns: pattern_census_from_distinct(
+                        sorted,
+                        null_count,
+                        options.exact_patterns,
+                    ),
+                }
+            })
+            .collect();
+        let duplicates = duplicates_from_censuses(&censuses);
+        let scan = FdScan::from_censuses(censuses);
         TableProfile {
             columns: profiles,
             duplicates,
@@ -177,6 +175,7 @@ pub fn profile_table_chunked(
 mod tests {
     use super::*;
     use crate::profile_table;
+    use cocoon_table::Value;
     use proptest::prelude::*;
 
     fn movies_like_rows(rows: usize, seed: usize) -> Vec<Vec<String>> {

@@ -34,15 +34,16 @@ pub struct PatternCensus {
 /// Builds the census using the exact digest when `exact` is true (counted
 /// classes: `\d{2}`), the loose digest otherwise (`\d+`).
 pub fn pattern_census(column: &Column, exact: bool) -> PatternCensus {
-    pattern_census_from_distinct(column.distinct_by_frequency(), column.null_count(), exact)
+    pattern_census_from_distinct(&column.distinct_by_frequency(), column.null_count(), exact)
 }
 
 /// [`pattern_census`] over an already-censused column: distinct
 /// `(value, count)` pairs in [`Column::distinct_by_frequency`] order
 /// (which frequency-ranks the example lists) plus the null count. Shared
-/// with the chunk-merged profile path (`crate::PartialProfile`).
+/// with the chunk-merged profile path (`crate::PartialProfile`) and read
+/// off a [`crate::ColumnCensus`].
 pub fn pattern_census_from_distinct(
-    distinct: Vec<(Value, usize)>,
+    distinct: &[(Value, usize)],
     null_count: usize,
     exact: bool,
 ) -> PatternCensus {
@@ -59,7 +60,7 @@ pub fn pattern_census_from_distinct(
         let entry = counts.entry(digest).or_insert((0, Vec::new()));
         entry.0 += count;
         if entry.1.len() < MAX_EXAMPLES {
-            entry.1.push((text.to_string(), count));
+            entry.1.push((text.to_string(), *count));
         }
     }
 

@@ -3,7 +3,9 @@
 //! §2.1.7 (duplication) and §2.1.8 (column uniqueness): the statistical
 //! detections are exact-duplicate row counting and per-column unique ratios.
 
+use crate::census::ColumnCensus;
 use cocoon_table::{Column, Table, Value};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
 /// Uniqueness profile of one column.
@@ -55,29 +57,44 @@ pub struct DuplicateProfile {
 
 /// Profiles exact row duplication.
 pub fn duplicate_profile(table: &Table) -> DuplicateProfile {
-    let mut counts: HashMap<Vec<Value>, usize> = HashMap::new();
-    for row in table.rows() {
-        *counts.entry(row).or_insert(0) += 1;
-    }
-    duplicates_from_group_counts(table.height(), counts.into_values())
+    let censuses: Vec<ColumnCensus> = (0..table.width())
+        .map(|c| ColumnCensus::of(table.column(c).expect("index in range")))
+        .collect();
+    duplicates_from_censuses(&censuses)
 }
 
-/// [`DuplicateProfile`] from per-group row counts (one count per distinct
-/// row value). The chunk-merged profile path groups rows by their
-/// per-column dictionary code tuples instead of cloned cell vectors —
-/// rows are `Value`-equal exactly when their code tuples are equal — and
-/// funnels the group counts through here.
-pub(crate) fn duplicates_from_group_counts(
-    rows: usize,
-    counts: impl Iterator<Item = usize>,
-) -> DuplicateProfile {
-    let mut duplicated_groups = 0usize;
-    let mut duplicate_rows = 0usize;
-    for count in counts {
-        if count > 1 {
-            duplicated_groups += 1;
-            duplicate_rows += count - 1;
+/// [`duplicate_profile`] over the censuses of a table's columns. Rows are
+/// `Value`-equal exactly when their per-column code tuples are equal
+/// (codes identify `Value`-equality classes, NULLs included), so rows are
+/// grouped by codes without cloning a cell. A table without columns has no
+/// duplicates.
+pub fn duplicates_from_censuses<C: Borrow<ColumnCensus>>(censuses: &[C]) -> DuplicateProfile {
+    let rows = censuses.first().map_or(0, |census| census.borrow().rows());
+    // Each row's group, refined one column at a time: two rows share a
+    // group exactly when their codes agree on every column folded in so
+    // far. Once every row is alone in its group, later columns cannot
+    // merge any.
+    let mut groups = vec![0u32; rows];
+    let mut group_count = usize::from(rows > 0);
+    for census in censuses {
+        if group_count == rows {
+            break;
         }
+        let mut refined: HashMap<(u32, u32), u32> = HashMap::with_capacity(group_count);
+        for (group, &code) in groups.iter_mut().zip(census.borrow().codes()) {
+            let next = refined.len() as u32;
+            *group = *refined.entry((*group, code)).or_insert(next);
+        }
+        group_count = refined.len();
+    }
+    let mut sizes = vec![0usize; group_count];
+    for &group in &groups {
+        sizes[group as usize] += 1;
+    }
+    let (mut duplicated_groups, mut duplicate_rows) = (0usize, 0usize);
+    for size in sizes.into_iter().filter(|&size| size > 1) {
+        duplicated_groups += 1;
+        duplicate_rows += size - 1;
     }
     DuplicateProfile { rows, duplicate_rows, duplicated_groups }
 }

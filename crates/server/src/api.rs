@@ -191,7 +191,8 @@ fn confidence_json(score: f64) -> String {
     format!("{}", (score * 1e6).round() / 1e6)
 }
 
-/// Renders a job view for `GET /v1/jobs/{id}`.
+/// Renders a job view for `GET /v1/jobs/{id}`. A finished job's stored
+/// body is copied once, into the response.
 fn job_body(view: &crate::jobs::JobView) -> String {
     let p = &view.progress;
     let mut out = String::from("{");
@@ -199,7 +200,13 @@ fn job_body(view: &crate::jobs::JobView) -> String {
     out.push_str(&format!("\"status\": {}, ", json_escape(view.status.label())));
     out.push_str(&format!("\"progress\": {}, ", progress_body(p)));
     match (&view.result, &view.error) {
-        (Some(result), _) => out.push_str(&format!("\"result\": {result}}}")),
+        (Some(result), _) => {
+            let field = "\"result\": ";
+            out.reserve(field.len() + result.len() + 1);
+            out.push_str(field);
+            out.push_str(result);
+            out.push('}');
+        }
         (None, Some(error)) => out.push_str(&format!("\"error\": {}}}", json_escape(error))),
         (None, None) => out.push_str("\"result\": null}"),
     }

@@ -57,8 +57,9 @@ pub struct JobView {
     pub status: JobStatus,
     /// Live stage-by-stage progress.
     pub progress: ProgressSnapshot,
-    /// The finished response body (status `Done` only).
-    pub result: Option<String>,
+    /// The finished response body (status `Done` only), shared with the
+    /// store and every other view of the job.
+    pub result: Option<Arc<str>>,
     /// What went wrong (status `Failed` only).
     pub error: Option<String>,
 }
@@ -97,7 +98,8 @@ pub struct JobCounts {
 struct JobEntry {
     status: JobStatus,
     progress: Arc<RunProgress>,
-    result: Option<String>,
+    /// Stored at its exact length, whatever capacity the rendered body had.
+    result: Option<Arc<str>>,
     error: Option<String>,
 }
 
@@ -236,7 +238,8 @@ impl<P> JobStore<P> {
     }
 
     /// Publishes a finished job's outcome, stamps its expiry clock, and
-    /// evicts the oldest finished jobs beyond [`MAX_FINISHED_JOBS`].
+    /// evicts the oldest finished jobs beyond [`MAX_FINISHED_JOBS`]. A body
+    /// is kept at its exact length and shared by every later [`JobView`].
     pub fn finish(&self, id: u64, outcome: Result<String, String>) {
         let mut inner = self.inner.lock().expect("job lock");
         Self::sweep(self.ttl, &mut inner);
@@ -244,7 +247,7 @@ impl<P> JobStore<P> {
             match outcome {
                 Ok(body) => {
                     entry.status = JobStatus::Done;
-                    entry.result = Some(body);
+                    entry.result = Some(Arc::from(body));
                 }
                 Err(message) => {
                     entry.status = JobStatus::Failed;
@@ -329,6 +332,22 @@ impl<P> JobStore<P> {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+
+    #[test]
+    fn views_of_a_finished_job_share_one_exact_size_body() {
+        let store: JobStore<()> = JobStore::new();
+        let id = store.submit(()).unwrap();
+        store.next_job(|| false).unwrap();
+        let mut body = String::with_capacity(4096);
+        body.push_str("{\"ok\": true}");
+        store.finish(id, Ok(body));
+        let first = store.view(id).unwrap().result.unwrap();
+        let second = store.view(id).unwrap().result.unwrap();
+        assert!(Arc::ptr_eq(&first, &second), "both polls read the stored allocation");
+        assert_eq!(&*first, "{\"ok\": true}");
+        // The store, the two views: one allocation, three handles.
+        assert_eq!(Arc::strong_count(&first), 3);
+    }
 
     #[test]
     fn submit_run_finish_lifecycle() {

@@ -95,9 +95,20 @@ impl Column {
     }
 
     /// Distinct non-null values ordered by descending frequency, ties broken
-    /// by value order so the output is deterministic.
+    /// by value order. The stable sort runs over first-appearance order, so
+    /// the output is deterministic even where the value order is not total
+    /// (NaN compares equal to every number).
     pub fn distinct_by_frequency(&self) -> Vec<(Value, usize)> {
-        let mut pairs: Vec<(Value, usize)> = self.value_counts().into_iter().collect();
+        let mut index: HashMap<&Value, usize> = HashMap::new();
+        let mut pairs: Vec<(Value, usize)> = Vec::new();
+        for v in self.non_null() {
+            let next = pairs.len();
+            let slot = *index.entry(v).or_insert(next);
+            if slot == next {
+                pairs.push((v.clone(), 0));
+            }
+            pairs[slot].1 += 1;
+        }
         pairs.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         pairs
     }
