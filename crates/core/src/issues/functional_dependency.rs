@@ -7,17 +7,29 @@
 //! meaningful FDs the LLM maps each violating group's wrong values to the
 //! correct one, compiled to a group-scoped `CASE WHEN`.
 //!
-//! Detect phase (one prompt wave over the candidate pairs with violations
-//! on the stage-entry snapshot): violating groups → semantic FD review;
-//! only meaningful verdicts re-read and render their full groups. Decide
-//! phase (sequential): because FD repairs can interact (one repair may fix
-//! — or create — another candidate's violations), groups are taken from
-//! the snapshot only while no repair has been applied yet; after the first
-//! applied repair each remaining candidate reads its groups from the live
-//! table, exactly as the sequential pipeline always did. One [`FdScan`]
-//! serves both phases: it reads the clean's column censuses, and each
-//! applied repair hands it the census of the column it rewrote, so the scan
-//! always describes the live table.
+//! What each phase decodes (turns from census codes back into values):
+//!
+//! * Statistics, before the detect phase: the stage fills the columns'
+//!   censuses from the clean's census cache and scores every column pair,
+//!   both on the stage pool. Scoring reads codes only; nothing is decoded.
+//! * Detect phase (one prompt wave over the candidate pairs with
+//!   violations on the stage-entry snapshot): the semantic FD review shows
+//!   the model the first five violating groups, so only those five are
+//!   decoded, and its group count is the candidate's. Only meaningful
+//!   verdicts decode and render all their groups, which the mapping step
+//!   needs.
+//! * Decide phase (sequential): because FD repairs can interact (one
+//!   repair may fix — or create — another candidate's violations), groups
+//!   are taken from the snapshot only while no repair has been applied
+//!   yet. After the first applied repair each remaining candidate reads
+//!   its groups from the live table, exactly as the sequential pipeline
+//!   always did: a rejected candidate only counts them (its rejection is
+//!   noted while any remain), and a meaningful one decodes them all for its
+//!   mapping prompt.
+//!
+//! One [`FdScan`] serves every phase: it reads the clean's column
+//! censuses, and each applied repair hands it the census of the column it
+//! rewrote, so the scan always describes the live table.
 
 use crate::apply::{apply_and_count, column_rewrite_select};
 use crate::decision::{CleaningReview, Decision, DetectionReview};
@@ -33,6 +45,10 @@ type Group = (Value, Vec<(Value, usize)>);
 
 /// Rendered violating groups: `(lhs value, rhs census)` as prompt text.
 type GroupsText = Vec<(String, Vec<(String, usize)>)>;
+
+/// Violating groups the semantic FD review shows the model: the prompt and
+/// its context block carry every group they are given.
+const REVIEW_GROUPS: usize = 5;
 
 struct Finding {
     lhs: usize,
@@ -55,13 +71,16 @@ fn degraded(err: &crate::error::CoreError) -> String {
 
 /// Runs FD review and repair over the whole table.
 pub fn run(state: &mut PipelineState<'_>) {
-    // One scan over the clean's column censuses; candidate scoring, each
-    // detection worker's group extraction and the decide phase's live
-    // groups all reuse it. It shares the censuses, so it outlives the
-    // detect phase's borrow of `state.table`.
+    // One scan over the clean's column censuses, filled and scored on the
+    // stage pool; each detection worker's group reads and the decide
+    // phase's live groups reuse it. It shares the censuses, so it outlives
+    // the detect phase's borrow of `state.table`.
     let mut scan = FdScan::from_censuses(state.detect_ctx().table_censuses());
-    let mut candidates =
-        scan.candidates(state.config.fd_min_strength, state.config.fd_max_unique_ratio);
+    let mut candidates = scan.candidates(
+        &state.pool,
+        state.config.fd_min_strength,
+        state.config.fd_max_unique_ratio,
+    );
     // A candidate without violations has strength exactly 1, so it ranks
     // ahead of every candidate that could repair anything: no repair can
     // land before it is decided, and it has nothing to decide.
@@ -69,7 +88,7 @@ pub fn run(state: &mut PipelineState<'_>) {
     let outcomes = state.detect_waves(
         candidates,
         |ctx, candidate| start(ctx, &scan, candidate),
-        |ctx, candidate, groups_len, answers| resume(ctx, &scan, candidate, groups_len, answers),
+        |ctx, candidate, (), answers| resume(ctx, &scan, candidate, answers),
         |_, err| degraded(err),
     );
     // Becomes true once a repair lands; later candidates then read their
@@ -91,6 +110,12 @@ fn render_group((lhs, census): &Group) -> (String, Vec<(String, usize)>) {
     (lhs.render(), census.iter().map(|(v, c)| (v.render(), *c)).collect())
 }
 
+/// Every violating group of `lhs → rhs`, decoded and rendered for the
+/// mapping prompt.
+fn all_groups(scan: &FdScan, lhs: usize, rhs: usize) -> GroupsText {
+    scan.violating_groups(lhs, rhs, usize::MAX).iter().map(render_group).collect()
+}
+
 fn names(ctx: &DetectCtx<'_>, candidate: &FdCandidate) -> crate::error::Result<(String, String)> {
     let schema = ctx.table.schema();
     Ok((
@@ -99,36 +124,42 @@ fn names(ctx: &DetectCtx<'_>, candidate: &FdCandidate) -> crate::error::Result<(
     ))
 }
 
-/// Asks the semantic FD review, which shows the model the first five
-/// violating groups; only those are rendered. The unit resumes holding the
-/// group count alone, so a wave never keeps every candidate's groups.
+/// Asks the semantic FD review. It shows the model the first
+/// [`REVIEW_GROUPS`] violating groups, so only those are decoded, and the
+/// group count it quotes is the candidate's.
 fn start(
     ctx: &DetectCtx<'_>,
     scan: &FdScan,
     candidate: &FdCandidate,
-) -> crate::error::Result<Step<usize, Finding>> {
+) -> crate::error::Result<Step<(), Finding>> {
     let (lhs_name, rhs_name) = names(ctx, candidate)?;
-    let groups = scan.violating_groups(candidate.lhs, candidate.rhs);
-    let head: GroupsText = groups.iter().take(5).map(render_group).collect();
-    let prompt = prompts::fd_review(&lhs_name, &rhs_name, candidate.strength, groups.len(), &head);
-    Ok(Step::ask(groups.len(), prompt))
+    let head: GroupsText = scan
+        .violating_groups(candidate.lhs, candidate.rhs, REVIEW_GROUPS)
+        .iter()
+        .map(render_group)
+        .collect();
+    let prompt = prompts::fd_review(
+        &lhs_name,
+        &rhs_name,
+        candidate.strength,
+        candidate.violating_groups,
+        &head,
+    );
+    Ok(Step::ask((), prompt))
 }
 
 fn resume(
     ctx: &DetectCtx<'_>,
     scan: &FdScan,
     candidate: &FdCandidate,
-    groups_len: usize,
     mut answers: Answers,
-) -> crate::error::Result<Step<usize, Finding>> {
+) -> crate::error::Result<Step<(), Finding>> {
     let verdict = parse_fd_verdict(&answers.remove(0)?)?;
     let (lhs_name, rhs_name) = names(ctx, candidate)?;
     // The mapping step consumes the full rendered groups; only meaningful
-    // verdicts get there, so only they re-read (from the memoised pair
-    // scan) and pay the render.
-    let rendered = verdict.meaningful.then(|| {
-        scan.violating_groups(candidate.lhs, candidate.rhs).iter().map(render_group).collect()
-    });
+    // verdicts get there, so only they decode every group (off the
+    // memoised pair scan) and pay the render.
+    let rendered = verdict.meaningful.then(|| all_groups(scan, candidate.lhs, candidate.rhs));
     Ok(Step::Done(Outcome::Finding(Finding {
         lhs: candidate.lhs,
         rhs: candidate.rhs,
@@ -136,7 +167,7 @@ fn resume(
         rhs_name,
         strength: candidate.strength,
         verdict,
-        groups_len,
+        groups_len: candidate.violating_groups,
         groups: rendered,
     })))
 }
@@ -154,33 +185,32 @@ fn decide(
     let (lhs_name, rhs_name) = (finding.lhs_name.as_str(), finding.rhs_name.as_str());
     let FdVerdict { meaningful, reasoning, confidence: review_confidence } =
         finding.verdict.clone();
+    if !meaningful {
+        // After a repair the candidate's violations may be gone, and then
+        // there is nothing to reject. Counting them decodes nothing.
+        if !table_changed || scan.violating_group_count(finding.lhs, finding.rhs) > 0 {
+            state.note(format!(
+                "FD {lhs_name} → {rhs_name} rejected as not semantically meaningful: {reasoning}"
+            ));
+        }
+        return Ok(false);
+    }
     // Snapshot groups stay valid until the first applied repair; after one,
-    // read the live groups off the scan. Rejected candidates never need the
-    // full render.
+    // decode the live groups off the scan.
     let (groups_text, groups_len) = if table_changed {
-        let groups = scan.violating_groups(finding.lhs, finding.rhs);
-        if groups.is_empty() {
+        let groups_text = all_groups(scan, finding.lhs, finding.rhs);
+        if groups_text.is_empty() {
             return Ok(false);
         }
-        let groups_text =
-            if meaningful { groups.iter().map(render_group).collect() } else { GroupsText::new() };
-        (groups_text, groups.len())
+        let groups_len = groups_text.len();
+        (groups_text, groups_len)
     } else {
-        let groups_text = if meaningful {
-            finding.groups.clone().expect("meaningful finding carries rendered groups")
-        } else {
-            GroupsText::new()
-        };
+        let groups_text =
+            finding.groups.clone().expect("meaningful finding carries rendered groups");
         (groups_text, finding.groups_len)
     };
     let evidence =
         format!("entropy strength {:.3}; {} violating groups", finding.strength, groups_len);
-    if !meaningful {
-        state.note(format!(
-            "FD {lhs_name} → {rhs_name} rejected as not semantically meaningful: {reasoning}"
-        ));
-        return Ok(false);
-    }
     let detection = DetectionReview {
         issue: IssueKind::FunctionalDependency,
         column: Some(rhs_name),

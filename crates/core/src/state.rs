@@ -79,6 +79,12 @@ impl CensusCache {
         Arc::clone(census)
     }
 
+    /// Whether `column`'s version has been censused.
+    fn holds(&self, column: &Arc<TableColumn>) -> bool {
+        let slots = self.slots.lock().expect("census cache lock poisoned");
+        slots.get(&(Arc::as_ptr(column) as usize)).is_some_and(|(_, slot)| slot.get().is_some())
+    }
+
     /// Drops the censuses of column versions `table` does not hold.
     fn retain_columns_of(&mut self, table: &Table) {
         let live: Vec<usize> = (0..table.width())
@@ -99,6 +105,8 @@ pub struct DetectCtx<'a> {
     /// Pipeline configuration (thresholds, toggles).
     pub config: &'a CleanerConfig,
     censuses: &'a CensusCache,
+    /// The stage pool, for [`table_censuses`](Self::table_censuses).
+    pool: &'a ThreadPool,
 }
 
 impl DetectCtx<'_> {
@@ -108,11 +116,18 @@ impl DetectCtx<'_> {
         Ok(self.censuses.census(self.table.shared_column(column_index)?))
     }
 
-    /// The census of every column, in column order.
+    /// The census of every column, in column order. The versions not
+    /// censused yet are censused concurrently on the stage pool, each still
+    /// once, and only they: a cached census is a lookup, not worth a
+    /// thread. Ask from the stage's own thread or a one-unit wave, since a
+    /// worker of a wider wave would stack a second fan-out on the first.
     pub(crate) fn table_censuses(&self) -> Vec<Arc<ColumnCensus>> {
-        (0..self.table.width())
-            .map(|c| self.column_census(c).expect("column index below the table width"))
-            .collect()
+        let columns: Vec<&Arc<TableColumn>> = (0..self.table.width())
+            .map(|c| self.table.shared_column(c).expect("column index below the table width"))
+            .collect();
+        let missing = columns.iter().filter(|column| !self.censuses.holds(column)).collect();
+        self.pool.map_ordered(missing, |column| self.censuses.census(column));
+        columns.into_iter().map(|column| self.censuses.census(column)).collect()
     }
 
     /// Distinct-value census of a column (rendered text, ordered by
@@ -238,7 +253,12 @@ impl<'a> PipelineState<'a> {
     /// table: stages construct it once, before their decide phase mutates
     /// anything, so every detection unit of a stage sees the same snapshot.
     pub fn detect_ctx(&self) -> DetectCtx<'_> {
-        DetectCtx { table: &self.table, config: self.config, censuses: &self.censuses }
+        DetectCtx {
+            table: &self.table,
+            config: self.config,
+            censuses: &self.censuses,
+            pool: &self.pool,
+        }
     }
 
     /// Column censuses built so far in this clean.

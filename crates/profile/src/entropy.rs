@@ -7,8 +7,11 @@
 
 use crate::census::ColumnCensus;
 use cocoon_table::{Table, Value};
+use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::Arc;
+use threadpool::ThreadPool;
 
 /// Shannon entropy (bits) of a discrete distribution given by counts.
 pub fn entropy(counts: &[usize]) -> f64 {
@@ -229,21 +232,24 @@ fn conditional_entropy_from_pairs(pairs: &[(u64, usize)], total: usize) -> f64 {
     h
 }
 
+/// The lhs groups of sorted pair counts that map to more than one distinct
+/// rhs value, as `(lhs code, the group's range of pairs)` in code order.
+fn violating_runs(pairs: &[(u64, usize)]) -> impl Iterator<Item = (u32, Range<usize>)> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || loop {
+        let group = pairs.get(start)?.0 >> 32;
+        let end = start + pairs[start..].iter().take_while(|(key, _)| key >> 32 == group).count();
+        let run = start..end;
+        start = end;
+        if run.len() > 1 {
+            return Some((group as u32, run));
+        }
+    })
+}
+
 /// Number of lhs groups mapping to more than one distinct rhs value.
 fn violating_groups_from_pairs(pairs: &[(u64, usize)]) -> usize {
-    let mut violating = 0;
-    let mut i = 0;
-    while i < pairs.len() {
-        let group = pairs[i].0 >> 32;
-        let start = i;
-        while i < pairs.len() && pairs[i].0 >> 32 == group {
-            i += 1;
-        }
-        if i - start > 1 {
-            violating += 1;
-        }
-    }
-    violating
+    violating_runs(pairs).count()
 }
 
 /// Conditional entropy H(rhs | lhs) over the rows of two columns,
@@ -275,15 +281,15 @@ pub struct FdCandidate {
     pub violating_groups: usize,
 }
 
-/// Sorted pair counts of one `(lhs, rhs)` column pair, shared between the
-/// scoring pass that produced them and later group extraction.
-type PairMemo = Mutex<HashMap<(usize, usize), Arc<Vec<(u64, usize)>>>>;
+/// One violating group: the lhs value and its rhs census, by descending
+/// count.
+type Group = (Value, Vec<(Value, usize)>);
 
 /// A reusable FD scan over one table: the codes of every column's
 /// [`ColumnCensus`], serving both candidate scoring and per-candidate
-/// violating-group extraction without re-hashing any value. Shareable
-/// across detection workers (`&self` methods only; the pair memo locks
-/// internally).
+/// violating-group extraction without re-hashing any value. Scoring takes
+/// `&mut self` (it memoises pair scans); everything read afterwards takes
+/// `&self`, so one scan is shared across detection workers.
 ///
 /// The scan has no coder of its own: it reads censuses, whether a caller
 /// keeps them per column version ([`FdScan::from_censuses`]), builds them
@@ -294,12 +300,10 @@ pub struct FdScan {
     /// Per column: its census, in column order.
     columns: Vec<Arc<ColumnCensus>>,
     height: usize,
-    /// Sorted pair scans kept from [`candidates`](Self::candidates) for the
-    /// pairs that became candidates — exactly the ones
-    /// [`violating_groups`](Self::violating_groups) is later asked about,
-    /// so the group extraction skips the re-scan (~20 ms across Movies' 43
-    /// candidates).
-    pair_memo: PairMemo,
+    /// Sorted pair counts kept from [`candidates`](Self::candidates) for
+    /// the pairs that became candidates — exactly the ones the group
+    /// readers are later asked about, so they skip the re-scan.
+    pair_memo: HashMap<(usize, usize), Vec<(u64, usize)>>,
 }
 
 impl FdScan {
@@ -323,7 +327,7 @@ impl FdScan {
             columns.iter().all(|census| census.rows() == height),
             "censuses of one table cover the same rows"
         );
-        FdScan { columns, height, pair_memo: Mutex::new(HashMap::new()) }
+        FdScan { columns, height, pair_memo: HashMap::new() }
     }
 
     /// Scores every ordered column pair as an FD candidate and returns
@@ -334,43 +338,46 @@ impl FdScan {
     /// strong but semantically vacuous, and the paper's LLM review would
     /// reject it anyway.
     ///
-    /// Each eligible lhs column's rows are grouped by code **once**
-    /// (counting sort) and every rhs is tallied in a single pass over those
-    /// groups — no per-pair sort of a row-length key vector. The emitted
-    /// pair counts are identical to the sort-based scan, so downstream
-    /// entropy summation order (and thus every float) is unchanged.
-    pub fn candidates(&self, min_strength: f64, max_unique_ratio: f64) -> Vec<FdCandidate> {
+    /// Each eligible lhs column is one task on `pool`: its rows are grouped
+    /// by code **once** (counting sort) and every rhs is tallied in a
+    /// single pass over those groups, with no per-pair sort of a row-length
+    /// key vector. The output does not depend on the thread count: a
+    /// task's result is a function of its lhs alone, the pair counts it
+    /// emits equal the sort-based scan's (so every entropy is summed in the
+    /// same order and every float is the same), and the per-lhs results are
+    /// concatenated in lhs order before the stable sort by strength with
+    /// its `(lhs, rhs)` tie-break.
+    pub fn candidates(
+        &mut self,
+        pool: &ThreadPool,
+        min_strength: f64,
+        max_unique_ratio: f64,
+    ) -> Vec<FdCandidate> {
         let height = self.height;
         if height == 0 {
             return Vec::new();
         }
-        let mut out = Vec::new();
+        let key_like =
+            |census: &ColumnCensus| census.cardinality() as f64 / height as f64 > max_unique_ratio;
+        // Constant and key-like columns take part on neither side: nothing
+        // depends on a constant, and key-like groups are all singletons.
+        let eligible: Vec<bool> = self
+            .columns
+            .iter()
+            .map(|census| census.cardinality() > 1 && !key_like(census))
+            .collect();
         // Code-order counts: the entropy's float summation order.
         let column_entropy: Vec<f64> =
             self.columns.iter().map(|census| entropy(census.counts())).collect();
-        let mut scratch: Vec<usize> = Vec::new();
-        let mut touched: Vec<u32> = Vec::new();
-        for (lhs, lhs_coded) in self.columns.iter().enumerate() {
-            let lhs_unique_ratio = lhs_coded.cardinality() as f64 / height as f64;
-            if lhs_unique_ratio > max_unique_ratio || lhs_coded.cardinality() <= 1 {
-                continue;
-            }
-            let groups = group_rows_by_code(lhs_coded);
-            for (rhs, rhs_coded) in self.columns.iter().enumerate() {
-                if lhs == rhs {
-                    continue;
-                }
-                let rhs_distinct = rhs_coded.cardinality();
-                if rhs_distinct <= 1 {
-                    continue;
-                }
-                // Key-like rhs columns cannot be FD-determined: every group
-                // would be all-singletons and majority repair meaningless.
-                if rhs_distinct as f64 / height as f64 > max_unique_ratio {
-                    continue;
-                }
+        let columns = &self.columns;
+        let lhs_columns: Vec<usize> = (0..columns.len()).filter(|&lhs| eligible[lhs]).collect();
+        let scored = pool.map_ordered(lhs_columns, |lhs| {
+            let groups = group_rows_by_code(&columns[lhs]);
+            let (mut scratch, mut touched) = (Vec::new(), Vec::new());
+            let mut scored = Vec::new();
+            for rhs in (0..columns.len()).filter(|&rhs| rhs != lhs && eligible[rhs]) {
                 let (pairs, total) =
-                    pair_counts_grouped(&groups, rhs_coded, &mut scratch, &mut touched);
+                    pair_counts_grouped(&groups, &columns[rhs], &mut scratch, &mut touched);
                 let h_cond = conditional_entropy_from_pairs(&pairs, total);
                 let h_rhs = column_entropy[rhs];
                 let strength = if h_rhs == 0.0 { 0.0 } else { 1.0 - h_cond / h_rhs };
@@ -378,15 +385,21 @@ impl FdScan {
                     continue;
                 }
                 let violating_groups = violating_groups_from_pairs(&pairs);
-                self.pair_memo.lock().expect("pair memo lock").insert((lhs, rhs), Arc::new(pairs));
-                out.push(FdCandidate {
+                let candidate = FdCandidate {
                     lhs,
                     rhs,
                     conditional_entropy: h_cond,
                     strength,
                     violating_groups,
-                });
+                };
+                scored.push((candidate, pairs));
             }
+            scored
+        });
+        let mut out = Vec::new();
+        for (candidate, pairs) in scored.into_iter().flatten() {
+            self.pair_memo.insert((candidate.lhs, candidate.rhs), pairs);
+            out.push(candidate);
         }
         out.sort_by(|a, b| {
             b.strength
@@ -397,21 +410,35 @@ impl FdScan {
         out
     }
 
-    /// Violating groups of `lhs → rhs` (see [`fd_violating_groups`]),
-    /// served from the censuses' codes — and from the memoised pair scan
-    /// when [`candidates`](Self::candidates) already scored this pair.
-    /// Empty when either column index is out of range.
-    pub fn violating_groups(&self, lhs: usize, rhs: usize) -> Vec<(Value, Vec<(Value, usize)>)> {
-        let (Some(lhs_coded), Some(rhs_coded)) = (self.columns.get(lhs), self.columns.get(rhs))
-        else {
-            return Vec::new();
-        };
-        let memoised = self.pair_memo.lock().expect("pair memo lock").get(&(lhs, rhs)).cloned();
-        let pairs = match memoised {
-            Some(pairs) => pairs,
-            None => Arc::new(pair_counts(lhs_coded, rhs_coded).0),
-        };
-        groups_from_pairs(lhs_coded, rhs_coded, &pairs)
+    /// The first `limit` violating groups of `lhs → rhs` in
+    /// [`fd_violating_groups`] order (pass `usize::MAX` for all of them),
+    /// served from the censuses' codes and from the memoised pair scan when
+    /// [`candidates`](Self::candidates) scored this pair. Only the groups
+    /// returned are decoded. Empty when either column index is out of
+    /// range.
+    pub fn violating_groups(&self, lhs: usize, rhs: usize, limit: usize) -> Vec<Group> {
+        match self.pair_scan(lhs, rhs) {
+            Some(pairs) => groups_from_pairs(&self.columns[lhs], &self.columns[rhs], &pairs, limit),
+            None => Vec::new(),
+        }
+    }
+
+    /// How many violating groups `lhs → rhs` has, counted off the pair scan
+    /// without decoding any value: the length of the full
+    /// [`violating_groups`](Self::violating_groups) list. 0 when either
+    /// column index is out of range.
+    pub fn violating_group_count(&self, lhs: usize, rhs: usize) -> usize {
+        self.pair_scan(lhs, rhs).map_or(0, |pairs| violating_groups_from_pairs(&pairs))
+    }
+
+    /// The sorted pair counts of `lhs → rhs`: memoised by scoring, or
+    /// scanned afresh. `None` when either column index is out of range.
+    fn pair_scan(&self, lhs: usize, rhs: usize) -> Option<Cow<'_, [(u64, usize)]>> {
+        let (lhs_census, rhs_census) = (self.columns.get(lhs)?, self.columns.get(rhs)?);
+        Some(match self.pair_memo.get(&(lhs, rhs)) {
+            Some(pairs) => Cow::Borrowed(pairs),
+            None => Cow::Owned(pair_counts(lhs_census, rhs_census).0),
+        })
     }
 
     /// Replaces `column`'s coding with `census`, the census of the column
@@ -424,63 +451,61 @@ impl FdScan {
         if let Some(coded) = self.columns.get_mut(column) {
             *coded = census;
         }
-        self.pair_memo
-            .get_mut()
-            .expect("pair memo lock")
-            .retain(|&(lhs, rhs), _| lhs != column && rhs != column);
+        self.pair_memo.retain(|&(lhs, rhs), _| lhs != column && rhs != column);
     }
 
     /// Number of memoised pair scans (test observability).
     #[cfg(test)]
     fn memoised_pairs(&self) -> usize {
-        self.pair_memo.lock().expect("pair memo lock").len()
+        self.pair_memo.len()
     }
 }
 
-/// Scores every ordered column pair of `table` as an FD candidate; see
-/// [`FdScan::candidates`]. Prefer [`FdScan`] when groups are needed too.
+/// Scores every ordered column pair of `table` as an FD candidate on the
+/// calling thread; see [`FdScan::candidates`]. Prefer [`FdScan`] when
+/// groups are needed too, or to score on a wider pool.
 pub fn fd_candidates(table: &Table, min_strength: f64, max_unique_ratio: f64) -> Vec<FdCandidate> {
-    FdScan::new(table).candidates(min_strength, max_unique_ratio)
+    FdScan::new(table).candidates(&ThreadPool::new(1), min_strength, max_unique_ratio)
 }
 
 /// Groups of rows violating `lhs → rhs`: for each lhs value mapping to more
 /// than one distinct rhs value, returns `(lhs value, rhs value census)` with
-/// the census ordered by descending count.
-pub fn fd_violating_groups(lhs: &[Value], rhs: &[Value]) -> Vec<(Value, Vec<(Value, usize)>)> {
+/// the census ordered by descending count, groups ordered by lhs value.
+pub fn fd_violating_groups(lhs: &[Value], rhs: &[Value]) -> Vec<Group> {
     let lhs_coded = census_of(lhs);
     let rhs_coded = census_of(rhs);
     let (pairs, _) = pair_counts(&lhs_coded, &rhs_coded);
-    groups_from_pairs(&lhs_coded, &rhs_coded, &pairs)
+    groups_from_pairs(&lhs_coded, &rhs_coded, &pairs, usize::MAX)
 }
 
-/// Shared group extraction: read the violating groups off the sorted pair
-/// keys; values are decoded straight from the censuses (and cloned) only
-/// for the violating minority.
+/// The one group decoder: reads the violating groups off the sorted pair
+/// keys and decodes the first `limit` of them, cloning values out of the
+/// censuses only for those.
+///
+/// Groups are ordered by one stable sort by lhs value over lhs code order,
+/// done before anything is decoded, so every limit sees the same order:
+/// ties, and values the order does not rank (NaN beside numbers), resolve
+/// the same way whether one group is read or all of them.
 fn groups_from_pairs(
     lhs_coded: &ColumnCensus,
     rhs_coded: &ColumnCensus,
     pairs: &[(u64, usize)],
-) -> Vec<(Value, Vec<(Value, usize)>)> {
-    let mut out: Vec<(Value, Vec<(Value, usize)>)> = Vec::new();
-    let mut i = 0;
-    while i < pairs.len() {
-        let group = pairs[i].0 >> 32;
-        let start = i;
-        while i < pairs.len() && pairs[i].0 >> 32 == group {
-            i += 1;
-        }
-        if i - start <= 1 {
-            continue;
-        }
-        let mut census: Vec<(Value, usize)> = pairs[start..i]
-            .iter()
-            .map(|&(key, count)| (rhs_coded.value((key & 0xFFFF_FFFF) as u32).clone(), count))
-            .collect();
-        census.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        out.push((lhs_coded.value(group as u32).clone(), census));
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    out
+    limit: usize,
+) -> Vec<Group> {
+    let mut violating: Vec<(u32, Range<usize>)> = violating_runs(pairs).collect();
+    violating.sort_by(|a, b| lhs_coded.value(a.0).cmp(lhs_coded.value(b.0)));
+    violating
+        .into_iter()
+        .take(limit)
+        .map(|(lhs_code, range)| {
+            let mut census: Vec<(Value, usize)> = pairs[range]
+                .iter()
+                .map(|&(key, count)| (rhs_coded.value((key & 0xFFFF_FFFF) as u32).clone(), count))
+                .collect();
+            census.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            (lhs_coded.value(lhs_code).clone(), census)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -561,21 +586,23 @@ mod tests {
             ["3", "Waco", "f"],
             ["3", "Waco", "g"],
         ]);
-        let scan = FdScan::new(&t);
+        let mut scan = FdScan::new(&t);
         assert_eq!(scan.memoised_pairs(), 0, "nothing memoised before scoring");
-        let candidates = scan.candidates(0.5, 0.9);
+        let candidates = scan.candidates(&ThreadPool::new(2), 0.5, 0.9);
         assert_eq!(scan.memoised_pairs(), candidates.len(), "one memo per candidate");
         // Memoised and from-scratch extraction agree exactly.
         for c in &candidates {
-            let via_scan = scan.violating_groups(c.lhs, c.rhs);
+            let via_scan = scan.violating_groups(c.lhs, c.rhs, usize::MAX);
             let direct = fd_violating_groups(
                 t.column(c.lhs).unwrap().values(),
                 t.column(c.rhs).unwrap().values(),
             );
             assert_eq!(via_scan, direct, "{} → {}", c.lhs, c.rhs);
+            assert_eq!(scan.violating_group_count(c.lhs, c.rhs), direct.len());
+            assert_eq!(scan.violating_groups(c.lhs, c.rhs, 1), direct[..direct.len().min(1)]);
         }
         // A pair candidates() never scored still works (un-memoised path).
-        let cold = scan.violating_groups(2, 0);
+        let cold = scan.violating_groups(2, 0, usize::MAX);
         assert_eq!(
             cold,
             fd_violating_groups(t.column(2).unwrap().values(), t.column(0).unwrap().values(),)
@@ -594,7 +621,7 @@ mod tests {
             ["3", "Waco", "c"],
         ]);
         let mut scan = FdScan::new(&t);
-        let candidates = scan.candidates(0.0, 1.0);
+        let candidates = scan.candidates(&ThreadPool::new(1), 0.0, 1.0);
         // Fix the typo and move a Dallas row into a new conflict.
         t.set_cell(2, 1, Value::from("Austin")).unwrap();
         t.set_cell(4, 1, Value::from("Houston")).unwrap();
@@ -610,11 +637,11 @@ mod tests {
                     t.column(lhs).unwrap().values(),
                     t.column(rhs).unwrap().values(),
                 );
-                assert_eq!(scan.violating_groups(lhs, rhs), live, "{lhs} → {rhs}");
+                assert_eq!(scan.violating_groups(lhs, rhs, usize::MAX), live, "{lhs} → {rhs}");
             }
         }
         assert_eq!(
-            scan.violating_groups(0, 1),
+            scan.violating_groups(0, 1, usize::MAX),
             vec![(Value::from("2"), vec![(Value::from("Dallas"), 1), (Value::from("Houston"), 1)])]
         );
     }

@@ -98,8 +98,9 @@ impl PartialProfile {
     }
 
     /// Turns the accumulated state into the [`TableProfile`] the
-    /// whole-table pass would have produced over the same rows.
-    pub fn finalize(self, options: &ProfileOptions) -> TableProfile {
+    /// whole-table pass would have produced over the same rows, scoring the
+    /// FD candidates on `pool` (the profile is the same at any width).
+    pub fn finalize(self, options: &ProfileOptions, pool: &ThreadPool) -> TableProfile {
         let rows = self.rows;
         let censuses: Vec<Arc<ColumnCensus>> = self
             .columns
@@ -128,11 +129,15 @@ impl PartialProfile {
             })
             .collect();
         let duplicates = duplicates_from_censuses(&censuses);
-        let scan = FdScan::from_censuses(censuses);
+        let fd_candidates = FdScan::from_censuses(censuses).candidates(
+            pool,
+            options.fd_min_strength,
+            options.fd_max_unique_ratio,
+        );
         TableProfile {
             columns: profiles,
             duplicates,
-            fd_candidates: scan.candidates(options.fd_min_strength, options.fd_max_unique_ratio),
+            fd_candidates,
             rows,
             options: options.clone(),
         }
@@ -140,8 +145,9 @@ impl PartialProfile {
 }
 
 /// Profiles `table` chunk-parallel: rows are split into `chunk_rows`-sized
-/// chunks, each chunk's [`PartialProfile`] is accumulated on `pool`, and
-/// the partials are folded in row order.
+/// chunks, each chunk's [`PartialProfile`] is accumulated on `pool`, the
+/// partials are folded in row order, and the FD candidates are scored on
+/// `pool` too.
 ///
 /// The result is identical to [`crate::profile_table`] — same floats, same
 /// orderings — at every chunk size and thread count: chunk boundaries
@@ -161,14 +167,14 @@ pub fn profile_table_chunked(
         .map(|start| start..(start + chunk_rows).min(height))
         .collect();
     if ranges.len() <= 1 {
-        return crate::profile_table(table, options);
+        return PartialProfile::of_rows(table, 0..height).finalize(options, pool);
     }
     let mut partials = pool.map_ordered(ranges, |range| PartialProfile::of_rows(table, range));
     let mut merged = partials.remove(0);
     for partial in partials {
         merged.merge(partial);
     }
-    merged.finalize(options)
+    merged.finalize(options, pool)
 }
 
 #[cfg(test)]
@@ -228,7 +234,8 @@ mod tests {
         let t = movies_like(97, 1);
         let options = ProfileOptions::default();
         let whole = profile_table(&t, &options);
-        let partial = PartialProfile::of_rows(&t, 0..t.height()).finalize(&options);
+        let partial =
+            PartialProfile::of_rows(&t, 0..t.height()).finalize(&options, &ThreadPool::new(2));
         assert_eq!(whole, partial);
     }
 
@@ -240,7 +247,7 @@ mod tests {
         for split in 0..=t.height() {
             let mut merged = PartialProfile::of_rows(&t, 0..split);
             merged.merge(PartialProfile::of_rows(&t, split..t.height()));
-            assert_eq!(merged.finalize(&options), whole, "split at {split}");
+            assert_eq!(merged.finalize(&options, &ThreadPool::new(1)), whole, "split at {split}");
         }
     }
 
@@ -267,7 +274,8 @@ mod tests {
             vec!["2".into(), "y".into()],
         ];
         let t = Table::from_text_rows(&["a", "b"], &rows).unwrap();
-        let profile = PartialProfile::of_rows(&t, 0..4).finalize(&ProfileOptions::default());
+        let profile = PartialProfile::of_rows(&t, 0..4)
+            .finalize(&ProfileOptions::default(), &ThreadPool::new(1));
         assert_eq!(profile.duplicates, crate::duplicate_profile(&t));
         assert_eq!(profile.duplicates.duplicate_rows, 2);
     }
@@ -276,11 +284,11 @@ mod tests {
     fn empty_and_degenerate_tables() {
         let options = ProfileOptions::default();
         let empty = Table::from_text_rows::<&str>(&["a", "b"], &[]).unwrap();
+        let pool = ThreadPool::new(2);
         assert_eq!(
             profile_table(&empty, &options),
-            PartialProfile::of_rows(&empty, 0..0).finalize(&options)
+            PartialProfile::of_rows(&empty, 0..0).finalize(&options, &pool)
         );
-        let pool = ThreadPool::new(2);
         assert_eq!(
             profile_table_chunked(&empty, &options, &pool, 8),
             profile_table(&empty, &options)
@@ -336,7 +344,8 @@ mod tests {
             tail.merge(PartialProfile::of_rows(&t, j..h));
             let mut right = PartialProfile::of_rows(&t, 0..i);
             right.merge(tail);
-            prop_assert_eq!(left.finalize(&options), right.finalize(&options));
+            let pool = ThreadPool::new(1);
+            prop_assert_eq!(left.finalize(&options, &pool), right.finalize(&options, &pool));
         }
     }
 }

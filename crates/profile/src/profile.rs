@@ -12,6 +12,7 @@ use crate::partial::PartialProfile;
 use crate::patterns::PatternCensus;
 use crate::uniqueness::{DuplicateProfile, UniquenessProfile};
 use cocoon_table::{DataType, Table, TypeInference};
+use threadpool::ThreadPool;
 
 /// Complete statistical profile of one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,7 +100,8 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Profiles every column of `table` plus table-level statistics.
+/// Profiles every column of `table` plus table-level statistics, on the
+/// calling thread.
 ///
 /// Implemented as the one-chunk case of the mergeable-partial machinery
 /// ([`PartialProfile`]): the whole table is accumulated as a single chunk
@@ -108,7 +110,7 @@ impl Default for ProfileOptions {
 /// produces the same bytes because it runs the same code, not because two
 /// implementations are kept in sync by hand.
 pub fn profile_table(table: &Table, options: &ProfileOptions) -> TableProfile {
-    PartialProfile::of_rows(table, 0..table.height()).finalize(options)
+    PartialProfile::of_rows(table, 0..table.height()).finalize(options, &ThreadPool::new(1))
 }
 
 impl TableProfile {

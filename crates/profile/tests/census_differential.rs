@@ -1,8 +1,9 @@
 //! Differential property tests for [`ColumnCensus`]: every per-column
 //! statistic read off a census equals its `&Column` original, an FD scan
-//! built from censuses equals the table scan and an independent entropy
-//! oracle (before and after a re-coded column), and grouping rows by code
-//! tuples counts the same duplicates as grouping cloned rows.
+//! built from censuses equals the table scan and independent entropy and
+//! violating-group oracles (at any pool width and group limit, before and
+//! after a re-coded column), and grouping rows by code tuples counts the
+//! same duplicates as grouping cloned rows.
 
 use cocoon_profile::{
     conditional_entropy, duplicate_profile, duplicates_from_censuses, entropy, fd_violating_groups,
@@ -14,6 +15,7 @@ use cocoon_table::{infer_column_type, infer_from_distinct, Column, Schema, Table
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
+use threadpool::ThreadPool;
 
 /// Cells mixing text (numeric-looking too), ints, floats and NULL: `1`
 /// beside `1.0`, `-0.0` beside `0`, and NaN, which the value order ranks
@@ -85,6 +87,48 @@ fn first_appearance_counts(values: &[Value]) -> Vec<usize> {
     counts
 }
 
+/// Distinct non-null values in first-appearance order, each represented by
+/// its first spelling: the order of a census's codes.
+fn first_appearances(values: &[Value]) -> Vec<&Value> {
+    let mut seen: Vec<&Value> = Vec::new();
+    for v in values.iter().filter(|v| !v.is_null()) {
+        if !seen.contains(&v) {
+            seen.push(v);
+        }
+    }
+    seen
+}
+
+/// One violating group: the lhs value and its rhs census.
+type Group = (Value, Vec<(Value, usize)>);
+
+/// Violating groups of `lhs → rhs` counted cell by cell: each lhs value
+/// (first-appearance order) with its rhs values (first-appearance order in
+/// the whole rhs column) and their co-occurrence counts; a group violates
+/// when it holds more than one rhs value. Censuses are sorted by
+/// descending count, then by value, and groups by lhs value, each by one
+/// stable sort over those first-appearance sequences.
+fn oracle_groups(lhs: &[Value], rhs: &[Value]) -> Vec<Group> {
+    let rhs_values = first_appearances(rhs);
+    let mut groups: Vec<Group> = Vec::new();
+    for l in first_appearances(lhs) {
+        let mut census: Vec<(Value, usize)> = rhs_values
+            .iter()
+            .map(|&r| {
+                let rows = lhs.iter().zip(rhs).filter(|&(a, b)| a == l && b == r).count();
+                (r.clone(), rows)
+            })
+            .filter(|&(_, rows)| rows > 0)
+            .collect();
+        if census.len() > 1 {
+            census.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+            groups.push((l.clone(), census));
+        }
+    }
+    groups.sort_by(|a, b| a.0.cmp(&b.0));
+    groups
+}
+
 /// FD candidates scored pair by pair from the cells, with the scan's
 /// eligibility rules and ordering.
 fn oracle_candidates(table: &Table, min_strength: f64, max_unique_ratio: f64) -> Vec<FdCandidate> {
@@ -110,7 +154,7 @@ fn oracle_candidates(table: &Table, min_strength: f64, max_unique_ratio: f64) ->
             if strength < min_strength {
                 continue;
             }
-            let violating_groups = fd_violating_groups(values(lhs), values(rhs)).len();
+            let violating_groups = oracle_groups(values(lhs), values(rhs)).len();
             out.push(FdCandidate {
                 lhs,
                 rhs,
@@ -145,27 +189,50 @@ fn bits(candidates: &[FdCandidate]) -> Vec<(usize, usize, u64, u64, usize)> {
         .collect()
 }
 
-/// Asserts `scan` describes `table`: candidates bit-equal to a fresh table
-/// scan's and to the oracle's, and every ordered pair's violating groups
-/// equal to the direct extraction.
-fn assert_scan_describes(scan: &FdScan, table: &Table) -> Result<(), String> {
-    let fresh = FdScan::new(table);
+/// Asserts `scan` describes `table`: every ordered pair's violating groups
+/// (as the scan's memo stands, then again once scoring has memoised every
+/// candidate pair) equal the oracle's at every limit, and candidates scored
+/// on 1-, 2- and 8-thread pools are bit-equal to a fresh table scan's and
+/// to the oracle's.
+fn assert_scan_describes(scan: &mut FdScan, table: &Table) -> Result<(), String> {
+    let mut fresh = FdScan::new(table);
+    assert_groups_describe(scan, table)?;
     for (min_strength, max_unique_ratio) in [(0.0, 1.0), (0.5, 0.9)] {
-        let candidates = bits(&scan.candidates(min_strength, max_unique_ratio));
-        prop_assert_eq!(&candidates, &bits(&fresh.candidates(min_strength, max_unique_ratio)));
-        prop_assert_eq!(
-            &candidates,
-            &bits(&oracle_candidates(table, min_strength, max_unique_ratio))
-        );
+        let oracle = bits(&oracle_candidates(table, min_strength, max_unique_ratio));
+        for threads in [1, 2, 8] {
+            let pool = ThreadPool::new(threads);
+            let scored = scan.candidates(&pool, min_strength, max_unique_ratio);
+            prop_assert_eq!(&bits(&scored), &oracle, "{} threads", threads);
+            let fresh_scored = fresh.candidates(&pool, min_strength, max_unique_ratio);
+            prop_assert_eq!(&bits(&fresh_scored), &oracle, "{} threads, fresh scan", threads);
+        }
     }
+    assert_groups_describe(scan, table)?;
+    assert_groups_describe(&fresh, table)
+}
+
+/// Asserts each ordered pair's first `limit` violating groups are the
+/// oracle's first `limit`, for limits 0, 1, 5 and all, that the group count
+/// is the full list's length, and that [`fd_violating_groups`] is the
+/// oracle's full list.
+fn assert_groups_describe(scan: &FdScan, table: &Table) -> Result<(), String> {
     for lhs in 0..table.width() {
         for rhs in (0..table.width()).filter(|&rhs| rhs != lhs) {
-            let direct = fd_violating_groups(
-                table.column(lhs).unwrap().values(),
-                table.column(rhs).unwrap().values(),
-            );
-            prop_assert_eq!(debug(scan.violating_groups(lhs, rhs)), debug(&direct));
-            prop_assert_eq!(debug(fresh.violating_groups(lhs, rhs)), debug(&direct));
+            let (lhs_values, rhs_values) =
+                (table.column(lhs).unwrap().values(), table.column(rhs).unwrap().values());
+            let oracle = oracle_groups(lhs_values, rhs_values);
+            prop_assert_eq!(debug(fd_violating_groups(lhs_values, rhs_values)), debug(&oracle));
+            for limit in [0, 1, 5, usize::MAX] {
+                prop_assert_eq!(
+                    debug(scan.violating_groups(lhs, rhs, limit)),
+                    debug(&oracle[..oracle.len().min(limit)]),
+                    "{} → {}, limit {}",
+                    lhs,
+                    rhs,
+                    limit
+                );
+            }
+            prop_assert_eq!(scan.violating_group_count(lhs, rhs), oracle.len());
         }
     }
     Ok(())
@@ -227,7 +294,7 @@ proptest! {
         column in 0usize..3,
     ) {
         let mut scan = FdScan::from_censuses(censuses(&table));
-        assert_scan_describes(&scan, &table)?;
+        assert_scan_describes(&mut scan, &table)?;
 
         // Replace one column, as a repair does, and hand the scan its new
         // census.
@@ -235,7 +302,7 @@ proptest! {
         let height = table.height();
         table.replace_column(column, Arc::new(Column::new(rewritten[..height].to_vec()))).unwrap();
         scan.recode(column, Arc::new(ColumnCensus::of(table.column(column).unwrap())));
-        assert_scan_describes(&scan, &table)?;
+        assert_scan_describes(&mut scan, &table)?;
     }
 
     #[test]

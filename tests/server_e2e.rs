@@ -129,11 +129,18 @@ fn test_config() -> ServerConfig {
 #[test]
 fn concurrent_cleans_are_byte_identical_to_direct_runs() {
     // A wide batch window plus a tight token bucket: concurrent identical
-    // prompts must single-flight, and dispatches must visibly wait.
+    // prompts must single-flight, and dispatches must visibly wait. The
+    // bucket holds one token and refills one per 100 ms (10/s), so any
+    // dispatch that comes less than 100 ms after the one before it waits.
+    // The eight cleans make about 8 dispatches, at most a 25 ms batch
+    // window plus some compute apart (about 5 ms on average on a 2-vCPU
+    // host, under CPU load too). A run without a wait would need every one
+    // of those gaps to reach 100 ms. The waits cost up to 100 ms per
+    // dispatch after the first, about 0.7 s in all.
     let mut config = test_config();
     config.dispatcher = DispatcherConfig {
         batch_window: Duration::from_millis(25),
-        rate_limit: Some(RateLimit::new(200.0, 1.0)),
+        rate_limit: Some(RateLimit::new(10.0, 1.0)),
         ..DispatcherConfig::default()
     };
     let csv_text = messy_csv();
