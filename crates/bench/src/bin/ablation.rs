@@ -14,12 +14,14 @@ use cocoon_core::{Cleaner, CleanerConfig, IssueToggles};
 use cocoon_eval::{evaluate, Equivalence, Prf};
 use cocoon_llm::{SimLlm, Transcript};
 
-fn score(config: CleanerConfig, dataset: &cocoon_datasets::Dataset) -> (Prf, usize) {
+/// Scores one clean, with what it asked of the model.
+fn score(config: CleanerConfig, dataset: &cocoon_datasets::Dataset) -> (Prf, String) {
     let cleaner =
         Cleaner::with_config(Transcript::new(SimLlm::new()), config).expect("valid config");
     let run = cleaner.clean(&dataset.dirty).expect("pipeline");
     let eval = evaluate(&dataset.dirty, &run.table, &dataset.truth, Equivalence::Lenient);
-    (eval.prf, cleaner.llm().call_count())
+    let llm = cleaner.llm();
+    (eval.prf, format!("{} model round trips, {} prompts", llm.round_trips(), llm.exchange_count()))
 }
 
 fn main() {
@@ -30,9 +32,9 @@ fn main() {
     for (name, dataset) in [("Hospital", &hospital), ("Rayyan", &rayyan)] {
         for statistical_context in [true, false] {
             let config = CleanerConfig { statistical_context, ..CleanerConfig::default() };
-            let (prf, calls) = score(config, dataset);
+            let (prf, usage) = score(config, dataset);
             println!(
-                "  {name:<9} statistics={statistical_context:<5}  P {:.2}  R {:.2}  F {:.2}  ({calls} LLM calls)",
+                "  {name:<9} statistics={statistical_context:<5}  P {:.2}  R {:.2}  F {:.2}  ({usage})",
                 prf.precision, prf.recall, prf.f1
             );
         }
@@ -41,9 +43,9 @@ fn main() {
     println!("\n== Ablation 2: string-outlier batch size (Rayyan)");
     for batch_size in [10usize, 50, 200, 1000, 2000] {
         let config = CleanerConfig { batch_size, ..CleanerConfig::default() };
-        let (prf, calls) = score(config, &rayyan);
+        let (prf, usage) = score(config, &rayyan);
         println!(
-            "  batch {batch_size:>5}  P {:.2}  R {:.2}  F {:.2}  ({calls} LLM calls)",
+            "  batch {batch_size:>5}  P {:.2}  R {:.2}  F {:.2}  ({usage})",
             prf.precision, prf.recall, prf.f1
         );
     }

@@ -10,10 +10,13 @@ fn main() {
     let cleaner = Cleaner::new(Transcript::new(SimLlm::new()));
     let run = cleaner.clean(&dataset.dirty).expect("pipeline");
     println!("{}", workflow_trace(&run));
+    let llm = cleaner.llm();
     println!(
-        "pipeline made {} LLM calls ({} prompt tokens, {} completion tokens)",
-        cleaner.llm().call_count(),
-        cleaner.llm().total_usage().prompt_tokens,
-        cleaner.llm().total_usage().completion_tokens,
+        "pipeline made {} model round trips carrying {} prompts ({} prompt tokens, {} completion \
+         tokens)",
+        llm.round_trips(),
+        llm.exchange_count(),
+        llm.total_usage().prompt_tokens,
+        llm.total_usage().completion_tokens,
     );
 }

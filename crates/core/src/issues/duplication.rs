@@ -151,7 +151,7 @@ mod tests {
         let mut state = PipelineState::new(table, &llm, &config, &mut hook);
         run(&mut state);
         let _ = llm.model_name();
-        assert_eq!(llm.call_count(), 0);
+        assert_eq!(llm.round_trips(), 0);
         assert!(state.ops.is_empty());
     }
 }

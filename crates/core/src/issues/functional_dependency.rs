@@ -7,7 +7,8 @@
 //! meaningful FDs the LLM maps each violating group's wrong values to the
 //! correct one, compiled to a group-scoped `CASE WHEN`.
 //!
-//! What each phase decodes (turns from census codes back into values):
+//! What each phase decodes (turns from census codes back into values) and
+//! asks:
 //!
 //! * Statistics, before the detect phase: the stage fills the columns'
 //!   censuses from the clean's census cache and scores every column pair,
@@ -15,17 +16,25 @@
 //! * Detect phase (one prompt wave over the candidate pairs with
 //!   violations on the stage-entry snapshot): the semantic FD review shows
 //!   the model the first five violating groups, so only those five are
-//!   decoded, and its group count is the candidate's. Only meaningful
-//!   verdicts decode and render all their groups, which the mapping step
-//!   needs.
-//! * Decide phase (sequential): because FD repairs can interact (one
-//!   repair may fix — or create — another candidate's violations), groups
-//!   are taken from the snapshot only while no repair has been applied
-//!   yet. After the first applied repair each remaining candidate reads
-//!   its groups from the live table, exactly as the sequential pipeline
-//!   always did: a rejected candidate only counts them (its rejection is
-//!   noted while any remain), and a meaningful one decodes them all for its
-//!   mapping prompt.
+//!   decoded, and its group count is the candidate's.
+//! * Decide phase (sequential, in candidate order): FD repairs can
+//!   interact (one repair may fix — or create — another candidate's
+//!   violations), so each candidate reads its groups off the live scan. A
+//!   rejected candidate only counts them (its rejection is noted while any
+//!   remain). A meaningful one decodes them all for its mapping prompt.
+//!   Only FD repairs write during the stage, each to its own rhs column,
+//!   so when a meaningful candidate reaches its mapping step with no
+//!   answer in hand, it asks in one model call together with every later
+//!   meaningful candidate whose lhs and rhs are the rhs of no meaningful
+//!   candidate from the asking one up to that later one: the groups those
+//!   later candidates decode now are exactly the groups they will read at
+//!   their own turn, where each takes its stored answer. A debug assertion
+//!   checks that rule at every such turn.
+//!
+//! Under a [`DecisionHook`](crate::DecisionHook) that rejects some
+//! candidates and not others, a candidate asked ahead may spend its
+//! mapping prompt before the hook rejects it; an auto-approving hook
+//! spends nothing extra.
 //!
 //! One [`FdScan`] serves every phase: it reads the clean's column
 //! censuses, and each applied repair hands it the census of the column it
@@ -58,11 +67,13 @@ struct Finding {
     strength: f64,
     /// Semantic review, asked on the snapshot's violating groups.
     verdict: FdVerdict,
-    /// Violating-group count on the snapshot.
-    groups_len: usize,
-    /// Snapshot groups, fully rendered — only for meaningful verdicts (the
-    /// mapping step needs them); rejected candidates never pay the render.
-    groups: Option<GroupsText>,
+}
+
+/// A mapping prompt asked ahead of its candidate's turn: the groups it
+/// showed, which are the candidate's groups at its turn, and the answer.
+struct Mapped {
+    groups: GroupsText,
+    answer: crate::error::Result<String>,
 }
 
 fn degraded(err: &crate::error::CoreError) -> String {
@@ -88,20 +99,20 @@ pub fn run(state: &mut PipelineState<'_>) {
     let outcomes = state.detect_waves(
         candidates,
         |ctx, candidate| start(ctx, &scan, candidate),
-        |ctx, candidate, (), answers| resume(ctx, &scan, candidate, answers),
+        |ctx, candidate, (), answers| resume(ctx, candidate, answers),
         |_, err| degraded(err),
     );
-    // Becomes true once a repair lands; later candidates then read their
-    // groups from the (re-coded) scan instead of the snapshot.
-    let mut table_changed = false;
-    for outcome in outcomes {
+    // Mapping answers asked ahead of their candidate's turn, by outcome.
+    let mut ahead: Vec<Option<Mapped>> = outcomes.iter().map(|_| None).collect();
+    for (at, outcome) in outcomes.iter().enumerate() {
         match outcome {
             Outcome::Clean => {}
-            Outcome::Note(note) => state.note(note),
-            Outcome::Finding(finding) => match decide(state, &mut scan, &finding, table_changed) {
-                Ok(applied) => table_changed |= applied,
-                Err(err) => state.note(degraded(&err)),
-            },
+            Outcome::Note(note) => state.note(note.clone()),
+            Outcome::Finding(finding) => {
+                if let Err(err) = decide(state, &mut scan, finding, &outcomes, at, &mut ahead) {
+                    state.note(degraded(&err));
+                }
+            }
         }
     }
 }
@@ -150,16 +161,11 @@ fn start(
 
 fn resume(
     ctx: &DetectCtx<'_>,
-    scan: &FdScan,
     candidate: &FdCandidate,
     mut answers: Answers,
 ) -> crate::error::Result<Step<(), Finding>> {
     let verdict = parse_fd_verdict(&answers.remove(0)?)?;
     let (lhs_name, rhs_name) = names(ctx, candidate)?;
-    // The mapping step consumes the full rendered groups; only meaningful
-    // verdicts get there, so only they decode every group (off the
-    // memoised pair scan) and pay the render.
-    let rendered = verdict.meaningful.then(|| all_groups(scan, candidate.lhs, candidate.rhs));
     Ok(Step::Done(Outcome::Finding(Finding {
         lhs: candidate.lhs,
         rhs: candidate.rhs,
@@ -167,50 +173,93 @@ fn resume(
         rhs_name,
         strength: candidate.strength,
         verdict,
-        groups_len: candidate.violating_groups,
-        groups: rendered,
     })))
 }
 
-/// Reviews and (when approved) repairs one candidate. Returns whether a
-/// repair was applied to the table; an applied repair re-codes its column
-/// in `scan` from the rewritten column's census, keeping the scan live for
-/// the candidates after it.
+/// Asks the mapping prompt of `asking`, the finding at `outcomes[at]`
+/// showing `groups`, in one model call with those of the later meaningful
+/// candidates whose groups cannot change before their turn: neither their
+/// lhs nor their rhs is the rhs of a meaningful candidate from `asking` up
+/// to them, the only columns a repair can rewrite meanwhile. Each of them
+/// with violations left asks now, and its groups and answer are stored in
+/// `ahead` for its turn. Returns `asking`'s own answer.
+fn ask_mappings(
+    state: &PipelineState<'_>,
+    scan: &FdScan,
+    asking: &Finding,
+    groups: &GroupsText,
+    outcomes: &[Outcome<Finding>],
+    at: usize,
+    ahead: &mut [Option<Mapped>],
+) -> crate::error::Result<String> {
+    let mut prompts = vec![prompts::fd_mapping(&asking.lhs_name, &asking.rhs_name, groups)];
+    let mut riders: Vec<(usize, GroupsText)> = Vec::new();
+    let mut writable = vec![asking.rhs];
+    for (later_at, outcome) in outcomes.iter().enumerate().skip(at + 1) {
+        let Outcome::Finding(later) = outcome else { continue };
+        if !later.verdict.meaningful {
+            continue;
+        }
+        let settled = !writable.contains(&later.lhs) && !writable.contains(&later.rhs);
+        if settled && ahead[later_at].is_none() {
+            let groups = all_groups(scan, later.lhs, later.rhs);
+            if !groups.is_empty() {
+                prompts.push(prompts::fd_mapping(&later.lhs_name, &later.rhs_name, &groups));
+                riders.push((later_at, groups));
+            }
+        }
+        writable.push(later.rhs);
+    }
+    let mut answers = state.ask_all(prompts).into_iter();
+    let own = answers.next().expect("one answer per prompt");
+    for ((later_at, groups), answer) in riders.into_iter().zip(answers) {
+        ahead[later_at] = Some(Mapped { groups, answer });
+    }
+    own
+}
+
+/// Reviews and (when approved) repairs the finding at `outcomes[at]`.
+/// Returns whether a repair was applied to the table; an applied repair
+/// re-codes its column in `scan` from the rewritten column's census,
+/// keeping the scan live for the candidates after it.
 fn decide(
     state: &mut PipelineState<'_>,
     scan: &mut FdScan,
     finding: &Finding,
-    table_changed: bool,
+    outcomes: &[Outcome<Finding>],
+    at: usize,
+    ahead: &mut [Option<Mapped>],
 ) -> crate::error::Result<bool> {
     let (lhs_name, rhs_name) = (finding.lhs_name.as_str(), finding.rhs_name.as_str());
     let FdVerdict { meaningful, reasoning, confidence: review_confidence } =
         finding.verdict.clone();
     if !meaningful {
-        // After a repair the candidate's violations may be gone, and then
-        // there is nothing to reject. Counting them decodes nothing.
-        if !table_changed || scan.violating_group_count(finding.lhs, finding.rhs) > 0 {
+        // An earlier repair may have removed the candidate's violations,
+        // and then there is nothing to reject. Counting them decodes
+        // nothing.
+        if scan.violating_group_count(finding.lhs, finding.rhs) > 0 {
             state.note(format!(
                 "FD {lhs_name} → {rhs_name} rejected as not semantically meaningful: {reasoning}"
             ));
         }
         return Ok(false);
     }
-    // Snapshot groups stay valid until the first applied repair; after one,
-    // decode the live groups off the scan.
-    let (groups_text, groups_len) = if table_changed {
-        let groups_text = all_groups(scan, finding.lhs, finding.rhs);
-        if groups_text.is_empty() {
-            return Ok(false);
+    let (groups_text, answer) = match ahead[at].take() {
+        Some(Mapped { groups, answer }) => {
+            debug_assert_eq!(
+                groups,
+                all_groups(scan, finding.lhs, finding.rhs),
+                "FD {lhs_name} → {rhs_name} was asked ahead of a repair that changed its groups"
+            );
+            (groups, Some(answer))
         }
-        let groups_len = groups_text.len();
-        (groups_text, groups_len)
-    } else {
-        let groups_text =
-            finding.groups.clone().expect("meaningful finding carries rendered groups");
-        (groups_text, finding.groups_len)
+        None => (all_groups(scan, finding.lhs, finding.rhs), None),
     };
+    if groups_text.is_empty() {
+        return Ok(false);
+    }
     let evidence =
-        format!("entropy strength {:.3}; {} violating groups", finding.strength, groups_len);
+        format!("entropy strength {:.3}; {} violating groups", finding.strength, groups_text.len());
     let detection = DetectionReview {
         issue: IssueKind::FunctionalDependency,
         column: Some(rhs_name),
@@ -223,12 +272,14 @@ fn decide(
     }
 
     // Semantic cleaning: the LLM provides the correct mapping per group.
-    let response = state.ask(prompts::fd_mapping(lhs_name, rhs_name, &groups_text))?;
+    let response = match answer {
+        Some(answer) => answer?,
+        None => ask_mappings(state, scan, finding, &groups_text, outcomes, at, ahead)?,
+    };
     let map = parse_cleaning_map(&response)?;
     if map.mapping.is_empty() {
         return Ok(false);
     }
-
     // Compile group-scoped CASE arms: a pair (old → new) applies only inside
     // groups that contain `old` and whose plurality value is `new`. Literals
     // are parsed back into the column's declared type so repairs keep
@@ -302,8 +353,10 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
-    use cocoon_llm::SimLlm;
+    use cocoon_llm::prompts::{parse_context, task};
+    use cocoon_llm::{ChatModel, ChatRequest, ChatResponse, Json, SimLlm};
     use cocoon_table::Table;
+    use std::sync::Mutex;
 
     fn hospital_like() -> Table {
         // zip → city holds across 10 zip groups except one typo and one
@@ -333,12 +386,49 @@ mod tests {
     }
 
     fn run_on(table: Table) -> (Table, Vec<CleaningOp>, Vec<String>) {
-        let llm = SimLlm::new();
+        run_with(table, &SimLlm::new())
+    }
+
+    fn run_with(table: Table, llm: &dyn ChatModel) -> (Table, Vec<CleaningOp>, Vec<String>) {
         let config = CleanerConfig::default();
         let mut hook = AutoApprove;
-        let mut state = PipelineState::new(table, &llm, &config, &mut hook);
+        let mut state = PipelineState::new(table, llm, &config, &mut hook);
         run(&mut state);
         (state.table, state.ops, state.notes)
+    }
+
+    /// `SimLlm` that records, for each model call asking mapping prompts,
+    /// the `lhs → rhs` of every one of them.
+    #[derive(Default)]
+    struct MappingCalls(Mutex<Vec<Vec<String>>>);
+
+    impl ChatModel for MappingCalls {
+        fn model_name(&self) -> &str {
+            "mapping-calls"
+        }
+
+        fn complete(&self, request: &ChatRequest) -> cocoon_llm::Result<ChatResponse> {
+            self.complete_batch(std::slice::from_ref(request)).remove(0)
+        }
+
+        fn complete_batch(
+            &self,
+            requests: &[ChatRequest],
+        ) -> Vec<cocoon_llm::Result<ChatResponse>> {
+            let mappings: Vec<String> = requests
+                .iter()
+                .filter_map(|request| {
+                    let context = parse_context(&request.user_text())?;
+                    let field = |key: &str| context.get(key).and_then(Json::as_str);
+                    let fd = format!("{} → {}", field("lhs")?, field("rhs")?);
+                    (field("task")? == task::FD_MAPPING).then_some(fd)
+                })
+                .collect();
+            if !mappings.is_empty() {
+                self.0.lock().unwrap().push(mappings);
+            }
+            SimLlm::new().complete_batch(requests)
+        }
     }
 
     #[test]
@@ -386,13 +476,20 @@ mod tests {
         // The stronger title → journal_abbreviation FD repairs row 1's typo
         // first. journal_abbreviation → region must then read its groups
         // from the live table, where row 1's region conflicts inside J0.
-        let (cleaned, ops, _) = run_on(journals(true));
+        let llm = MappingCalls::default();
+        let (cleaned, ops, _) = run_with(journals(true), &llm);
         assert_eq!(cleaned.render_cell(1, 1).unwrap(), "J0");
         assert_eq!(cleaned.render_cell(1, 2).unwrap(), "europe");
         assert_eq!(cleaned.render_cell(9, 2).unwrap(), "europe");
         let columns: Vec<&str> = ops.iter().filter_map(|op| op.column.as_deref()).collect();
         assert_eq!(columns, ["journal_abbreviation", "region"]);
         assert!(ops[1].statistical_evidence.ends_with("; 2 violating groups"));
+        // So its mapping cannot ride the first mapping call: it asks in a
+        // second one, after the repair of the column it reads.
+        let calls = llm.0.into_inner().unwrap();
+        let asked_in = |fd: &str| calls.iter().position(|call| call.iter().any(|m| m == fd));
+        assert_eq!(asked_in("title → journal_abbreviation"), Some(0), "{calls:?}");
+        assert_eq!(asked_in("journal_abbreviation → region"), Some(1), "{calls:?}");
     }
 
     #[test]

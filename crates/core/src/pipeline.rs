@@ -159,7 +159,8 @@ impl<M: ChatModel> Cleaner<M> {
     }
 
     /// Runs every enabled stage over `state`, in pipeline order, reporting
-    /// to `state.progress` when observed.
+    /// to `state.progress` when observed, then sends the confidence re-asks
+    /// the stages deferred as one model batch.
     fn run_stages(&self, state: &mut PipelineState<'_>) {
         type StageFn = for<'a, 'b> fn(&'b mut PipelineState<'a>);
         let toggles = &self.config.issues;
@@ -193,6 +194,7 @@ impl<M: ChatModel> Cleaner<M> {
                 p.finish_stage(state.ops.len());
             }
         }
+        state.verify_deferred();
         if let Some(p) = progress {
             p.finish(state.ops.len());
         }
@@ -340,8 +342,11 @@ mod tests {
     fn transcript_counts_llm_calls() {
         let cleaner = Cleaner::new(Transcript::new(SimLlm::new()));
         let run = cleaner.clean(&messy()).unwrap();
-        assert!(cleaner.llm().call_count() > 5);
-        assert!(cleaner.llm().total_usage().total() > 100);
+        let llm = cleaner.llm();
+        assert!(llm.round_trips() > 5);
+        // Prompt waves carry several prompts per round trip.
+        assert!(llm.exchange_count() > llm.round_trips());
+        assert!(llm.total_usage().total() > 100);
         assert!(!run.ops.is_empty());
     }
 

@@ -15,8 +15,20 @@
 //! * a **decide** phase — sequential and ordered. Findings pass through the
 //!   [`DecisionHook`] reviews, compile to SQL, and are applied one at a
 //!   time; `ops` and `notes` record them in deterministic order. Its model
-//!   calls (FD mapping prompts, [`PipelineState::commit_op`]'s re-asks) are
-//!   sequential too.
+//!   calls are batched too, as far as the order allows: the FD stage asks
+//!   a candidate's mapping prompt together with those of the later
+//!   candidates whose groups no repair before their turn can change (see
+//!   [`crate::issues::functional_dependency`]), and
+//!   [`PipelineState::commit_op`] queues the confidence re-asks of every
+//!   repair whose outcome they cannot change, which the clean sends as one
+//!   batch after its last stage (`PipelineState::verify_deferred`). Only
+//!   a repair whose fate hangs on its agreement re-asks at once.
+//!
+//! A prompt asked ahead of its turn is spent even if the [`DecisionHook`]
+//! then rejects its finding: under a hook that rejects some FD candidates
+//! and not others, a candidate batched ahead may have asked its mapping
+//! prompt before the rejection. The auto-approving hook of
+//! `Cleaner::clean` and the server spends nothing extra.
 //!
 //! [`PipelineState`] is the mutable half threaded through the decide
 //! phases; [`DetectCtx`] is the shared read-only view handed to detection
@@ -221,6 +233,9 @@ pub struct PipelineState<'a> {
     pub progress: Option<&'a RunProgress>,
     /// Column censuses of this clean, one per column version.
     censuses: CensusCache,
+    /// Indices into `ops` of the applied repairs whose confidence re-asks
+    /// wait for `verify_deferred`.
+    deferred: Vec<usize>,
 }
 
 impl<'a> PipelineState<'a> {
@@ -246,6 +261,7 @@ impl<'a> PipelineState<'a> {
             notes: Vec::new(),
             progress: None,
             censuses: CensusCache::default(),
+            deferred: Vec::new(),
         }
     }
 
@@ -317,32 +333,23 @@ impl<'a> PipelineState<'a> {
         let mut outcomes: Vec<Option<Outcome<F>>> = units.iter().map(|_| None).collect();
         loop {
             let mut asking = Vec::new();
-            let mut requests = Vec::new();
+            let mut prompts = Vec::new();
             for (i, step) in steps {
                 match step {
                     Step::Done(outcome) => outcomes[i] = Some(outcome),
-                    Step::Ask(pending, prompts) => {
-                        asking.push((i, pending, prompts.len()));
-                        requests.extend(prompts.into_iter().map(ChatRequest::simple));
+                    Step::Ask(pending, asked) => {
+                        asking.push((i, pending, asked.len()));
+                        prompts.extend(asked);
                     }
                 }
             }
             if asking.is_empty() {
                 break;
             }
-            let mut answers = self.llm.complete_batch(&requests).into_iter();
+            let mut answers = self.ask_all(prompts).into_iter();
             let answered: Vec<(usize, P, Answers)> = asking
                 .into_iter()
-                .map(|(i, pending, asked)| {
-                    // A model that answers short fails the missing slots.
-                    let own: Answers = (0..asked)
-                        .map(|_| match answers.next() {
-                            Some(answer) => Ok(answer?.content),
-                            None => Err(LlmError::Empty.into()),
-                        })
-                        .collect();
-                    (i, pending, own)
-                })
+                .map(|(i, pending, asked)| (i, pending, answers.by_ref().take(asked).collect()))
                 .collect();
             steps = self.pool.map_ordered(answered, |(i, pending, own)| {
                 settle(i, resume(&ctx, &units[i], pending, own))
@@ -377,10 +384,18 @@ impl<'a> PipelineState<'a> {
         }
     }
 
-    /// Sends a prompt and returns the completion text (decide-phase calls;
-    /// detection asks through its prompt waves).
-    pub fn ask(&self, prompt: String) -> Result<String> {
-        Ok(self.llm.complete(&ChatRequest::simple(prompt))?.content)
+    /// Sends `prompts` to the model as one [`ChatModel::complete_batch`]
+    /// call and returns one answer per prompt, in prompt order. A model that
+    /// answers short fails the missing slots.
+    pub(crate) fn ask_all(&self, prompts: Vec<String>) -> Answers {
+        let requests: Vec<ChatRequest> = prompts.into_iter().map(ChatRequest::simple).collect();
+        let mut answers = self.llm.complete_batch(&requests).into_iter();
+        (0..requests.len())
+            .map(|_| match answers.next() {
+                Some(answer) => Ok(answer?.content),
+                None => Err(LlmError::Empty.into()),
+            })
+            .collect()
     }
 
     /// Records a note for the run report.
@@ -388,15 +403,22 @@ impl<'a> PipelineState<'a> {
         self.notes.push(text.into());
     }
 
-    /// Commits a compiled repair through the confidence policy: a
-    /// deterministically sampled subset is first re-verified through
-    /// [`prompts::repair_verify`] variants (one model batch, so a
-    /// coalescing dispatcher sees a single flight) and the agreement
-    /// fraction is blended into the op's [`Confidence`](crate::Confidence).
+    /// Commits a compiled repair through the confidence policy. A
+    /// deterministically sampled subset of repairs is re-verified through
+    /// three [`prompts::repair_verify`] variants, and the fraction that
+    /// agree is blended into the op's [`Confidence`](crate::Confidence).
     /// Repairs scoring at or above [`CleanerConfig::confidence_threshold`]
     /// apply (`table` replaces the working table, the op is recorded);
     /// repairs below are withheld into [`pending`](PipelineState::pending)
     /// with a note, leaving the table untouched.
+    ///
+    /// Agreement can at worst halve the self-report, so when even zero
+    /// agreement leaves the score at or above the threshold
+    /// (`self_report / 2 ≥ threshold`, every repair at the default 0.0) the
+    /// repair applies now and its re-asks join the queue that
+    /// `verify_deferred` sends as one model batch when the clean ends. Only
+    /// a repair whose outcome hangs on agreement re-asks at once, in one
+    /// model batch of its own.
     ///
     /// Returns whether the repair applied (`false` means withheld) — FD
     /// iteration uses this to know the table is unchanged.
@@ -404,38 +426,18 @@ impl<'a> PipelineState<'a> {
     /// Runs in the sequential decide phase, so sampling and re-asks are
     /// identical at any thread count.
     pub fn commit_op(&mut self, table: Table, mut op: CleaningOp) -> bool {
-        if sampled_for_verification(&op) {
-            let sql_text = render_select(&op.sql);
-            let requests: Vec<ChatRequest> = (0..VERIFY_VARIANTS)
-                .map(|variant| {
-                    ChatRequest::simple(prompts::repair_verify(
-                        op.issue.name(),
-                        op.column.as_deref(),
-                        &op.statistical_evidence,
-                        &op.llm_reasoning,
-                        &sql_text,
-                        variant,
-                    ))
-                })
-                .collect();
-            let verdicts: Vec<bool> = self
-                .llm
-                .complete_batch(&requests)
-                .into_iter()
-                .filter_map(|r| r.ok())
-                .filter_map(|resp| parse_repair_verdict(&resp.content).ok())
-                .map(|v| v.agree)
-                .collect();
-            // All-failed re-asks leave agreement unsampled rather than
-            // punishing the repair for a flaky backend.
-            if !verdicts.is_empty() {
-                let agree = verdicts.iter().filter(|&&a| a).count();
-                op.confidence.agreement = Some(agree as f64 / verdicts.len() as f64);
-            }
+        let threshold = self.config.confidence_threshold;
+        let sampled = sampled_for_verification(&op);
+        let deferred = sampled && op.confidence.self_report / 2.0 >= threshold;
+        if sampled && !deferred {
+            op.confidence.agreement = agreement(self.ask_all(verify_prompts(&op)));
         }
-        if op.confidence.score() >= self.config.confidence_threshold {
+        if op.confidence.score() >= threshold {
             self.table = table;
             self.censuses.retain_columns_of(&self.table);
+            if deferred {
+                self.deferred.push(self.ops.len());
+            }
             self.ops.push(op);
             true
         } else {
@@ -444,10 +446,27 @@ impl<'a> PipelineState<'a> {
                 op.issue.name(),
                 op.column.as_deref().map(|c| format!("{c:?}")).unwrap_or_else(|| "table".into()),
                 op.confidence.describe(),
-                self.config.confidence_threshold,
+                threshold,
             ));
             self.pending.push(op);
             false
+        }
+    }
+
+    /// Sends the re-asks [`commit_op`](Self::commit_op) deferred, every
+    /// applied repair's variants in one model batch in commit order, and
+    /// fills in each op's agreement. The pipeline calls it once, after the
+    /// last stage; an empty queue asks nothing.
+    pub(crate) fn verify_deferred(&mut self) {
+        let deferred = std::mem::take(&mut self.deferred);
+        if deferred.is_empty() {
+            return;
+        }
+        let prompts = deferred.iter().flat_map(|&i| verify_prompts(&self.ops[i])).collect();
+        let mut answers = self.ask_all(prompts).into_iter();
+        for i in deferred {
+            self.ops[i].confidence.agreement =
+                agreement(answers.by_ref().take(VERIFY_VARIANTS).collect());
         }
     }
 }
@@ -457,6 +476,36 @@ const VERIFY_VARIANTS: usize = 3;
 
 /// One in this many repairs is sampled for cross-variant verification.
 const SAMPLE_MODULUS: u64 = 4;
+
+/// The [`VERIFY_VARIANTS`] re-ask prompts of a sampled repair.
+fn verify_prompts(op: &CleaningOp) -> Vec<String> {
+    let sql_text = render_select(&op.sql);
+    (0..VERIFY_VARIANTS)
+        .map(|variant| {
+            prompts::repair_verify(
+                op.issue.name(),
+                op.column.as_deref(),
+                &op.statistical_evidence,
+                &op.llm_reasoning,
+                &sql_text,
+                variant,
+            )
+        })
+        .collect()
+}
+
+/// The fraction of parsed re-ask verdicts that endorse the repair. All
+/// failed or unparseable answers leave agreement unsampled (`None`) rather
+/// than punishing the repair for a flaky backend.
+fn agreement(answers: Answers) -> Option<f64> {
+    let verdicts: Vec<bool> = answers
+        .into_iter()
+        .filter_map(|answer| parse_repair_verdict(&answer.ok()?).ok())
+        .map(|verdict| verdict.agree)
+        .collect();
+    let agree = verdicts.iter().filter(|&&agree| agree).count();
+    (!verdicts.is_empty()).then(|| agree as f64 / verdicts.len() as f64)
+}
 
 /// Whether a repair is in the ~25% agreement sample: a pure function of the
 /// op's identity (issue, column, evidence), so runs are reproducible across
@@ -689,6 +738,86 @@ mod tests {
         assert_eq!(state.pending.len(), 1);
         assert_eq!(state.table, before);
         assert!(state.notes.iter().any(|n| n.contains("withheld for review")));
+    }
+
+    /// `SimLlm` that records the size of every batch it answers.
+    #[derive(Default)]
+    struct Batches(std::sync::Mutex<Vec<usize>>);
+
+    impl Batches {
+        fn sizes(&self) -> Vec<usize> {
+            self.0.lock().unwrap().clone()
+        }
+    }
+
+    impl ChatModel for Batches {
+        fn model_name(&self) -> &str {
+            "batches"
+        }
+
+        fn complete(&self, request: &ChatRequest) -> cocoon_llm::Result<ChatResponse> {
+            self.complete_batch(std::slice::from_ref(request)).remove(0)
+        }
+
+        fn complete_batch(
+            &self,
+            requests: &[ChatRequest],
+        ) -> Vec<cocoon_llm::Result<ChatResponse>> {
+            self.0.lock().unwrap().push(requests.len());
+            SimLlm::new().complete_batch(requests)
+        }
+    }
+
+    #[test]
+    fn re_asks_wait_for_the_clean_to_end_unless_agreement_decides_the_repair() {
+        use crate::ops::{CleaningOp, Confidence, IssueKind};
+        // The first op identity the agreement sample picks.
+        let sampled_op = |self_report: f64| {
+            (0..)
+                .map(|i| CleaningOp {
+                    issue: IssueKind::StringOutliers,
+                    column: Some("x".into()),
+                    statistical_evidence: format!("evidence {i}"),
+                    llm_reasoning: "reasoning".into(),
+                    sql: cocoon_sql::Select::star("input"),
+                    cells_changed: 1,
+                    confidence: Confidence { self_report, agreement: None },
+                })
+                .find(sampled_for_verification)
+                .expect("a quarter of identities are sampled")
+        };
+        let rewritten = {
+            let rows: Vec<Vec<String>> = vec![vec!["z".into()]];
+            Table::from_text_rows(&["x"], &rows).unwrap()
+        };
+        let mut hook = AutoApprove;
+
+        // 0.95 / 2 ≥ 0.4: even zero agreement applies the repair, so it
+        // applies at once and its re-asks wait for the deferred batch.
+        let llm = Batches::default();
+        let config = CleanerConfig { confidence_threshold: 0.4, ..CleanerConfig::default() };
+        let mut state = PipelineState::new(table(), &llm, &config, &mut hook);
+        assert!(state.commit_op(rewritten.clone(), sampled_op(0.95)));
+        assert_eq!(state.table, rewritten);
+        assert_eq!(state.ops[0].confidence.agreement, None);
+        assert!(llm.sizes().is_empty(), "nothing asked before the clean ends");
+        state.verify_deferred();
+        assert_eq!(llm.sizes(), [VERIFY_VARIANTS]);
+        assert!(state.ops[0].confidence.agreement.is_some());
+        state.verify_deferred();
+        assert_eq!(llm.sizes(), [VERIFY_VARIANTS], "an empty queue asks nothing");
+
+        // 0.95 / 2 < 0.9: agreement decides, so commit_op re-asks first.
+        let llm = Batches::default();
+        let config = CleanerConfig { confidence_threshold: 0.9, ..CleanerConfig::default() };
+        let mut state = PipelineState::new(table(), &llm, &config, &mut hook);
+        let applied = state.commit_op(rewritten, sampled_op(0.95));
+        assert_eq!(llm.sizes(), [VERIFY_VARIANTS]);
+        let op = if applied { &state.ops[0] } else { &state.pending[0] };
+        assert!(op.confidence.agreement.is_some());
+        assert_eq!(applied, op.confidence.score() >= 0.9);
+        state.verify_deferred();
+        assert_eq!(llm.sizes(), [VERIFY_VARIANTS], "nothing was deferred");
     }
 
     #[test]

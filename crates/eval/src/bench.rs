@@ -2,7 +2,8 @@
 //! the full pipeline, scores the output cell-by-cell against ground truth,
 //! attributes precision per issue type by replaying each op's SQL,
 //! attributes recall per injected error type from the case annotations,
-//! and measures confidence calibration (ECE) over the applied repairs.
+//! measures confidence calibration (ECE) over the applied repairs, and
+//! counts what the clean asked of the model.
 //!
 //! This crate sits *below* `cocoon-datasets` in the dependency order (the
 //! generators use [`crate::conventions`] to validate themselves), so the
@@ -11,14 +12,15 @@
 //! into a [`BenchCase`].
 //!
 //! Everything here is deterministic — same catalog seed, same `SimLlm`
-//! oracle, same scores — so the emitted quality report can be committed as
-//! a CI baseline and regressions gated with a plain numeric comparison.
+//! oracle, same scores, same model round trips and tokens — so the emitted
+//! quality report can be committed as a CI baseline and regressions gated
+//! with a plain numeric comparison: F1 within an epsilon, cost exactly.
 
 use crate::calibration::expected_calibration_error;
 use crate::conventions::Equivalence;
 use crate::metrics::{evaluate, EvalCounts, Evaluation};
 use cocoon_core::{apply_and_count, CleanerConfig, IssueKind};
-use cocoon_llm::{Json, SimLlm};
+use cocoon_llm::{Json, SimLlm, Transcript};
 use cocoon_table::Table;
 use std::collections::BTreeMap;
 
@@ -60,6 +62,32 @@ pub struct ErrorRecall {
     pub repaired: usize,
 }
 
+/// What one clean asked of the model, counted by a [`Transcript`] around
+/// the deterministic `SimLlm`, so every figure repeats exactly.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ModelCost {
+    /// Calls that reached the model; a batch of prompts is one.
+    pub round_trips: usize,
+    /// Prompts the model answered.
+    pub prompts: usize,
+    /// Prompt tokens of the answered prompts.
+    pub prompt_tokens: usize,
+    /// Completion tokens of the answered prompts.
+    pub completion_tokens: usize,
+}
+
+impl ModelCost {
+    /// Each figure under its report key, in key order.
+    fn fields(&self) -> [(&'static str, usize); 4] {
+        [
+            ("completion_tokens", self.completion_tokens),
+            ("prompt_tokens", self.prompt_tokens),
+            ("prompts", self.prompts),
+            ("round_trips", self.round_trips),
+        ]
+    }
+}
+
 /// Full quality scorecard for one benchmark case.
 #[derive(Debug, Clone)]
 pub struct DatasetScore {
@@ -82,6 +110,8 @@ pub struct DatasetScore {
     pub ece: f64,
     /// The raw calibration samples, for reliability rendering.
     pub samples: Vec<(f64, f64)>,
+    /// What the clean asked of the model.
+    pub cost: ModelCost,
 }
 
 /// The detector expected to catch each Table-2 error type — how per-error
@@ -100,9 +130,17 @@ pub fn expected_issue(error_label: &str) -> Option<IssueKind> {
 /// Cleans `case` with the full pipeline under `config` and scores the
 /// result. Errors are rendered to strings (the runner reports and moves on).
 pub fn score_case(case: &BenchCase, config: &CleanerConfig) -> Result<DatasetScore, String> {
-    let cleaner = cocoon_core::Cleaner::with_config(SimLlm::new(), config.clone())
+    let cleaner = cocoon_core::Cleaner::with_config(Transcript::new(SimLlm::new()), config.clone())
         .map_err(|e| format!("{}: bad config: {e}", case.name))?;
     let run = cleaner.clean(&case.dirty).map_err(|e| format!("{}: {e}", case.name))?;
+    let llm = cleaner.llm();
+    let usage = llm.total_usage();
+    let cost = ModelCost {
+        round_trips: llm.round_trips(),
+        prompts: llm.exchange_count(),
+        prompt_tokens: usage.prompt_tokens,
+        completion_tokens: usage.completion_tokens,
+    };
 
     let lenient = evaluate(&case.dirty, &run.table, &case.truth, Equivalence::Lenient);
     let strict = evaluate(&case.dirty, &run.table, &case.truth, Equivalence::Strict);
@@ -156,6 +194,7 @@ pub fn score_case(case: &BenchCase, config: &CleanerConfig) -> Result<DatasetSco
         per_error,
         ece: expected_calibration_error(&samples, ECE_BINS),
         samples,
+        cost,
     })
 }
 
@@ -219,7 +258,11 @@ pub fn score_json(score: &DatasetScore) -> Json {
             ]),
         )
     }));
+    let cost = Json::object(
+        score.cost.fields().map(|(key, value)| (key.to_string(), Json::Number(value as f64))),
+    );
     Json::object([
+        ("cost".to_string(), cost),
         ("ece".to_string(), Json::Number(round6(score.ece))),
         ("lenient".to_string(), evaluation_json(&score.lenient)),
         ("ops".to_string(), Json::Number(score.ops as f64)),
@@ -247,9 +290,12 @@ pub type GateViolation = String;
 /// Compares fresh scores against a committed baseline report.
 ///
 /// A case regresses when its lenient F1 drops more than `epsilon` below
-/// the baseline, or its ECE exceeds `max_ece`. Cases in the baseline but
-/// not in `scores` are ignored (partial runs gate only what they ran);
-/// cases missing from the baseline are new and pass the F1 gate.
+/// the baseline, its ECE exceeds `max_ece`, or any of its
+/// [`ModelCost`] figures rises above the baseline's at all: `SimLlm` is
+/// deterministic, so cost needs no epsilon. Cases in the baseline but not
+/// in `scores` are ignored (partial runs gate only what they ran); cases
+/// missing from the baseline are new and pass, and so does a baseline
+/// entry without cost figures.
 pub fn check_against_baseline(
     scores: &[DatasetScore],
     baseline: &Json,
@@ -266,6 +312,13 @@ pub fn check_against_baseline(
         let Some(old) = baseline_datasets.and_then(|d| d.get(&score.name)) else {
             continue;
         };
+        for (key, value) in score.cost.fields() {
+            let old_value = old.get("cost").and_then(|c| c.get(key)).and_then(Json::as_f64);
+            if let Some(old_value) = old_value.filter(|&old_value| value as f64 > old_value) {
+                violations
+                    .push(format!("{}: {key} {value} rose above baseline {old_value}", score.name));
+            }
+        }
         let Some(old_f1) = old.get("lenient").and_then(|l| l.get("f1")).and_then(Json::as_f64)
         else {
             violations.push(format!("{}: baseline entry has no lenient.f1", score.name));
@@ -285,12 +338,24 @@ pub fn check_against_baseline(
 pub fn render_scores_text(scores: &[DatasetScore]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<10} {:>6} {:>6} {:>6}  {:>6} {:>6} {:>6}  {:>6} {:>4} {:>7}\n",
-        "dataset", "P", "R", "F1", "sP", "sR", "sF1", "ECE", "ops", "pending"
+        "{:<10} {:>6} {:>6} {:>6}  {:>6} {:>6} {:>6}  {:>6} {:>4} {:>7}  {:>6} {:>7} {:>7}\n",
+        "dataset",
+        "P",
+        "R",
+        "F1",
+        "sP",
+        "sR",
+        "sF1",
+        "ECE",
+        "ops",
+        "pending",
+        "calls",
+        "prompts",
+        "tokens"
     ));
     for s in scores {
         out.push_str(&format!(
-            "{:<10} {:>6.3} {:>6.3} {:>6.3}  {:>6.3} {:>6.3} {:>6.3}  {:>6.3} {:>4} {:>7}\n",
+            "{:<10} {:>6.3} {:>6.3} {:>6.3}  {:>6.3} {:>6.3} {:>6.3}  {:>6.3} {:>4} {:>7}  {:>6} {:>7} {:>7}\n",
             s.name,
             s.lenient.prf.precision,
             s.lenient.prf.recall,
@@ -301,6 +366,9 @@ pub fn render_scores_text(scores: &[DatasetScore]) -> String {
             s.ece,
             s.ops,
             s.pending,
+            s.cost.round_trips,
+            s.cost.prompts,
+            s.cost.prompt_tokens + s.cost.completion_tokens,
         ));
     }
     out
@@ -390,6 +458,35 @@ mod tests {
         if score.ece > 0.0 {
             assert!(bad.iter().any(|v| v.contains("ECE")), "{bad:?}");
         }
+    }
+
+    #[test]
+    fn cost_gate_fails_any_rise_and_passes_a_baseline_without_cost() {
+        let score = tiny_score();
+        assert!(score.cost.round_trips > 0);
+        assert!(score.cost.prompts >= score.cost.round_trips, "{:?}", score.cost);
+        assert!(score.cost.prompt_tokens > 0 && score.cost.completion_tokens > 0);
+        let f1 = score.lenient.prf.f1;
+        let baseline = |cost: &str| {
+            cocoon_llm::json::parse(&format!(
+                "{{\"datasets\": {{\"Tiny\": {{\"lenient\": {{\"f1\": {f1}}}{cost}}}}}}}"
+            ))
+            .unwrap()
+        };
+        let check = |baseline: &Json| {
+            check_against_baseline(std::slice::from_ref(&score), baseline, 0.0, 1.0)
+        };
+        // Equal cost passes, and so does a baseline entry without cost.
+        assert!(check(&quality_report(std::slice::from_ref(&score))).is_empty());
+        assert!(check(&baseline("")).is_empty());
+        // A baseline that recorded one round trip fewer fails the score,
+        // with no epsilon; one that recorded more tokens passes it.
+        let fewer = format!(", \"cost\": {{\"round_trips\": {}}}", score.cost.round_trips - 1);
+        let bad = check(&baseline(&fewer));
+        assert_eq!(bad.len(), 1, "{bad:?}");
+        assert!(bad[0].contains("round_trips") && bad[0].contains("rose above"), "{bad:?}");
+        let more = format!(", \"cost\": {{\"prompt_tokens\": {}}}", score.cost.prompt_tokens + 1);
+        assert!(check(&baseline(&more)).is_empty());
     }
 
     #[test]

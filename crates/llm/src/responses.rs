@@ -13,7 +13,14 @@ use crate::yaml;
 /// format may carry. Absent or non-numeric values parse as `None` (legacy
 /// completions keep parsing); numeric values are clamped to \[0,1\].
 fn confidence_of(v: &Json) -> Option<f64> {
-    v.get("Confidence").and_then(Json::as_f64).map(|c| c.clamp(0.0, 1.0))
+    v.get("Confidence").and_then(Json::as_f64).and_then(stated_confidence)
+}
+
+/// A stated confidence clamped to \[0,1\]. A non-finite value (`nan`,
+/// `inf`, an overflowing literal) states nothing and parses as `None`: a
+/// NaN would compare false against every threshold.
+fn stated_confidence(c: f64) -> Option<f64> {
+    c.is_finite().then(|| c.clamp(0.0, 1.0))
 }
 
 /// Figure 2 verdict for detection prompts.
@@ -65,7 +72,7 @@ pub fn parse_cleaning_map(text: &str) -> Result<CleaningMap> {
     let confidence = doc
         .scalar("confidence")
         .and_then(|c| c.trim().parse::<f64>().ok())
-        .map(|c| c.clamp(0.0, 1.0));
+        .and_then(stated_confidence);
     Ok(CleaningMap {
         explanation: doc.scalar("explanation").unwrap_or("").to_string(),
         mapping,
@@ -394,6 +401,20 @@ mod tests {
         assert_eq!(m.confidence, Some(0.72));
         let legacy = "```yml\nexplanation: >\n  fix\nmapping:\n  a: b\n```";
         assert_eq!(parse_cleaning_map(legacy).unwrap().confidence, None);
+    }
+
+    #[test]
+    fn non_finite_confidence_is_not_stated() {
+        // `"nan".parse::<f64>()` succeeds, and clamping keeps NaN.
+        for stated in ["nan", "NaN", "inf", "-inf", "infinity", "1e999"] {
+            let text = format!("explanation: x\nconfidence: {stated}\nmapping:\n  a: b\n");
+            assert_eq!(parse_cleaning_map(&text).unwrap().confidence, None, "{stated}");
+        }
+        // The JSON reader turns an overflowing literal into infinity.
+        let v = parse_detect_verdict(r#"{"Unusualness": true, "Confidence": 1e999}"#).unwrap();
+        assert_eq!(v.confidence, None);
+        let v = parse_detect_verdict(r#"{"Unusualness": true, "Confidence": -1e999}"#).unwrap();
+        assert_eq!(v.confidence, None);
     }
 
     #[test]

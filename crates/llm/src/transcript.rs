@@ -3,10 +3,11 @@
 //! Cocoon is a human-in-the-loop system; its UI shows the LLM reasoning for
 //! every step (Appendix A). The transcript captures each exchange so reports
 //! can replay what the model was asked and answered, and so benches can
-//! account token usage.
+//! account token usage and model round trips.
 
 use crate::chat::{ChatModel, ChatRequest, ChatResponse, Usage};
 use crate::error::Result;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One recorded exchange.
@@ -20,7 +21,12 @@ pub struct Exchange {
     pub usage: Usage,
 }
 
-/// Records every exchange passing through an inner model.
+/// Records every exchange passing through an inner model, and counts the
+/// model round trips that carried them.
+///
+/// A round trip is one `complete` call, or one `complete_batch` call with
+/// at least one prompt: a batch of many prompts is many exchanges but one
+/// round trip, the unit a hosted model's latency is paid in.
 ///
 /// Thread-safe: concurrent detection workers append under a `Mutex`, so
 /// usage accounting stays exact at any thread count (the *order* of
@@ -29,12 +35,13 @@ pub struct Exchange {
 pub struct Transcript<M> {
     inner: M,
     exchanges: Mutex<Vec<Exchange>>,
+    round_trips: AtomicUsize,
 }
 
 impl<M: ChatModel> Transcript<M> {
     /// Starts recording over `inner`.
     pub fn new(inner: M) -> Self {
-        Transcript { inner, exchanges: Mutex::new(Vec::new()) }
+        Transcript { inner, exchanges: Mutex::new(Vec::new()), round_trips: AtomicUsize::new(0) }
     }
 
     /// All exchanges so far, in order.
@@ -42,9 +49,16 @@ impl<M: ChatModel> Transcript<M> {
         self.exchanges.lock().expect("exchanges lock").clone()
     }
 
-    /// Number of completed calls.
-    pub fn call_count(&self) -> usize {
+    /// Number of answered prompts, the length of
+    /// [`exchanges`](Self::exchanges); failed prompts are not counted.
+    pub fn exchange_count(&self) -> usize {
         self.exchanges.lock().expect("exchanges lock").len()
+    }
+
+    /// Number of calls that reached the inner model, answered or not: one
+    /// per `complete`, one per non-empty `complete_batch`.
+    pub fn round_trips(&self) -> usize {
+        self.round_trips.load(Ordering::Relaxed)
     }
 
     /// Total token usage across all calls.
@@ -68,6 +82,7 @@ impl<M: ChatModel> ChatModel for Transcript<M> {
     }
 
     fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
+        self.round_trips.fetch_add(1, Ordering::Relaxed);
         let response = self.inner.complete(request)?;
         self.exchanges.lock().expect("exchanges lock").push(Exchange {
             prompt: request.user_text(),
@@ -78,6 +93,9 @@ impl<M: ChatModel> ChatModel for Transcript<M> {
     }
 
     fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
+        if !requests.is_empty() {
+            self.round_trips.fetch_add(1, Ordering::Relaxed);
+        }
         let responses = self.inner.complete_batch(requests);
         let mut exchanges = self.exchanges.lock().expect("exchanges lock");
         for (request, response) in requests.iter().zip(&responses) {
@@ -103,7 +121,8 @@ mod tests {
         let t = Transcript::new(ScriptedLlm::new(["resp one", "response two longer"]));
         t.complete(&ChatRequest::simple("first prompt")).unwrap();
         t.complete(&ChatRequest::simple("second")).unwrap();
-        assert_eq!(t.call_count(), 2);
+        assert_eq!(t.exchange_count(), 2);
+        assert_eq!(t.round_trips(), 2);
         let ex = t.exchanges();
         assert_eq!(ex[0].prompt, "first prompt");
         assert_eq!(ex[0].response, "resp one");
@@ -115,7 +134,9 @@ mod tests {
     fn failures_not_recorded() {
         let t = Transcript::new(ScriptedLlm::new(Vec::<String>::new()));
         assert!(t.complete(&ChatRequest::simple("x")).is_err());
-        assert_eq!(t.call_count(), 0);
+        assert_eq!(t.exchange_count(), 0);
+        // The failed call still went to the model.
+        assert_eq!(t.round_trips(), 1);
     }
 
     #[test]
@@ -131,8 +152,12 @@ mod tests {
         let responses = t.complete_batch(&requests);
         assert!(responses[0].is_ok());
         assert!(responses[1].is_err());
-        assert_eq!(t.call_count(), 1);
+        assert_eq!(t.exchange_count(), 1);
         assert_eq!(t.exchanges()[0].prompt, "p1");
+        // Two prompts, one round trip; an empty batch is no round trip.
+        assert_eq!(t.round_trips(), 1);
+        assert!(t.complete_batch(&[]).is_empty());
+        assert_eq!(t.round_trips(), 1);
     }
 
     #[test]
@@ -146,7 +171,8 @@ mod tests {
                 s.spawn(|| t.complete(&ChatRequest::simple("two tokens")).unwrap());
             }
         });
-        assert_eq!(t.call_count(), 8);
+        assert_eq!(t.exchange_count(), 8);
+        assert_eq!(t.round_trips(), 8);
         assert_eq!(t.total_usage().prompt_tokens, 16);
         assert_eq!(t.total_usage().completion_tokens, 16);
     }

@@ -30,10 +30,12 @@ fn main() {
     println!("\nTable-1 conventions (lenient): {}   (paper: 0.87 0.93 0.90)", lenient.prf);
     println!("Table-3 conventions (strict) : {}   (paper: 0.99 0.99 0.99)", strict.prf);
 
+    let llm = cleaner.llm();
     println!(
-        "\nLLM usage: {} calls, {} prompt + {} completion tokens",
-        cleaner.llm().call_count(),
-        cleaner.llm().total_usage().prompt_tokens,
-        cleaner.llm().total_usage().completion_tokens
+        "\nLLM usage: {} model round trips, {} prompts, {} prompt + {} completion tokens",
+        llm.round_trips(),
+        llm.exchange_count(),
+        llm.total_usage().prompt_tokens,
+        llm.total_usage().completion_tokens
     );
 }

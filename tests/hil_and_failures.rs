@@ -1,8 +1,8 @@
 //! Human-in-the-loop behaviour and LLM failure injection, end to end.
 
 use cocoon_core::{
-    Cleaner, CleaningReview, Decision, DecisionHook, DetectionReview, IssueKind, RecordingHook,
-    RejectIssues,
+    Cleaner, CleanerConfig, CleaningReview, Decision, DecisionHook, DetectionReview, IssueKind,
+    RecordingHook, RejectIssues,
 };
 use cocoon_llm::{FailingLlm, ScriptedLlm, SimLlm};
 use cocoon_table::csv;
@@ -105,4 +105,23 @@ fn half_broken_llm_applies_only_parseable_steps() {
     let run = Cleaner::new(ScriptedLlm::new(responses)).clean(&table).unwrap();
     assert!(run.ops.is_empty());
     assert_eq!(run.table, table);
+}
+
+#[test]
+fn a_nan_confidence_does_not_withhold_a_repair_at_the_default_threshold() {
+    // The cleaning map states `confidence: nan`. It parses as "not stated",
+    // so the repair scores the default self-report and applies; a NaN score
+    // would compare below every threshold, 0.0 included.
+    let table = csv::read_str("lang\neng\neng\neng\neng\nEnglish\n").unwrap();
+    let responses = [
+        r#"{"Reasoning": "codes and names mixed", "Unusualness": true, "Summary": "mixed"}"#,
+        "```yml\nexplanation: >\n  use the code\nconfidence: nan\nmapping:\n  English: eng\n```",
+    ];
+    let config = CleanerConfig::only_issue("string_outliers");
+    let run =
+        Cleaner::with_config(ScriptedLlm::new(responses), config).unwrap().clean(&table).unwrap();
+    assert!(run.pending.is_empty(), "{:?}", run.notes);
+    assert_eq!(run.ops.len(), 1);
+    assert_eq!(run.ops[0].confidence.self_report, cocoon_core::DEFAULT_SELF_REPORT);
+    assert_eq!(run.table.render_cell(4, 0).unwrap(), "eng");
 }

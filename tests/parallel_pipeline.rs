@@ -72,12 +72,12 @@ fn cached_llm_cuts_call_count_on_repeat_clean() {
     let cleaner = Cleaner::new(CachedLlm::new(Transcript::new(SimLlm::new())));
 
     let first = cleaner.clean(&table).expect("first clean");
-    let calls_after_first = cleaner.llm().inner().call_count();
+    let calls_after_first = cleaner.llm().inner().exchange_count();
     assert!(calls_after_first > 0, "the first clean must reach the model");
     assert_eq!(cleaner.llm().hits(), 0, "a cold cache cannot hit");
 
     let second = cleaner.clean(&table).expect("second clean");
-    let calls_after_second = cleaner.llm().inner().call_count();
+    let calls_after_second = cleaner.llm().inner().exchange_count();
     assert_eq!(
         calls_after_second, calls_after_first,
         "a repeat clean of the same table must be served entirely from the cache"

@@ -1,6 +1,8 @@
-//! Detection asks in prompt waves: whatever the column count, each stage's
-//! detection prompts reach the model in one call per wave, and a failed
-//! slot in a wave's batch degrades only the unit that asked it.
+//! Prompts go out in waves: whatever the column count, each stage's
+//! detection prompts reach the model in one call per wave, the FD stage's
+//! independent mapping prompts share a call, and the confidence re-asks of
+//! a clean share its last call. A failed slot in a wave's batch degrades
+//! only the unit that asked it.
 
 use cocoon_core::{Cleaner, CleanerConfig, CleaningRun};
 use cocoon_llm::prompts::{parse_context, task};
@@ -119,7 +121,7 @@ fn clean<F: Fn(&str, &str) -> bool + Send + Sync>(
 }
 
 #[test]
-fn each_stage_detects_in_one_call_per_wave_whatever_the_column_count() {
+fn each_prompt_family_asks_in_one_call_per_wave_whatever_the_column_count() {
     for threads in [1, 8] {
         let llm = Recording::new(|_: &str, _: &str| false);
         let run = clean(&llm, CleanerConfig { threads: Some(threads), ..Default::default() });
@@ -141,6 +143,11 @@ fn each_stage_detects_in_one_call_per_wave_whatever_the_column_count() {
             // type's numeric-conversion maps.
             (task::STRING_OUTLIERS_CLEAN, 6),
             (task::NUMERIC_CONVERSION, 2),
+            // Decide phase: the zip → city and zip → county mappings, whose
+            // groups neither repair can change, share one call; the sampled
+            // repairs' re-asks share the clean's last call.
+            (task::FD_MAPPING, 2),
+            (task::REPAIR_VERIFY, 3),
         ] {
             let calls = llm.calls_with(family);
             assert_eq!(calls.len(), 1, "{family} at {threads} threads: {calls:?}");
@@ -148,6 +155,9 @@ fn each_stage_detects_in_one_call_per_wave_whatever_the_column_count() {
             assert!(prompts.iter().all(|(t, _)| t == family), "{family} shares its call");
             assert!(prompts.len() >= at_least, "{family}: {} prompts", prompts.len());
         }
+        let calls = llm.calls.lock().unwrap();
+        let last = calls.last().expect("the clean calls the model");
+        assert!(last.iter().all(|(t, _)| t == task::REPAIR_VERIFY), "{last:?}");
     }
 }
 

@@ -133,6 +133,9 @@ const JSON_AND_YAML: &[&[u8]] = &[
     b"\"meaningful\": ",
     b"\"mapping\": {",
     b"\"confidence\": ",
+    b"\"Confidence\": ",
+    b"confidence: nan\n",
+    b"confidence: 2\n",
     b"key: value\n",
     b"mapping:\n",
     b"  'a': 'b'\n",
@@ -174,6 +177,14 @@ const SQL: &[&[u8]] = &[
     b"REGEXP_REPLACE(",
     SPLIT_UTF8[0],
 ];
+
+/// A confidence as a model might state it: in range, out of range, or one
+/// of the non-finite spellings `f64::from_str` accepts.
+fn stated_confidence() -> BoxedStrategy<String> {
+    let non_finite = prop_oneof![Just("nan"), Just("NaN"), Just("inf"), Just("-infinity")];
+    prop_oneof![(-2.0f64..3.0).prop_map(|c| c.to_string()), non_finite.prop_map(String::from)]
+        .boxed()
+}
 
 /// Reads every request off `bytes` through the incremental framing API,
 /// the way the event loop does, until the stream fails or closes.
@@ -232,23 +243,37 @@ proptest! {
     }
 
     #[test]
-    fn json_yaml_and_reply_parsers_never_panic(bytes in wire_bytes(JSON_AND_YAML)) {
+    fn json_yaml_and_reply_parsers_never_panic(
+        bytes in wire_bytes(JSON_AND_YAML),
+        stated in stated_confidence(),
+    ) {
         let _ = parse_clean_payload(&bytes);
         let text = String::from_utf8_lossy(&bytes);
         let _ = json::parse(&text);
         let _ = json::extract(&text);
         let _ = yaml::parse(&text);
         let _ = yaml::extract(&text);
-        let _ = responses::parse_detect_verdict(&text);
-        let _ = responses::parse_cleaning_map(&text);
-        let _ = responses::parse_pattern_plan(&text);
-        let _ = responses::parse_dmv_verdict(&text);
-        let _ = responses::parse_type_verdict(&text);
-        let _ = responses::parse_range_verdict(&text);
-        let _ = responses::parse_fd_verdict(&text);
-        let _ = responses::parse_dup_verdict(&text);
-        let _ = responses::parse_unique_verdict(&text);
-        let _ = responses::parse_repair_verdict(&text);
+        // Every confidence a reply parser returns is unstated or in [0, 1],
+        // whether the bytes or a well-formed reply state it.
+        let map = format!("confidence: {stated}\nmapping:\n  a: b\n");
+        let verdict = format!("{{\"Unusualness\": true, \"Confidence\": {stated}}}");
+        let confidences = [
+            responses::parse_cleaning_map(&map).ok().map(|v| v.confidence),
+            responses::parse_detect_verdict(&verdict).ok().map(|v| v.confidence),
+            responses::parse_detect_verdict(&text).ok().map(|v| v.confidence),
+            responses::parse_cleaning_map(&text).ok().map(|v| v.confidence),
+            responses::parse_pattern_plan(&text).ok().map(|v| v.confidence),
+            responses::parse_dmv_verdict(&text).ok().map(|v| v.confidence),
+            responses::parse_type_verdict(&text).ok().map(|v| v.confidence),
+            responses::parse_range_verdict(&text).ok().map(|v| v.confidence),
+            responses::parse_fd_verdict(&text).ok().map(|v| v.confidence),
+            responses::parse_dup_verdict(&text).ok().map(|v| v.confidence),
+            responses::parse_unique_verdict(&text).ok().map(|v| v.confidence),
+            responses::parse_repair_verdict(&text).ok().map(|v| v.confidence),
+        ];
+        for confidence in confidences.into_iter().flatten().flatten() {
+            prop_assert!((0.0..=1.0).contains(&confidence), "confidence {confidence} in {text:?}");
+        }
     }
 
     #[test]
