@@ -6,7 +6,8 @@
 //! correction, combined as [`raha_baran::RahaBaran`]), [`cleanagent`]
 //! (category standardisation) and [`retclean`] (lake retrieval + aggressive
 //! typo fixing). Each keeps the algorithmic property the paper's analysis
-//! hinges on; see the module docs and DESIGN.md §1.
+//! hinges on; see the module docs, and the README's opening section for
+//! why the whole workspace runs on synthetic data and a simulated model.
 
 pub mod baran;
 pub mod cleanagent;

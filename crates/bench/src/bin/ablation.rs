@@ -1,4 +1,4 @@
-//! Ablation harness for the design choices DESIGN.md §6 calls out:
+//! Ablation harness for four of Cocoon's design choices:
 //!
 //! 1. statistical context in prompts — on vs off (the paper's claim that
 //!    statistics give the LLM the context it needs);

@@ -5,8 +5,9 @@
 //! are not distributable offline; each generator reproduces the schema,
 //! scale, error taxonomy and error rates the paper reports (Table 2 counts
 //! are matched exactly for Hospital and Movies), with full cell-level
-//! ground truth and annotations. See DESIGN.md §1 for the substitution
-//! argument.
+//! ground truth and annotations. The README's opening section gives the
+//! substitution argument: seeded synthetic reconstructions stand in for
+//! the five benchmarks, as `SimLlm` stands in for hosted models.
 //!
 //! | dataset | size | defining property |
 //! |---|---|---|

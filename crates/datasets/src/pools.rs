@@ -2,7 +2,8 @@
 //!
 //! The original benchmark CSVs cannot be fetched offline; the generators
 //! compose rows from these pools instead, at the papers' scales and error
-//! mixes (see DESIGN.md §1 for the substitution argument).
+//! mixes (the crate docs and the README's opening section give the
+//! substitution argument).
 
 /// Hospital condition names (from the real Hospital benchmark's domain).
 pub const CONDITIONS: &[&str] = &[

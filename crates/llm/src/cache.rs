@@ -205,16 +205,9 @@ impl<M: ChatModel> ChatModel for CachedLlm<M> {
         self.inner.model_name()
     }
 
+    /// A one-prompt [`complete_batch`](ChatModel::complete_batch).
     fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-        let key = Self::key(request);
-        if let Some(cached) = self.lookup(key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(cached);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let response = self.inner.complete(request)?;
-        self.store(key, &response);
-        Ok(response)
+        self.complete_batch(std::slice::from_ref(request)).remove(0)
     }
 
     fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {

@@ -1,34 +1,34 @@
 //! `CoalescingDispatcher` — the request-shaping layer in front of a shared
 //! model backend.
 //!
-//! PR 3 made `ChatModel` thread-safe and batched; this module is the
-//! follow-up it left open: once many concurrent callers (detection workers,
-//! server request handlers) share one backend, the dispatcher decides *what
-//! actually reaches it*. Three policies compose here:
+//! Once many concurrent callers (server request handlers, job workers)
+//! share one backend, the dispatcher decides *what actually reaches it*.
+//! Two policies compose here:
 //!
 //! * **Single-flight coalescing** — concurrent identical requests (same
 //!   [`ChatRequest::fingerprint`]) share one in-flight completion: the first
-//!   arrival executes, later arrivals wait and receive a clone of its
-//!   answer. With a temperature-0 deterministic backend this is invisible
-//!   in the output and saves the duplicate calls a cold cache lets through.
-//!   This holds across *batches* too: two concurrent identical
-//!   [`ChatModel::complete_batch`] calls register in the same flight table,
-//!   so each distinct prompt reaches the backend exactly once.
-//! * **Batch windows** — the first caller with a *distinct* pending request
-//!   becomes the batch leader: it waits up to
-//!   [`DispatcherConfig::batch_window`] for other distinct requests to
-//!   arrive, then forwards the whole set as one
-//!   [`ChatModel::complete_batch`] call, the shape hosted APIs amortise.
+//!   call to register a prompt sends it, later callers wait and receive a
+//!   clone of its answer. With a temperature-0 deterministic backend this
+//!   is invisible in the output and saves the duplicate calls a cold cache
+//!   lets through. It holds within one [`ChatModel::complete_batch`] call
+//!   and across concurrent ones, so each distinct prompt reaches the
+//!   backend exactly once.
 //! * **Token-bucket rate limiting** — every dispatch first takes one token
 //!   per distinct prompt from a bucket refilled at
-//!   [`RateLimit::per_sec`]; when the bucket is dry the *leader* sleeps
-//!   (followers keep piggybacking on its flight), bounding the request
-//!   rate the backend sees regardless of caller concurrency.
+//!   [`RateLimit::per_sec`]; when the bucket is dry the dispatching call
+//!   sleeps (callers piggybacking on its flights wait with it), bounding
+//!   the request rate the backend sees regardless of caller concurrency.
+//!
+//! There is one dispatch path: a call sends the prompts it registered
+//! first as one backend `complete_batch`, on its own thread, right away —
+//! callers already hand the model a whole prompt wave per call, so there
+//! is nothing left to merge by waiting. [`complete`](ChatModel::complete)
+//! is a one-prompt batch.
 //!
 //! The dispatcher deliberately does **not** memoise finished answers — that
 //! is [`crate::CachedLlm`]'s job; stack them as
-//! `CachedLlm::new(CoalescingDispatcher::new(backend, config))` so repeats
-//! hit the cache and only genuine cold misses reach the dispatch queue.
+//! `CachedLlm::new(CoalescingDispatcher::new(backend, rate_limit))` so
+//! repeats hit the cache and only genuine cold misses reach the dispatcher.
 
 use crate::chat::{ChatModel, ChatRequest, ChatResponse};
 use crate::error::{LlmError, Result};
@@ -46,17 +46,21 @@ pub struct BatchEvent {
     /// Dispatcher-lifetime coalesced count at dispatch time (same counter
     /// as [`DispatcherStats::coalesced`]).
     pub coalesced_total: usize,
-    /// Time the batch leader slept on the token bucket before dispatching.
+    /// Time the dispatching call slept on the token bucket.
     pub rate_limit_wait: Duration,
     /// Wall time of the backend `complete_batch` call itself.
     pub backend_elapsed: Duration,
 }
 
 /// Observer of backend round-trips, attached with
-/// [`CoalescingDispatcher::set_observer`]. Fired from whichever thread led
-/// the batch (a request worker, a detection worker), so implementations
-/// must be `Send + Sync` and cheap — the callback runs before the batch's
-/// waiters are notified.
+/// [`CoalescingDispatcher::set_observer`].
+///
+/// The thread contract: the observer fires on the thread of the
+/// `complete` / `complete_batch` call that sent the batch, before that call
+/// returns and before any caller waiting on the batch's prompts wakes. A
+/// batch carries only prompts that call registered first, so a thread-local
+/// the caller set (the server's current request trace) names the one
+/// caller that sent it. Implementations must be `Send + Sync` and cheap.
 pub trait DispatchObserver: Send + Sync {
     /// Called once per backend `complete_batch` call.
     fn batch_dispatched(&self, event: BatchEvent);
@@ -80,36 +84,16 @@ impl RateLimit {
     }
 }
 
-/// Tunables of a [`CoalescingDispatcher`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DispatcherConfig {
-    /// How long a batch leader waits for more distinct requests before
-    /// dispatching. Zero disables the wait (each distinct single request
-    /// dispatches immediately; identical in-flight requests still coalesce).
-    pub batch_window: Duration,
-    /// Dispatch early once this many distinct requests are pending.
-    pub max_batch: usize,
-    /// Optional token-bucket rate limit on dispatched prompts.
-    pub rate_limit: Option<RateLimit>,
-}
-
-impl Default for DispatcherConfig {
-    fn default() -> Self {
-        DispatcherConfig { batch_window: Duration::from_millis(2), max_batch: 64, rate_limit: None }
-    }
-}
-
 /// Counter snapshot; see the field docs for what each counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DispatcherStats {
-    /// Requests that piggybacked on an identical request already pending or
-    /// in flight (single-flight merges, in-batch duplicates, and cross-batch
-    /// merges) — each one is a completion the backend never saw.
+    /// Requests that piggybacked on an identical request already in flight
+    /// (in-batch duplicates and merges across concurrent calls) — each one
+    /// is a completion the backend never saw.
     pub coalesced: usize,
     /// `complete_batch` calls issued to the backend.
     pub batches: usize,
-    /// Distinct prompts those batches carried (`batched_prompts > batches`
-    /// means at least one multi-prompt window was merged).
+    /// Distinct prompts those batches carried.
     pub batched_prompts: usize,
     /// Dispatches that found the token bucket dry and had to sleep.
     pub rate_limit_waits: usize,
@@ -117,25 +101,13 @@ pub struct DispatcherStats {
     pub rate_limited_ms: u64,
 }
 
-/// One pending-or-in-flight completion, keyed by request fingerprint.
+/// One in-flight completion, keyed by request fingerprint.
 struct Flight {
     result: Option<Result<ChatResponse>>,
     /// Callers that will read `result`; the last reader removes the entry,
     /// so finished answers are never memoised here (that is the cache's
     /// job) and a later identical request starts a fresh flight.
     waiters: usize,
-}
-
-/// Queue state guarded by one mutex; the condvar signals both "a new
-/// request arrived" (ends a leader's window early at `max_batch`) and
-/// "results landed" (wakes waiters).
-struct DispatchQueue {
-    /// Distinct requests awaiting a leader, in arrival order.
-    pending: Vec<(u64, ChatRequest)>,
-    flights: HashMap<u64, Flight>,
-    /// True while a leader is inside its batch window: arrivals during the
-    /// window join `pending` and will be drained by that leader.
-    collecting: bool,
 }
 
 struct TokenBucket {
@@ -148,29 +120,21 @@ struct TokenBucket {
 /// and `Transcript` like any other layer.
 ///
 /// ```
-/// use cocoon_llm::{
-///     ChatModel, ChatRequest, CoalescingDispatcher, DispatcherConfig, RateLimit, ScriptedLlm,
-/// };
-/// use std::time::Duration;
+/// use cocoon_llm::{ChatModel, ChatRequest, CoalescingDispatcher, RateLimit, ScriptedLlm};
 ///
-/// // The server's shape: a short batch window and a token-bucket limit on
-/// // what reaches the backend.
-/// let config = DispatcherConfig {
-///     batch_window: Duration::from_millis(2),
-///     max_batch: 64,
-///     rate_limit: Some(RateLimit::new(100.0, 10.0)),
-/// };
-/// let dispatcher = CoalescingDispatcher::new(ScriptedLlm::new(["an answer"]), config);
+/// // The server's shape: a token-bucket limit on what reaches the backend.
+/// let limit = RateLimit::new(100.0, 10.0);
+/// let dispatcher = CoalescingDispatcher::new(ScriptedLlm::new(["an answer"]), Some(limit));
 /// let response = dispatcher.complete(&ChatRequest::simple("prompt")).unwrap();
 /// assert_eq!(response.content, "an answer");
 /// assert_eq!(dispatcher.stats().batches, 1);
 /// ```
 pub struct CoalescingDispatcher<M> {
     inner: M,
-    config: DispatcherConfig,
-    queue: Mutex<DispatchQueue>,
+    /// In-flight completions; `signal` wakes their waiters when results land.
+    flights: Mutex<HashMap<u64, Flight>>,
     signal: Condvar,
-    bucket: Option<Mutex<TokenBucket>>,
+    bucket: Option<(RateLimit, Mutex<TokenBucket>)>,
     coalesced: AtomicUsize,
     batches: AtomicUsize,
     batched_prompts: AtomicUsize,
@@ -180,19 +144,16 @@ pub struct CoalescingDispatcher<M> {
 }
 
 impl<M: ChatModel> CoalescingDispatcher<M> {
-    /// A dispatcher applying `config`'s policies in front of `inner`.
-    pub fn new(inner: M, config: DispatcherConfig) -> Self {
-        let bucket = config.rate_limit.map(|limit| {
-            Mutex::new(TokenBucket { tokens: limit.burst.max(1.0), last_refill: Instant::now() })
+    /// A dispatcher in front of `inner`, throttled by `rate_limit` if one
+    /// is given.
+    pub fn new(inner: M, rate_limit: Option<RateLimit>) -> Self {
+        let bucket = rate_limit.map(|limit| {
+            let bucket = TokenBucket { tokens: limit.burst.max(1.0), last_refill: Instant::now() };
+            (limit, Mutex::new(bucket))
         });
         CoalescingDispatcher {
             inner,
-            config,
-            queue: Mutex::new(DispatchQueue {
-                pending: Vec::new(),
-                flights: HashMap::new(),
-                collecting: false,
-            }),
+            flights: Mutex::new(HashMap::new()),
             signal: Condvar::new(),
             bucket,
             coalesced: AtomicUsize::new(0),
@@ -207,16 +168,6 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
     /// Attaches a round-trip observer; replaces any previous one.
     pub fn set_observer(&self, observer: Arc<dyn DispatchObserver>) {
         *self.observer.lock().expect("observer lock") = Some(observer);
-    }
-
-    /// A dispatcher with default windowing and no rate limit.
-    pub fn with_defaults(inner: M) -> Self {
-        Self::new(inner, DispatcherConfig::default())
-    }
-
-    /// The configured policy stack.
-    pub fn config(&self) -> &DispatcherConfig {
-        &self.config
     }
 
     /// The wrapped backend.
@@ -241,8 +192,7 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
     /// hold. No-op without a configured rate limit. Returns the total time
     /// slept so dispatch events can report the rate-limit share.
     fn throttle(&self, n: usize) -> Duration {
-        let Some(bucket) = &self.bucket else { return Duration::ZERO };
-        let limit = self.config.rate_limit.expect("bucket implies limit");
+        let Some((limit, bucket)) = &self.bucket else { return Duration::ZERO };
         let per_sec = limit.per_sec.max(f64::MIN_POSITIVE);
         let capacity = limit.burst.max(1.0);
         let need = (n as f64).min(capacity);
@@ -279,20 +229,20 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
     /// flight).
     fn await_result(
         &self,
-        mut queue: MutexGuard<'_, DispatchQueue>,
+        mut flights: MutexGuard<'_, HashMap<u64, Flight>>,
         key: u64,
     ) -> Result<ChatResponse> {
         loop {
-            if queue.flights.get(&key).is_some_and(|f| f.result.is_some()) {
+            if flights.get(&key).is_some_and(|f| f.result.is_some()) {
                 break;
             }
-            queue = self.signal.wait(queue).expect("dispatch lock");
+            flights = self.signal.wait(flights).expect("dispatch lock");
         }
-        let flight = queue.flights.get_mut(&key).expect("flight exists until last reader");
+        let flight = flights.get_mut(&key).expect("flight exists until last reader");
         let result = flight.result.clone().expect("checked above");
         flight.waiters -= 1;
         if flight.waiters == 0 {
-            queue.flights.remove(&key);
+            flights.remove(&key);
         }
         result
     }
@@ -304,11 +254,11 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
     }
 
     /// Runs the backend batch with a panic guard: a panicking backend
-    /// becomes per-request errors instead of unwinding the leader and
-    /// stranding every waiter (present and future) on unresolved flights.
-    /// `AssertUnwindSafe` is sound here — the dispatcher reads nothing
-    /// from the backend after a panic, and its own state is only touched
-    /// after this returns.
+    /// becomes per-request errors instead of unwinding the dispatching
+    /// call and stranding every waiter (present and future) on unresolved
+    /// flights. `AssertUnwindSafe` is sound here — the dispatcher reads
+    /// nothing from the backend after a panic, and its own state is only
+    /// touched after this returns.
     fn guarded_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.inner.complete_batch(requests)
@@ -324,13 +274,14 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
         })
     }
 
-    /// Executes one drained batch against the backend (throttled), then
-    /// publishes each result to its flight. A backend that returns fewer
-    /// responses than requests (the trait cannot enforce the length) fails
-    /// the unanswered tail instead of stranding its waiters.
-    fn dispatch(&self, batch: Vec<(u64, ChatRequest)>) {
+    /// Sends the flights a call owns to the backend as one batch
+    /// (throttled), tells the observer, then publishes each result to its
+    /// flight. A backend that returns fewer responses than requests (the
+    /// trait cannot enforce the length) fails the unanswered tail instead
+    /// of stranding its waiters.
+    fn dispatch(&self, batch: &[(u64, &ChatRequest)]) {
         let rate_limit_wait = self.throttle(batch.len());
-        let requests: Vec<ChatRequest> = batch.iter().map(|(_, r)| r.clone()).collect();
+        let requests: Vec<ChatRequest> = batch.iter().map(|(_, r)| (*r).clone()).collect();
         let backend_started = Instant::now();
         let mut responses = self.guarded_batch(&requests).into_iter();
         let backend_elapsed = backend_started.elapsed();
@@ -345,14 +296,14 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
                 backend_elapsed,
             });
         }
-        let mut queue = self.queue.lock().expect("dispatch lock");
+        let mut flights = self.flights.lock().expect("dispatch lock");
         for (key, _) in batch {
             let response = responses.next().unwrap_or_else(|| Err(Self::short_batch_error()));
-            if let Some(flight) = queue.flights.get_mut(&key) {
+            if let Some(flight) = flights.get_mut(key) {
                 flight.result = Some(response);
             }
         }
-        drop(queue);
+        drop(flights);
         self.signal.notify_all();
     }
 }
@@ -362,61 +313,20 @@ impl<M: ChatModel> ChatModel for CoalescingDispatcher<M> {
         self.inner.model_name()
     }
 
+    /// A one-prompt [`complete_batch`](ChatModel::complete_batch).
     fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-        let key = request.fingerprint();
-        let mut queue = self.queue.lock().expect("dispatch lock");
-        if let Some(flight) = queue.flights.get_mut(&key) {
-            // Identical request already pending or in flight: piggyback.
-            flight.waiters += 1;
-            self.coalesced.fetch_add(1, Ordering::Relaxed);
-            return self.await_result(queue, key);
-        }
-        queue.flights.insert(key, Flight { result: None, waiters: 1 });
-        queue.pending.push((key, request.clone()));
-        if queue.collecting {
-            // A leader's window is open; it will drain us with its batch.
-            // Wake it so a window that just reached `max_batch` dispatches
-            // now instead of sleeping out its full duration.
-            self.signal.notify_all();
-            return self.await_result(queue, key);
-        }
-        // Become the batch leader: hold the window open, then drain
-        // everything that arrived. `max_batch` ends the window early; the
-        // drain still takes every pending request (a late arrival between
-        // the last wake and the drain rides along rather than waiting for
-        // a leader that might never come).
-        queue.collecting = true;
-        let deadline = Instant::now() + self.config.batch_window;
-        while queue.pending.len() < self.config.max_batch {
-            let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                break;
-            };
-            let (guard, _) = self.signal.wait_timeout(queue, remaining).expect("dispatch lock");
-            queue = guard;
-        }
-        let batch = std::mem::take(&mut queue.pending);
-        queue.collecting = false;
-        drop(queue);
-        self.dispatch(batch);
-        self.await_result(self.queue.lock().expect("dispatch lock"), key)
+        self.complete_batch(std::slice::from_ref(request)).remove(0)
     }
 
-    /// Batch calls already arrive amortised; the dispatcher still dedupes
-    /// identical prompts within the batch (each duplicate counts as
-    /// coalesced) and routes the distinct remainder through the same
-    /// single-flight table the [`complete`](ChatModel::complete) path uses.
-    /// That makes coalescing work *across* batches too: when two concurrent
-    /// identical batches arrive, the first to register a prompt dispatches
-    /// it and the second piggybacks on the flight instead of paying a
-    /// duplicate backend call. Prompts this call does own are dispatched at
-    /// once (no window — the batch is already amortised), or handed to an
-    /// open batch window's leader if one is collecting.
+    /// Dedupes identical prompts within the batch (each duplicate counts as
+    /// coalesced), then registers the distinct remainder in the
+    /// single-flight table. Prompts a concurrent call already has in flight
+    /// piggyback on its flight; the rest are this call's to send, as one
+    /// backend batch on this thread, at once.
     fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
         // In-batch dedupe: map every request slot to its first occurrence.
         let mut first_slot: HashMap<u64, usize> = HashMap::with_capacity(requests.len());
-        let mut distinct: Vec<(u64, ChatRequest)> = Vec::with_capacity(requests.len());
+        let mut distinct: Vec<(u64, &ChatRequest)> = Vec::with_capacity(requests.len());
         let mut slots: Vec<usize> = Vec::with_capacity(requests.len());
         for request in requests {
             let key = request.fingerprint();
@@ -428,53 +338,42 @@ impl<M: ChatModel> ChatModel for CoalescingDispatcher<M> {
                 None => {
                     let slot = distinct.len();
                     first_slot.insert(key, slot);
-                    distinct.push((key, request.clone()));
+                    distinct.push((key, request));
                     slot
                 }
             };
             slots.push(slot);
         }
-        if distinct.is_empty() {
-            return Vec::new();
-        }
 
-        // Cross-batch single-flight: register every distinct prompt in the
-        // flights table. Prompts already pending or in flight (registered
-        // by a concurrent batch or a `complete` caller) are piggybacked;
-        // the rest become flights owned by this call.
-        let mut owned: Vec<(u64, ChatRequest)> = Vec::with_capacity(distinct.len());
+        // Cross-call single-flight: prompts already in flight (registered
+        // by a concurrent call) are piggybacked; the rest become flights
+        // owned by this call.
+        let mut owned: Vec<(u64, &ChatRequest)> = Vec::with_capacity(distinct.len());
         {
-            let mut queue = self.queue.lock().expect("dispatch lock");
-            for (key, request) in &distinct {
-                match queue.flights.get_mut(key) {
+            let mut flights = self.flights.lock().expect("dispatch lock");
+            for &(key, request) in &distinct {
+                match flights.get_mut(&key) {
                     Some(flight) => {
                         flight.waiters += 1;
                         self.coalesced.fetch_add(1, Ordering::Relaxed);
                     }
                     None => {
-                        queue.flights.insert(*key, Flight { result: None, waiters: 1 });
-                        owned.push((*key, request.clone()));
+                        flights.insert(key, Flight { result: None, waiters: 1 });
+                        owned.push((key, request));
                     }
                 }
             }
-            if !owned.is_empty() && queue.collecting {
-                // A window leader is collecting: hand it our prompts so the
-                // backend sees one merged batch, and wake it in case the
-                // arrivals push `pending` past `max_batch`.
-                queue.pending.append(&mut owned);
-                self.signal.notify_all();
-            }
         }
         if !owned.is_empty() {
-            self.dispatch(owned);
+            self.dispatch(&owned);
         }
 
         // Collect each distinct prompt's result (piggybacked flights may
-        // resolve later, so this can block on the other dispatcher), then
-        // scatter to the original slots.
+        // resolve later, so this can block on the other call's dispatch),
+        // then scatter to the original slots.
         let results: Vec<Result<ChatResponse>> = distinct
             .iter()
-            .map(|(key, _)| self.await_result(self.queue.lock().expect("dispatch lock"), *key))
+            .map(|(key, _)| self.await_result(self.flights.lock().expect("dispatch lock"), *key))
             .collect();
         slots.into_iter().map(|i| results[i].clone()).collect()
     }
@@ -518,13 +417,9 @@ mod tests {
         }
     }
 
-    fn windowed(ms: u64) -> DispatcherConfig {
-        DispatcherConfig { batch_window: Duration::from_millis(ms), ..DispatcherConfig::default() }
-    }
-
     #[test]
     fn single_request_passes_through() {
-        let d = CoalescingDispatcher::new(EchoBackend::new(), windowed(0));
+        let d = CoalescingDispatcher::new(EchoBackend::new(), None);
         let out = d.complete(&ChatRequest::simple("hello")).unwrap();
         assert_eq!(out.content, "echo: hello");
         let stats = d.stats();
@@ -534,89 +429,27 @@ mod tests {
 
     #[test]
     fn concurrent_identical_requests_single_flight() {
-        // A long window guarantees the leader is still collecting when the
-        // other threads arrive with the identical prompt.
-        let d = CoalescingDispatcher::new(EchoBackend::new(), windowed(200));
+        // The first caller's prompt is held inside the gated backend until
+        // the other three have joined its flight.
+        let d = CoalescingDispatcher::new(GatedBackend::new(), None);
+        let d = &d;
         let answers: Vec<String> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..4)
                 .map(|_| s.spawn(|| d.complete(&ChatRequest::simple("same")).unwrap().content))
                 .collect();
+            d.inner().wait_until(|| d.stats().coalesced >= 3);
+            d.inner().release.store(true, Ordering::Relaxed);
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert!(answers.iter().all(|a| a == "echo: same"));
         let stats = d.stats();
         assert_eq!(stats.coalesced, 3, "three followers piggybacked");
-        assert_eq!(d.inner().calls.load(Ordering::Relaxed), 1, "backend saw one call");
-    }
-
-    #[test]
-    fn distinct_requests_merge_into_one_batch_window() {
-        let d = CoalescingDispatcher::new(EchoBackend::new(), windowed(200));
-        let d = &d;
-        let answers: Vec<String> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..3)
-                .map(|i| {
-                    s.spawn(move || {
-                        d.complete(&ChatRequest::simple(format!("p{i}"))).unwrap().content
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let mut sorted = answers.clone();
-        sorted.sort();
-        assert_eq!(sorted, vec!["echo: p0", "echo: p1", "echo: p2"]);
-        let sizes = d.inner().batch_sizes.lock().unwrap().clone();
-        assert_eq!(sizes.iter().sum::<usize>(), 3, "every prompt dispatched once");
-        assert!(
-            sizes.iter().any(|&s| s > 1),
-            "a window with three concurrent distinct prompts must merge some: {sizes:?}"
-        );
-    }
-
-    #[test]
-    fn max_batch_ends_the_window_early() {
-        let config = DispatcherConfig {
-            batch_window: Duration::from_secs(60),
-            max_batch: 1,
-            ..DispatcherConfig::default()
-        };
-        let d = CoalescingDispatcher::new(EchoBackend::new(), config);
-        // With max_batch=1 the leader must dispatch immediately instead of
-        // sleeping out the 60s window.
-        let start = Instant::now();
-        d.complete(&ChatRequest::simple("now")).unwrap();
-        assert!(start.elapsed() < Duration::from_secs(5));
-    }
-
-    #[test]
-    fn arrivals_filling_the_window_wake_the_leader() {
-        // A 60s window with max_batch=2: the second distinct arrival must
-        // wake the sleeping leader, not wait out the hour.
-        let config = DispatcherConfig {
-            batch_window: Duration::from_secs(60),
-            max_batch: 2,
-            ..DispatcherConfig::default()
-        };
-        let d = CoalescingDispatcher::new(EchoBackend::new(), config);
-        let d = &d;
-        let start = Instant::now();
-        std::thread::scope(|s| {
-            let a = s.spawn(|| d.complete(&ChatRequest::simple("a")).unwrap().content);
-            let b = s.spawn(|| d.complete(&ChatRequest::simple("b")).unwrap().content);
-            assert_eq!(a.join().unwrap(), "echo: a");
-            assert_eq!(b.join().unwrap(), "echo: b");
-        });
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "a full window must dispatch early, not sleep out its duration"
-        );
-        assert_eq!(d.inner().batch_sizes.lock().unwrap().iter().sum::<usize>(), 2);
+        assert_eq!(d.inner().batch_sizes.lock().unwrap().as_slice(), &[1], "backend saw one call");
     }
 
     #[test]
     fn batch_calls_dedupe_identical_prompts() {
-        let d = CoalescingDispatcher::new(EchoBackend::new(), windowed(0));
+        let d = CoalescingDispatcher::new(EchoBackend::new(), None);
         let requests = vec![
             ChatRequest::simple("a"),
             ChatRequest::simple("b"),
@@ -685,7 +518,7 @@ mod tests {
         // provably still inside the backend. Cross-batch single-flight must
         // dispatch each distinct prompt exactly once: the first batch owns
         // the flights, the second piggybacks on them.
-        let d = CoalescingDispatcher::new(GatedBackend::new(), windowed(0));
+        let d = CoalescingDispatcher::new(GatedBackend::new(), None);
         let d = &d;
         let requests: Vec<ChatRequest> =
             (0..4).map(|i| ChatRequest::simple(format!("p{i}"))).collect();
@@ -726,7 +559,7 @@ mod tests {
     fn sequential_identical_batches_both_dispatch() {
         // Cross-batch single-flight is not a cache: once the first batch's
         // flights resolve and drain, a later identical batch re-dispatches.
-        let d = CoalescingDispatcher::new(EchoBackend::new(), windowed(0));
+        let d = CoalescingDispatcher::new(EchoBackend::new(), None);
         let requests = vec![ChatRequest::simple("a"), ChatRequest::simple("b")];
         d.complete_batch(&requests);
         d.complete_batch(&requests);
@@ -735,44 +568,15 @@ mod tests {
     }
 
     #[test]
-    fn batch_prompts_join_an_open_window() {
-        // A complete() leader holds a 200ms window open; a complete_batch
-        // arriving inside it must hand the leader its prompts so the
-        // backend sees one merged dispatch.
-        let d = CoalescingDispatcher::new(EchoBackend::new(), windowed(200));
-        let d = &d;
-        std::thread::scope(|s| {
-            let leader = s.spawn(|| d.complete(&ChatRequest::simple("single")).unwrap().content);
-            // Give the leader time to open its window.
-            std::thread::sleep(Duration::from_millis(30));
-            let batch = s.spawn(|| {
-                d.complete_batch(&[ChatRequest::simple("b0"), ChatRequest::simple("b1")])
-            });
-            assert_eq!(leader.join().unwrap(), "echo: single");
-            let responses = batch.join().unwrap();
-            assert_eq!(responses[0].as_ref().unwrap().content, "echo: b0");
-            assert_eq!(responses[1].as_ref().unwrap().content, "echo: b1");
-        });
-        let sizes = d.inner().batch_sizes.lock().unwrap().clone();
-        assert_eq!(sizes.iter().sum::<usize>(), 3, "every prompt dispatched once: {sizes:?}");
-        assert_eq!(sizes.len(), 1, "window merged the batch into one dispatch: {sizes:?}");
-    }
-
-    #[test]
     fn empty_batch_is_a_noop() {
-        let d = CoalescingDispatcher::new(EchoBackend::new(), windowed(0));
+        let d = CoalescingDispatcher::new(EchoBackend::new(), None);
         assert!(d.complete_batch(&[]).is_empty());
         assert_eq!(d.stats().batches, 0);
     }
 
     #[test]
     fn rate_limit_enforces_waits() {
-        let config = DispatcherConfig {
-            batch_window: Duration::ZERO,
-            rate_limit: Some(RateLimit::new(50.0, 1.0)),
-            ..DispatcherConfig::default()
-        };
-        let d = CoalescingDispatcher::new(EchoBackend::new(), config);
+        let d = CoalescingDispatcher::new(EchoBackend::new(), Some(RateLimit::new(50.0, 1.0)));
         let start = Instant::now();
         d.complete(&ChatRequest::simple("first")).unwrap(); // burst token
         d.complete(&ChatRequest::simple("second")).unwrap(); // must wait ~20ms
@@ -788,12 +592,7 @@ mod tests {
 
     #[test]
     fn oversized_batch_does_not_deadlock_on_a_small_bucket() {
-        let config = DispatcherConfig {
-            batch_window: Duration::ZERO,
-            rate_limit: Some(RateLimit::new(1000.0, 2.0)),
-            ..DispatcherConfig::default()
-        };
-        let d = CoalescingDispatcher::new(EchoBackend::new(), config);
+        let d = CoalescingDispatcher::new(EchoBackend::new(), Some(RateLimit::new(1000.0, 2.0)));
         let requests: Vec<ChatRequest> =
             (0..8).map(|i| ChatRequest::simple(format!("p{i}"))).collect();
         let responses = d.complete_batch(&requests);
@@ -805,7 +604,7 @@ mod tests {
     fn errors_propagate_per_request() {
         // Scripted backend with one answer: second distinct prompt gets
         // Empty, and the error reaches exactly its caller.
-        let d = CoalescingDispatcher::new(ScriptedLlm::new(["only"]), windowed(0));
+        let d = CoalescingDispatcher::new(ScriptedLlm::new(["only"]), None);
         assert!(d.complete(&ChatRequest::simple("a")).is_ok());
         assert!(d.complete(&ChatRequest::simple("b")).is_err());
     }
@@ -829,22 +628,9 @@ mod tests {
 
     #[test]
     fn short_batch_responses_fail_the_tail_instead_of_hanging() {
-        // Single-request path through a window: both callers must resolve
-        // even though the backend answers only one of the two.
-        let d = CoalescingDispatcher::new(ShortBatchBackend, windowed(200));
-        let d = &d;
-        let results: Vec<Result<ChatResponse>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|i| s.spawn(move || d.complete(&ChatRequest::simple(format!("p{i}")))))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        let answered = results.iter().filter(|r| r.is_ok()).count();
-        let failed = results.iter().filter(|r| r.is_err()).count();
-        assert!(answered >= 1, "{results:?}");
-        assert_eq!(answered + failed, 2, "no caller may hang: {results:?}");
-
-        // Batch path: the scatter must not panic or drop slots either.
+        // The backend answers one of two prompts: the scatter must neither
+        // panic nor drop the unanswered slot, and its flight must resolve.
+        let d = CoalescingDispatcher::new(ShortBatchBackend, None);
         let responses = d.complete_batch(&[ChatRequest::simple("a"), ChatRequest::simple("b")]);
         assert_eq!(responses.len(), 2);
         assert!(responses[0].is_ok());
@@ -870,7 +656,7 @@ mod tests {
 
     #[test]
     fn backend_panics_become_errors_not_hangs() {
-        let d = CoalescingDispatcher::new(PanickingBackend, windowed(0));
+        let d = CoalescingDispatcher::new(PanickingBackend, None);
         let err = d.complete(&ChatRequest::simple("p")).unwrap_err();
         assert!(err.to_string().contains("backend exploded"), "{err}");
         // The flight was cleaned up: a retry dispatches again (and errors
@@ -889,7 +675,7 @@ mod tests {
                 self.0.lock().unwrap().push(event);
             }
         }
-        let d = CoalescingDispatcher::new(EchoBackend::new(), windowed(0));
+        let d = CoalescingDispatcher::new(EchoBackend::new(), None);
         let collect = Arc::new(Collect(Mutex::new(Vec::new())));
         d.set_observer(collect.clone());
         d.complete(&ChatRequest::simple("one")).unwrap();
@@ -914,12 +700,7 @@ mod tests {
                 self.0.lock().unwrap().push(event);
             }
         }
-        let config = DispatcherConfig {
-            batch_window: Duration::ZERO,
-            rate_limit: Some(RateLimit::new(50.0, 1.0)),
-            ..DispatcherConfig::default()
-        };
-        let d = CoalescingDispatcher::new(EchoBackend::new(), config);
+        let d = CoalescingDispatcher::new(EchoBackend::new(), Some(RateLimit::new(50.0, 1.0)));
         let collect = Arc::new(Collect(Mutex::new(Vec::new())));
         d.set_observer(collect.clone());
         d.complete(&ChatRequest::simple("first")).unwrap();
@@ -930,10 +711,52 @@ mod tests {
     }
 
     #[test]
+    fn observer_fires_on_the_thread_that_sent_the_batch() {
+        // The contract the server's trace attribution rests on. Two callers
+        // tag their threads; the second arrives while the first's batch is
+        // held inside the backend, and shares one prompt with it. Each
+        // batch is observed on the thread that sent it, and the shared
+        // prompt rides only in the first caller's batch.
+        thread_local! {
+            static CALLER: std::cell::Cell<&'static str> = const { std::cell::Cell::new("none") };
+        }
+        struct ByCaller(Mutex<Vec<(&'static str, usize)>>);
+        impl DispatchObserver for ByCaller {
+            fn batch_dispatched(&self, event: BatchEvent) {
+                self.0.lock().unwrap().push((CALLER.with(|c| c.get()), event.batch_size));
+            }
+        }
+        let d = CoalescingDispatcher::new(GatedBackend::new(), None);
+        let seen = Arc::new(ByCaller(Mutex::new(Vec::new())));
+        d.set_observer(seen.clone());
+        let d = &d;
+        let call = |caller: &'static str, prompts: [&str; 2]| {
+            CALLER.with(|c| c.set(caller));
+            let requests = prompts.map(ChatRequest::simple);
+            d.complete_batch(&requests).into_iter().map(|r| r.unwrap().content).collect::<Vec<_>>()
+        };
+        let (first, second) = std::thread::scope(|s| {
+            let first = s.spawn(|| call("first", ["a", "b"]));
+            d.inner().wait_until(|| d.inner().entered.load(Ordering::Relaxed) >= 1);
+            let second = s.spawn(|| call("second", ["b", "c"]));
+            // The second call joins the first's "b" and sends "c" itself.
+            d.inner().wait_until(|| d.inner().entered.load(Ordering::Relaxed) >= 2);
+            d.inner().release.store(true, Ordering::Relaxed);
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert_eq!(first, ["echo: a", "echo: b"]);
+        assert_eq!(second, ["echo: b", "echo: c"]);
+        let mut events = seen.0.lock().unwrap().clone();
+        events.sort_unstable();
+        assert_eq!(events, [("first", 2), ("second", 1)]);
+        assert_eq!(d.stats().coalesced, 1);
+    }
+
+    #[test]
     fn sequential_identical_requests_are_not_memoised() {
         // The dispatcher is not a cache: once a flight's waiters have all
         // read, an identical later request dispatches again.
-        let d = CoalescingDispatcher::new(EchoBackend::new(), windowed(0));
+        let d = CoalescingDispatcher::new(EchoBackend::new(), None);
         d.complete(&ChatRequest::simple("again")).unwrap();
         d.complete(&ChatRequest::simple("again")).unwrap();
         assert_eq!(d.inner().calls.load(Ordering::Relaxed), 2);

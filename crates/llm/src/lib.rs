@@ -12,14 +12,16 @@
 //!   hit/miss accounting for repeat cleans,
 //! * [`dispatch`] — [`CoalescingDispatcher`], the request-shaping layer for
 //!   shared backends: single-flight merging of concurrent identical
-//!   prompts, batch windows over distinct ones, token-bucket rate limiting,
+//!   prompts and token-bucket rate limiting,
 //! * [`prompts`] — the prompt templates for all eight issue types, with the
 //!   string-outlier prompts reproducing the paper's Figures 2–3 verbatim,
 //! * [`json`] / [`yaml`] — from-scratch wire-format parsers tolerant of the
 //!   fences and sloppiness real models produce,
 //! * [`responses`] — typed response parsing for every step,
 //! * [`sim`] — [`SimLlm`], the deterministic semantic oracle that stands in
-//!   for Claude 3.5 offline (see DESIGN.md for the substitution argument),
+//!   for Claude 3.5 offline: the workspace has no network, and a
+//!   temperature-0 oracle makes every clean reproducible byte for byte
+//!   (README.md, opening section),
 //! * [`transcript`] — a recording wrapper for HIL reports and token
 //!   accounting.
 
@@ -41,8 +43,7 @@ pub use chat::{
     ChatModel, ChatRequest, ChatResponse, FailingLlm, Message, Role, ScriptedLlm, Usage,
 };
 pub use dispatch::{
-    BatchEvent, CoalescingDispatcher, DispatchObserver, DispatcherConfig, DispatcherStats,
-    RateLimit,
+    BatchEvent, CoalescingDispatcher, DispatchObserver, DispatcherStats, RateLimit,
 };
 pub use error::{LlmError, Result};
 pub use json::Json;

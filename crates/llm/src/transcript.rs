@@ -81,15 +81,9 @@ impl<M: ChatModel> ChatModel for Transcript<M> {
         self.inner.model_name()
     }
 
+    /// A one-prompt [`complete_batch`](ChatModel::complete_batch).
     fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-        self.round_trips.fetch_add(1, Ordering::Relaxed);
-        let response = self.inner.complete(request)?;
-        self.exchanges.lock().expect("exchanges lock").push(Exchange {
-            prompt: request.user_text(),
-            response: response.content.clone(),
-            usage: response.usage,
-        });
-        Ok(response)
+        self.complete_batch(std::slice::from_ref(request)).remove(0)
     }
 
     fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {

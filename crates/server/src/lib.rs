@@ -12,6 +12,8 @@
 //! | `POST /v1/jobs` | Submit the same payload asynchronously; returns a job id |
 //! | `GET /v1/jobs/{id}` | Poll: status, stage-by-stage progress, result when done (JSON report, or just the cleaned CSV via `Accept: text/csv`) |
 //! | `DELETE /v1/jobs/{id}` | Cancel a queued job / free a finished one |
+//! | `GET /v1/reviews` | Repairs withheld below the confidence threshold, awaiting a reviewer |
+//! | `POST /v1/reviews/{id}/accept` / `…/reject` | Apply / retire one withheld repair |
 //! | `GET /v1/datasets` | The benchmark catalog (paper Table 1 datasets) |
 //! | `GET /v1/metrics` | Request counters, work-queue and connection state (open/peak/reaped/partial writes), LLM cache hit/miss/eviction, dispatcher, job-store and review-queue state, and per-endpoint / per-stage latency percentiles |
 //! | `GET /metrics` | Every numeric `/v1/metrics` figure as one Prometheus series, plus the latency histograms, in text exposition format (only the model name and an unbounded cache capacity stay JSON-only) |
@@ -38,8 +40,9 @@
 //!   [`CachedLlm<CoalescingDispatcher<SimLlm>>`](server::SharedLlm):
 //!   repeat prompts replay from the LRU-bounded cache, concurrent
 //!   identical cold prompts single-flight (within and across batches),
-//!   distinct ones batch, and a token bucket bounds what the backend
-//!   sees. All of it is observable via `/v1/metrics`.
+//!   and a token bucket bounds what the backend sees. Each batch goes out
+//!   on the thread of the clean that asked for it, one per prompt wave.
+//!   All of it is observable via `/v1/metrics`.
 //! * [`metrics`] — the counters and the one list that declares every
 //!   exported figure (JSON path, Prometheus series, how it is read); both
 //!   metrics endpoints render that list.
@@ -50,7 +53,8 @@
 //!   crate: every request gets a monotonically-assigned id (echoed as
 //!   `X-Request-Id`) and a span tree from socket to LLM batch — head
 //!   parse, body/CSV stream, queue wait, handler, per-stage pipeline
-//!   timings, batch round-trips, response write. Latency lands in
+//!   timings, the round-trips of the LLM batches the request itself sent,
+//!   response write. Latency lands in
 //!   log-bucketed histograms per endpoint and per stage, exported as
 //!   percentiles on `/v1/metrics` and as Prometheus histograms on
 //!   `GET /metrics`; `--log-format json` adds a structured access log and

@@ -9,8 +9,8 @@
 //! body read / CSV stream, response write), the worker records queue wait
 //! and the handler, and two observer adapters fan pipeline internals into
 //! the same tree: [`StageSpanObserver`] turns `cocoon_core::StageTiming`
-//! into per-stage spans + histogram samples, and [`BatchFanout`] broadcasts
-//! `cocoon_llm::BatchEvent`s to every request currently inside a handler.
+//! into per-stage spans + histogram samples, and [`BatchFanout`] records
+//! each `cocoon_llm::BatchEvent` under the one request that sent the batch.
 //!
 //! All durations are recorded in **nanoseconds** and exported in
 //! microseconds (`/v1/metrics`) or seconds (`GET /metrics`), matching the
@@ -93,8 +93,17 @@ const RECENT_TRACES: usize = 64;
 
 /// The endpoint labels latency is bucketed under. `"other"` absorbs 404s
 /// and requests that failed before routing.
-pub const ENDPOINTS: [&str; 7] =
-    ["/v1/clean", "/v1/jobs", "/v1/jobs/{id}", "/v1/datasets", "/v1/metrics", "/metrics", "other"];
+pub const ENDPOINTS: [&str; 9] = [
+    "/v1/clean",
+    "/v1/jobs",
+    "/v1/jobs/{id}",
+    "/v1/reviews",
+    "/v1/reviews/{id}",
+    "/v1/datasets",
+    "/v1/metrics",
+    "/metrics",
+    "other",
+];
 
 /// The Prometheus `le` bucket bounds, in seconds.
 const PROM_BUCKETS_SECS: [f64; 10] = [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 2.5, 5.0, 10.0];
@@ -104,18 +113,20 @@ pub fn endpoint_label(path: &str) -> &'static str {
     match path {
         "/v1/clean" => "/v1/clean",
         "/v1/jobs" => "/v1/jobs",
+        "/v1/reviews" => "/v1/reviews",
         "/v1/datasets" => "/v1/datasets",
         "/v1/metrics" => "/v1/metrics",
         "/metrics" => "/metrics",
         p if p.starts_with("/v1/jobs/") => "/v1/jobs/{id}",
+        p if p.starts_with("/v1/reviews/") => "/v1/reviews/{id}",
         _ => "other",
     }
 }
 
 thread_local! {
     /// The trace of the request the current worker thread is handling,
-    /// with the handler span's index — how `AppState::run_clean` finds the
-    /// tree to hang stage and batch spans under without threading a
+    /// with the handler span's index — how the stage and batch observers
+    /// find the tree to hang their spans under without threading a
     /// parameter through every routing signature.
     static CURRENT_TRACE: RefCell<Option<(Arc<RequestTrace>, usize)>> = const { RefCell::new(None) };
 }
@@ -138,38 +149,27 @@ pub fn current_trace() -> Option<(Arc<RequestTrace>, usize)> {
     CURRENT_TRACE.with(|slot| slot.borrow().clone())
 }
 
-/// Broadcasts LLM batch round-trips to every request currently inside a
-/// handler. The dispatcher is process-wide, and one batch can carry (and
-/// coalesce) prompts from several concurrent requests, so batch events
-/// fan out to *all* active subscribers rather than to one owner; each
-/// event also lands in a shared `llm_batch` histogram.
+/// Fans each LLM batch round-trip out to its two sinks: the shared
+/// `llm_batch` histogram, which sees every batch, and an `llm_batch` span
+/// under the handler of the request that sent it.
+///
+/// The dispatcher fires its observer on the thread of the call that sent
+/// the batch (see [`DispatchObserver`]), and a clean sends its model calls
+/// from the thread running it, so the thread's [`current_trace`] is the
+/// sending request. A request whose prompts piggybacked on another
+/// request's flight sent no batch and records none; a job clean runs
+/// outside any request and feeds the histogram only.
 #[derive(Default)]
 pub struct BatchFanout {
-    subscribers: Mutex<Vec<(u64, Arc<RequestTrace>, usize)>>,
-    next_key: AtomicU64,
     /// Backend round-trip times (throttle sleep included), nanoseconds.
     pub latency: Histogram,
-}
-
-impl BatchFanout {
-    /// Subscribes a request for the duration of the returned guard; batch
-    /// events fired meanwhile are recorded as `llm_batch` spans under
-    /// `parent` in its trace.
-    pub fn subscribe(
-        self: &Arc<Self>,
-        trace: Arc<RequestTrace>,
-        parent: usize,
-    ) -> BatchSubscription {
-        let key = self.next_key.fetch_add(1, Ordering::Relaxed);
-        self.subscribers.lock().expect("fanout lock").push((key, trace, parent));
-        BatchSubscription { fanout: Arc::clone(self), key }
-    }
 }
 
 impl DispatchObserver for BatchFanout {
     fn batch_dispatched(&self, event: BatchEvent) {
         let total = event.rate_limit_wait + event.backend_elapsed;
         self.latency.record(total.as_nanos() as u64);
+        let Some((trace, parent)) = current_trace() else { return };
         let end = Instant::now();
         let start = end.checked_sub(total).unwrap_or(end);
         let attrs = vec![
@@ -178,21 +178,7 @@ impl DispatchObserver for BatchFanout {
             ("rate_limit_wait_us", event.rate_limit_wait.as_micros().to_string()),
             ("backend_us", event.backend_elapsed.as_micros().to_string()),
         ];
-        for (_, trace, parent) in self.subscribers.lock().expect("fanout lock").iter() {
-            trace.recorder.record_with_attrs("llm_batch", start, end, Some(*parent), attrs.clone());
-        }
-    }
-}
-
-/// Unsubscribes its request from the [`BatchFanout`] on drop.
-pub struct BatchSubscription {
-    fanout: Arc<BatchFanout>,
-    key: u64,
-}
-
-impl Drop for BatchSubscription {
-    fn drop(&mut self) {
-        self.fanout.subscribers.lock().expect("fanout lock").retain(|(key, _, _)| *key != self.key);
+        trace.recorder.record_with_attrs("llm_batch", start, end, Some(parent), attrs);
     }
 }
 
@@ -482,6 +468,9 @@ mod tests {
     fn endpoint_labels_normalise() {
         assert_eq!(endpoint_label("/v1/clean"), "/v1/clean");
         assert_eq!(endpoint_label("/v1/jobs/17"), "/v1/jobs/{id}");
+        assert_eq!(endpoint_label("/v1/reviews"), "/v1/reviews");
+        assert_eq!(endpoint_label("/v1/reviews/3/accept"), "/v1/reviews/{id}");
+        assert_eq!(endpoint_label("/v1/reviews/3/reject"), "/v1/reviews/{id}");
         assert_eq!(endpoint_label("/metrics"), "/metrics");
         assert_eq!(endpoint_label("/nope"), "other");
         for label in ENDPOINTS {
@@ -550,28 +539,41 @@ mod tests {
 
     #[test]
     fn batch_fanout_records_into_active_subscribers_only() {
+        // A batch lands only in the trace installed on the thread that sent
+        // it: not in another request open on another thread at the same
+        // time, and in no trace at all when sent outside any request (a job
+        // clean). The shared histogram sees every batch.
         let obs = Arc::new(ServerObs::new(LogFormat::Off, None));
-        let active = Arc::new(obs.begin_request(Instant::now()));
-        let parent = active.recorder.open("handler", Instant::now());
-        let idle = Arc::new(obs.begin_request(Instant::now()));
+        let sender = Arc::new(obs.begin_request(Instant::now()));
+        let parent = sender.recorder.open("handler", Instant::now());
+        let bystander = Arc::new(obs.begin_request(Instant::now()));
         let event = BatchEvent {
             batch_size: 3,
             coalesced_total: 1,
             rate_limit_wait: Duration::from_micros(10),
             backend_elapsed: Duration::from_micros(40),
         };
-        {
-            let _sub = obs.batches.subscribe(Arc::clone(&active), parent);
-            obs.batches.batch_dispatched(event.clone());
-        }
-        // After the guard drops the fanout no longer reaches the trace.
+        let in_handler = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                with_current_trace(Some((Arc::clone(&bystander), 0)), || {
+                    in_handler.wait();
+                    in_handler.wait();
+                })
+            });
+            in_handler.wait();
+            with_current_trace(Some((Arc::clone(&sender), parent)), || {
+                obs.batches.batch_dispatched(event.clone())
+            });
+            in_handler.wait();
+        });
         obs.batches.batch_dispatched(event);
-        let spans = active.recorder.finish();
+        let spans = sender.recorder.finish();
         let batches: Vec<_> = spans.iter().filter(|s| s.name == "llm_batch").collect();
-        assert_eq!(batches.len(), 1, "one span per event while subscribed");
+        assert_eq!(batches.len(), 1, "one span, for the batch this thread sent");
         assert_eq!(batches[0].parent, Some(parent));
         assert!(batches[0].attrs.iter().any(|(k, v)| *k == "batch_size" && v == "3"));
-        assert!(idle.recorder.is_empty(), "unsubscribed traces see nothing");
+        assert!(bystander.recorder.is_empty(), "another open request sees nothing");
         assert_eq!(obs.batches.latency.count(), 2, "the shared histogram sees every batch");
     }
 

@@ -26,7 +26,7 @@ use crate::metrics::{Counter, Metrics};
 use crate::obs::{self, LogFormat, ServerObs};
 use crate::reviews::ReviewStore;
 use cocoon_core::{AutoApprove, Cleaner, CleaningRun, RunProgress};
-use cocoon_llm::{CachedLlm, CoalescingDispatcher, DispatcherConfig, SimLlm};
+use cocoon_llm::{CachedLlm, CoalescingDispatcher, RateLimit, SimLlm};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{self, AssertUnwindSafe};
@@ -64,8 +64,9 @@ pub struct ServerConfig {
     /// Finished jobs expire this long after finishing (`None` = never;
     /// the retention cap still applies).
     pub job_ttl: Option<Duration>,
-    /// Policy of the shared LLM dispatcher.
-    pub dispatcher: DispatcherConfig,
+    /// Token-bucket limit on prompts the shared LLM dispatcher sends to
+    /// the backend (`None` = unthrottled).
+    pub rate_limit: Option<RateLimit>,
     /// Access-log rendering on stderr (`--log-format json|off`).
     pub log_format: LogFormat,
     /// Requests slower than this many milliseconds dump their full span
@@ -86,7 +87,7 @@ impl Default for ServerConfig {
             max_body: DEFAULT_MAX_BODY_BYTES,
             cache_capacity: Some(16 * 1024),
             job_ttl: Some(Duration::from_secs(900)),
-            dispatcher: DispatcherConfig::default(),
+            rate_limit: None,
             log_format: LogFormat::Off,
             slow_request_ms: None,
         }
@@ -135,9 +136,9 @@ impl AppState {
     /// unrecoverable as a poisoned lock, and treated the same way.
     pub fn new(config: &ServerConfig) -> Self {
         let obs = Arc::new(ServerObs::new(config.log_format, config.slow_request_ms));
-        let dispatcher = CoalescingDispatcher::new(SimLlm::new(), config.dispatcher);
-        // The fanout observer outlives every request; the dispatcher holds
-        // it for the process lifetime and requests subscribe per-clean.
+        let dispatcher = CoalescingDispatcher::new(SimLlm::new(), config.rate_limit);
+        // The fanout observer outlives every request; it records each batch
+        // under the request whose thread sent it.
         let batches: Arc<dyn cocoon_llm::DispatchObserver> = obs.batches.clone();
         dispatcher.set_observer(batches);
         let llm = match config.cache_capacity {
@@ -185,8 +186,9 @@ impl AppState {
     ///
     /// Every clean is observed: a [`cocoon_core::StageObserver`] feeds the
     /// shared per-stage latency histograms (and, for a clean running
-    /// inside a traced request, stage spans under the handler), and the
-    /// request — if any — subscribes to LLM batch events for the duration.
+    /// inside a traced request, stage spans under the handler). The clean
+    /// sends its model calls from this thread, so the LLM batches it sends
+    /// land under the same handler (see [`crate::obs::BatchFanout`]).
     ///
     /// Repairs the confidence threshold withheld are registered with the
     /// review store under `job` (the submitting job's id, `None` for the
@@ -211,8 +213,6 @@ impl AppState {
             }
         };
         progress.set_observer(self.obs.stage_observer());
-        let _batch_sub =
-            obs::current_trace().map(|(trace, parent)| self.obs.batches.subscribe(trace, parent));
         let run = cleaner.clean_observed(&payload.table, &mut hook, Some(progress))?;
         self.reviews.register(&run, job);
         Ok(run)

@@ -9,7 +9,7 @@
 //! See `docs/API.md` for the full endpoint/flag reference and the README
 //! "Serving" section for an overview.
 
-use cocoon_llm::{DispatcherConfig, RateLimit};
+use cocoon_llm::RateLimit;
 use cocoon_server::{Server, ServerConfig};
 use std::time::Duration;
 
@@ -36,8 +36,6 @@ FLAGS:
                           (default 16384; 0 = unbounded)
   --job-ttl-secs S        finished jobs expire S seconds after finishing
                           (default 900; 0 = never)
-  --batch-window-ms MS    LLM batch window    (default 2)
-  --max-batch N           LLM batch size cap  (default 64)
   --rate-limit RPS[:BURST]
                           token-bucket limit on prompts reaching the model
                           (default off; BURST defaults to RPS)
@@ -110,18 +108,7 @@ fn parse_flags() -> ServerConfig {
                     s => Some(Duration::from_secs(s)),
                 }
             }
-            "--batch-window-ms" => {
-                config.dispatcher.batch_window = Duration::from_millis(parse_num::<u64>(
-                    &value("--batch-window-ms"),
-                    "--batch-window-ms",
-                ))
-            }
-            "--max-batch" => {
-                config.dispatcher.max_batch = parse_num(&value("--max-batch"), "--max-batch")
-            }
-            "--rate-limit" => {
-                config.dispatcher.rate_limit = Some(parse_rate_limit(&value("--rate-limit")))
-            }
+            "--rate-limit" => config.rate_limit = Some(parse_rate_limit(&value("--rate-limit"))),
             "--log-format" => {
                 config.log_format = value("--log-format")
                     .parse()
@@ -161,7 +148,7 @@ fn parse_rate_limit(raw: &str) -> RateLimit {
 
 fn main() {
     let config = parse_flags();
-    let dispatcher: DispatcherConfig = config.dispatcher;
+    let rate_limit = config.rate_limit;
     let server = match Server::bind(config) {
         Ok(server) => server,
         Err(e) => fail(&format!("cannot bind: {e}")),
@@ -169,15 +156,13 @@ fn main() {
     let addr = server.local_addr().expect("bound listener has an address");
     println!("cocoon-serve listening on http://{addr}");
     println!(
-        "  dispatcher: batch window {:?}, max batch {}, rate limit {}",
-        dispatcher.batch_window,
-        dispatcher.max_batch,
-        match dispatcher.rate_limit {
+        "  dispatcher: rate limit {}",
+        match rate_limit {
             Some(limit) => format!("{}/s (burst {})", limit.per_sec, limit.burst),
             None => "off".to_string(),
         }
     );
-    println!("  endpoints: POST /v1/clean · POST /v1/jobs · GET|DELETE /v1/jobs/{{id}} · GET /v1/datasets · GET /v1/metrics · GET /metrics (prometheus)");
+    println!("  endpoints: POST /v1/clean · POST /v1/jobs · GET|DELETE /v1/jobs/{{id}} · GET /v1/reviews · POST /v1/reviews/{{id}}/accept|reject · GET /v1/datasets · GET /v1/metrics · GET /metrics (prometheus)");
     if let Err(e) = server.serve() {
         eprintln!("server stopped: {e}");
         std::process::exit(1);

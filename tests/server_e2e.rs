@@ -4,9 +4,10 @@
 //! lifecycle; and HTTP error statuses over a real socket.
 
 use cocoon_core::Cleaner;
-use cocoon_llm::{DispatcherConfig, Json, RateLimit, SimLlm};
+use cocoon_llm::{CachedLlm, Json, RateLimit, SimLlm, Transcript};
 use cocoon_server::{Counter, Server, ServerConfig, ServerHandle};
 use cocoon_table::csv;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -128,21 +129,16 @@ fn test_config() -> ServerConfig {
 
 #[test]
 fn concurrent_cleans_are_byte_identical_to_direct_runs() {
-    // A wide batch window plus a tight token bucket: concurrent identical
-    // prompts must single-flight, and dispatches must visibly wait. The
-    // bucket holds one token and refills one per 100 ms (10/s), so any
-    // dispatch that comes less than 100 ms after the one before it waits.
-    // The eight cleans make about 8 dispatches, at most a 25 ms batch
-    // window plus some compute apart (about 5 ms on average on a 2-vCPU
-    // host, under CPU load too). A run without a wait would need every one
-    // of those gaps to reach 100 ms. The waits cost up to 100 ms per
-    // dispatch after the first, about 0.7 s in all.
+    // A tight token bucket: concurrent identical prompts must
+    // single-flight, and dispatches must visibly wait. The bucket holds one
+    // token and refills one per 100 ms (10/s), so any dispatch that comes
+    // less than 100 ms after the one before it waits. The eight cleans make
+    // about 8 dispatches, some compute apart (about 5 ms on average on a
+    // 2-vCPU host, under CPU load too). A run without a wait would need
+    // every one of those gaps to reach 100 ms. The waits cost up to 100 ms
+    // per dispatch after the first, about 0.7 s in all.
     let mut config = test_config();
-    config.dispatcher = DispatcherConfig {
-        batch_window: Duration::from_millis(25),
-        rate_limit: Some(RateLimit::new(10.0, 1.0)),
-        ..DispatcherConfig::default()
-    };
+    config.rate_limit = Some(RateLimit::new(10.0, 1.0));
     let csv_text = messy_csv();
     let direct = Cleaner::new(SimLlm::new())
         .clean(&csv::read_str(&csv_text).expect("fixture parses"))
@@ -455,7 +451,7 @@ fn stalled_client_costs_no_worker_and_overload_is_refused() {
     config.idle_timeout = Duration::from_millis(600);
     // Burst 1 makes every prompt after the first wait ~500ms, so the
     // worker is demonstrably busy for the whole overload sequence.
-    config.dispatcher.rate_limit = Some(RateLimit::new(2.0, 1.0));
+    config.rate_limit = Some(RateLimit::new(2.0, 1.0));
     with_server(config, |handle| {
         let addr = handle.addr();
         let state = handle.state();
@@ -956,6 +952,16 @@ fn ten_thousand_idle_connections_served_alongside_live_traffic() {
     });
 }
 
+/// The `X-Request-Id` a raw response echoes.
+fn request_id_of(raw: &str) -> u64 {
+    raw.lines()
+        .find_map(|l| l.strip_prefix("X-Request-Id: "))
+        .unwrap_or_else(|| panic!("no X-Request-Id in {raw:.300}"))
+        .trim()
+        .parse()
+        .expect("id parses")
+}
+
 /// Raw HTTP exchange returning the full response text (head + body) so
 /// tests can inspect response headers.
 fn http_raw(addr: SocketAddr, method: &str, path: &str, body: Option<&str>) -> String {
@@ -1027,16 +1033,8 @@ fn request_ids_echo_and_prometheus_metrics_parse() {
         assert_eq!(status, 200);
 
         // Every response echoes its trace id, and ids are monotonic.
-        let id_of = |raw: &str| -> u64 {
-            raw.lines()
-                .find_map(|l| l.strip_prefix("X-Request-Id: "))
-                .unwrap_or_else(|| panic!("no X-Request-Id in {raw:.300}"))
-                .trim()
-                .parse()
-                .expect("id parses")
-        };
-        let first = id_of(&http_raw(addr, "GET", "/v1/metrics", None));
-        let second = id_of(&http_raw(addr, "GET", "/v1/metrics", None));
+        let first = request_id_of(&http_raw(addr, "GET", "/v1/metrics", None));
+        let second = request_id_of(&http_raw(addr, "GET", "/v1/metrics", None));
         assert!(second > first, "request ids are monotonic: {first} then {second}");
 
         // `/v1/metrics` grew a latency section with endpoint and stage
@@ -1117,6 +1115,104 @@ fn slow_streamed_clean_span_tree_accounts_for_wall_time() {
         for attr in ["batch_size", "coalesced_total", "rate_limit_wait_us", "backend_us"] {
             assert!(batch.attrs.iter().any(|(k, _)| *k == attr), "batch attr {attr}");
         }
+    });
+}
+
+/// [`messy_csv`] with every column renamed: the same cleaning work, asked
+/// in prompts that name other columns.
+fn renamed_messy_csv() -> String {
+    let text = messy_csv();
+    let (header, rows) = text.split_once('\n').expect("header line");
+    let renamed: Vec<String> = header.split(',').map(|name| format!("{name}_copy")).collect();
+    format!("{}\n{rows}", renamed.join(","))
+}
+
+/// The model batches a library clean of `csv_text` sends past an empty
+/// cache (a `Transcript` below a fresh `CachedLlm`), and the prompts they
+/// carried.
+fn cold_batches(csv_text: &str) -> (usize, HashSet<String>) {
+    let cleaner = Cleaner::new(CachedLlm::new(Transcript::new(SimLlm::new())));
+    cleaner.clean(&csv::read_str(csv_text).expect("fixture parses")).expect("direct clean");
+    let transcript = cleaner.llm().inner();
+    (transcript.round_trips(), transcript.exchanges().into_iter().map(|e| e.prompt).collect())
+}
+
+/// The `llm_batch` spans of every finished trace, by request id.
+fn batch_spans_by_request(handle: &ServerHandle) -> HashMap<u64, usize> {
+    let traces = handle.state().obs.recent_traces();
+    traces
+        .iter()
+        .map(|t| (t.id, t.spans.iter().filter(|s| s.name == "llm_batch").count()))
+        .collect()
+}
+
+/// Status and echoed request id of a raw `POST /v1/clean` exchange.
+fn traced_clean(addr: SocketAddr, csv_text: &str) -> (u16, u64) {
+    let raw = http_raw(addr, "POST", "/v1/clean", Some(&clean_body(csv_text)));
+    let status = raw.split_whitespace().nth(1).and_then(|s| s.parse().ok());
+    (status.unwrap_or_else(|| panic!("no status line in {raw:.300}")), request_id_of(&raw))
+}
+
+#[test]
+fn concurrent_requests_trace_only_the_batches_they_sent() {
+    // A request's trace holds exactly the LLM batches its own clean sent:
+    // as many as a library clean of its table sends past an empty cache.
+    // The two tables share no prompt, so neither clean can piggyback on
+    // the other's flights or replay its cache entries, and the rate limit
+    // stretches both cleans so that they overlap.
+    let tables = [messy_csv(), renamed_messy_csv()];
+    let (first_batches, first_prompts) = cold_batches(&tables[0]);
+    let (second_batches, second_prompts) = cold_batches(&tables[1]);
+    assert!(first_prompts.is_disjoint(&second_prompts), "the two tables share a prompt");
+    let expected = [first_batches, second_batches];
+    let mut config = test_config();
+    config.rate_limit = Some(RateLimit::new(50.0, 1.0));
+    let dispatched = |handle: &ServerHandle| handle.state().llm.inner().stats().batches;
+
+    // Two synchronous cleans side by side.
+    with_server(config.clone(), |handle| {
+        let addr = handle.addr();
+        let ids: Vec<u64> = std::thread::scope(|scope| {
+            let clients: Vec<_> =
+                tables.iter().map(|table| scope.spawn(move || traced_clean(addr, table))).collect();
+            clients
+                .into_iter()
+                .map(|client| {
+                    let (status, id) = client.join().expect("client");
+                    assert_eq!(status, 200);
+                    id
+                })
+                .collect()
+        });
+        let spans = batch_spans_by_request(handle);
+        let traced: Vec<usize> = ids.iter().map(|id| spans[id]).collect();
+        assert_eq!(traced, expected, "each clean's trace holds only the batches it sent");
+        assert_eq!(traced.iter().sum::<usize>(), dispatched(handle), "every batch traced once");
+    });
+
+    // A synchronous clean beside a job clean: the job runs outside any
+    // request, so its batches land in no trace.
+    with_server(config, |handle| {
+        let addr = handle.addr();
+        let (status, submitted) = http(addr, "POST", "/v1/jobs", Some(&clean_body(&tables[1])));
+        assert_eq!(status, 202, "{submitted}");
+        let job = cocoon_llm::json::parse(&submitted)
+            .ok()
+            .and_then(|json| json.get("id").and_then(Json::as_f64))
+            .unwrap_or_else(|| panic!("no job id in {submitted}")) as u64;
+        let (status, sync_id) = traced_clean(addr, &tables[0]);
+        assert_eq!(status, 200);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while handle.state().jobs.view(job).map(|view| view.status)
+            != Some(cocoon_server::JobStatus::Done)
+        {
+            assert!(Instant::now() < deadline, "job {job} did not finish");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let spans = batch_spans_by_request(handle);
+        assert_eq!(spans[&sync_id], expected[0], "the sync clean's trace holds its own batches");
+        assert_eq!(spans.values().sum::<usize>(), expected[0], "no other trace holds a batch");
+        assert_eq!(dispatched(handle), expected[0] + expected[1]);
     });
 }
 
