@@ -407,10 +407,6 @@ mod tests {
             "mapping-calls"
         }
 
-        fn complete(&self, request: &ChatRequest) -> cocoon_llm::Result<ChatResponse> {
-            self.complete_batch(std::slice::from_ref(request)).remove(0)
-        }
-
         fn complete_batch(
             &self,
             requests: &[ChatRequest],

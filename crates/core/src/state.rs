@@ -47,7 +47,7 @@ use crate::error::{CoreError, Result};
 use crate::ops::CleaningOp;
 use crate::progress::RunProgress;
 use cocoon_llm::responses::parse_repair_verdict;
-use cocoon_llm::{prompts, ChatModel, ChatRequest, LlmError};
+use cocoon_llm::{one_per_request, prompts, ChatModel, ChatRequest};
 use cocoon_profile::ColumnCensus;
 use cocoon_sql::render_select;
 use cocoon_table::{Column as TableColumn, DataType, Table};
@@ -385,16 +385,14 @@ impl<'a> PipelineState<'a> {
     }
 
     /// Sends `prompts` to the model as one [`ChatModel::complete_batch`]
-    /// call and returns one answer per prompt, in prompt order. A model that
-    /// answers short fails the missing slots.
+    /// call and returns one answer per prompt, in prompt order
+    /// ([`one_per_request`]: a model that answers short fails the missing
+    /// slots).
     pub(crate) fn ask_all(&self, prompts: Vec<String>) -> Answers {
         let requests: Vec<ChatRequest> = prompts.into_iter().map(ChatRequest::simple).collect();
-        let mut answers = self.llm.complete_batch(&requests).into_iter();
-        (0..requests.len())
-            .map(|_| match answers.next() {
-                Some(answer) => Ok(answer?.content),
-                None => Err(LlmError::Empty.into()),
-            })
+        one_per_request(self.llm.complete_batch(&requests), requests.len())
+            .into_iter()
+            .map(|answer| Ok(answer?.content))
             .collect()
     }
 
@@ -530,7 +528,7 @@ fn sampled_for_verification(op: &CleaningOp) -> bool {
 mod tests {
     use super::*;
     use crate::decision::AutoApprove;
-    use cocoon_llm::{ChatResponse, SimLlm};
+    use cocoon_llm::{ChatResponse, LlmError, SimLlm};
 
     fn table() -> Table {
         let rows: Vec<Vec<String>> = vec![vec!["a".into()], vec!["a".into()], vec!["b".into()]];
@@ -610,20 +608,19 @@ mod tests {
             "echo"
         }
 
-        fn complete(&self, request: &ChatRequest) -> cocoon_llm::Result<ChatResponse> {
-            let text = request.user_text();
-            if text.contains("bad") {
-                return Err(LlmError::Completion(format!("refused {text}")));
-            }
-            Ok(ChatResponse { content: text, usage: Default::default() })
-        }
-
         fn complete_batch(
             &self,
             requests: &[ChatRequest],
         ) -> Vec<cocoon_llm::Result<ChatResponse>> {
+            let answer = |request: &ChatRequest| {
+                let text = request.user_text();
+                if text.contains("bad") {
+                    return Err(LlmError::Completion(format!("refused {text}")));
+                }
+                Ok(ChatResponse { content: text, usage: Default::default() })
+            };
             self.0.lock().unwrap().push(requests.iter().map(ChatRequest::user_text).collect());
-            requests.iter().map(|r| self.complete(r)).collect()
+            requests.iter().map(answer).collect()
         }
     }
 
@@ -753,10 +750,6 @@ mod tests {
     impl ChatModel for Batches {
         fn model_name(&self) -> &str {
             "batches"
-        }
-
-        fn complete(&self, request: &ChatRequest) -> cocoon_llm::Result<ChatResponse> {
-            self.complete_batch(std::slice::from_ref(request)).remove(0)
         }
 
         fn complete_batch(

@@ -12,7 +12,7 @@
 //! recently *used* one on overflow — a hit refreshes an entry's recency, so
 //! a steady working set survives one-off prompts churning past it.
 
-use crate::chat::{ChatModel, ChatRequest, ChatResponse};
+use crate::chat::{one_per_request, ChatModel, ChatRequest, ChatResponse};
 use crate::error::Result;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -205,11 +205,6 @@ impl<M: ChatModel> ChatModel for CachedLlm<M> {
         self.inner.model_name()
     }
 
-    /// A one-prompt [`complete_batch`](ChatModel::complete_batch).
-    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-        self.complete_batch(std::slice::from_ref(request)).remove(0)
-    }
-
     fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
         // Serve hits up front, then hand the inner model one batch holding
         // only the misses, in request order.
@@ -229,7 +224,8 @@ impl<M: ChatModel> ChatModel for CachedLlm<M> {
             self.misses.fetch_add(miss_indices.len(), Ordering::Relaxed);
             let miss_requests: Vec<ChatRequest> =
                 miss_indices.iter().map(|&i| requests[i].clone()).collect();
-            let responses = self.inner.complete_batch(&miss_requests);
+            let responses =
+                one_per_request(self.inner.complete_batch(&miss_requests), miss_indices.len());
             for (&i, response) in miss_indices.iter().zip(responses) {
                 if let Ok(response) = &response {
                     self.store(keys[i], response);
@@ -237,7 +233,7 @@ impl<M: ChatModel> ChatModel for CachedLlm<M> {
                 out[i] = Some(response);
             }
         }
-        out.into_iter().map(|r| r.expect("every slot filled")).collect()
+        out.into_iter().map(|r| r.expect("hits and fitted misses fill every slot")).collect()
     }
 }
 

@@ -2,9 +2,13 @@
 //!
 //! The original Cocoon "supports LLM APIs from Anthropic, Azure, Bedrock,
 //! VertexAI, and OpenAI" (§2.2). This crate models that boundary as the
-//! [`ChatModel`] trait; the production implementation in this offline
-//! reproduction is [`crate::sim::SimLlm`], and tests use [`ScriptedLlm`] /
-//! [`FailingLlm`] for failure injection.
+//! [`ChatModel`] trait, whose one completion method to implement is
+//! [`ChatModel::complete_batch`]: a provider client answers a list of
+//! prompts, and a single prompt is a one-prompt batch. [`one_per_request`]
+//! holds every layer that pairs answers with prompts to one answer per
+//! prompt. The production implementation in this offline reproduction is
+//! [`crate::sim::SimLlm`], and tests use [`ScriptedLlm`] / [`FailingLlm`]
+//! for failure injection.
 
 use crate::error::{LlmError, Result};
 use std::sync::Mutex;
@@ -126,50 +130,46 @@ pub trait ChatModel: Send + Sync {
     /// Model identifier for reports (e.g. `"sim-claude-3.5"`).
     fn model_name(&self) -> &str;
 
-    /// Completes a chat request.
-    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse>;
+    /// Completes a batch of requests: one result per request, in request
+    /// order. A backend may answer the prompts however it likes (one
+    /// pipelined request to a hosted API, scoped workers, a cache that
+    /// forwards only its misses). Callers that read the answers by slot
+    /// fit them with [`one_per_request`], so a backend that answers short
+    /// fails the missing slots instead of shifting or panicking them.
+    fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>>;
 
-    /// Completes a batch of requests, one result per request, in order.
-    ///
-    /// The default answers sequentially — the deterministic baseline every
-    /// implementation must match result-for-result. Backends that can
-    /// amortise (a hosted API with request pipelining, a cache wrapper
-    /// that partitions hits from misses) override this; callers hand the
-    /// whole prompt set of a pipeline step to one call so such backends
-    /// get the full batch at once.
-    fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
-        requests.iter().map(|r| self.complete(r)).collect()
+    /// Completes one request: a one-prompt
+    /// [`complete_batch`](Self::complete_batch).
+    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
+        let mut answers = one_per_request(self.complete_batch(std::slice::from_ref(request)), 1);
+        answers.pop().expect("one_per_request fits the answers to one slot")
     }
+}
+
+/// Fits a backend's answers to the `requests` it was asked: exactly one
+/// result per request, in request order. A slot the backend left
+/// unanswered fails with [`LlmError::Completion`]; answers beyond the
+/// request count are dropped. Every layer that pairs answers with prompts
+/// goes through here, so a misbehaving backend costs only its missing
+/// slots.
+pub fn one_per_request(
+    mut answers: Vec<Result<ChatResponse>>,
+    requests: usize,
+) -> Vec<Result<ChatResponse>> {
+    answers.truncate(requests);
+    answers.resize_with(requests, || {
+        Err(LlmError::Completion("backend returned fewer responses than requests".into()))
+    });
+    answers
 }
 
 /// A shared reference is itself a model: lets long-lived services hand one
 /// process-wide model (cache, dispatcher) to many [`Cleaner`]s by reference.
-/// Forwards `complete_batch` so wrapper batching is not lost.
 ///
 /// [`Cleaner`]: ../cocoon_core/struct.Cleaner.html
 impl<M: ChatModel + ?Sized> ChatModel for &M {
     fn model_name(&self) -> &str {
         (**self).model_name()
-    }
-
-    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-        (**self).complete(request)
-    }
-
-    fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
-        (**self).complete_batch(requests)
-    }
-}
-
-/// `Arc<M>` is a model too — the ownership shape of a server whose request
-/// handlers outlive any one borrow.
-impl<M: ChatModel + ?Sized> ChatModel for std::sync::Arc<M> {
-    fn model_name(&self) -> &str {
-        (**self).model_name()
-    }
-
-    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-        (**self).complete(request)
     }
 
     fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
@@ -205,14 +205,9 @@ impl ScriptedLlm {
     pub fn prompts_seen(&self) -> Vec<String> {
         self.calls.lock().expect("calls lock").clone()
     }
-}
 
-impl ChatModel for ScriptedLlm {
-    fn model_name(&self) -> &str {
-        "scripted"
-    }
-
-    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
+    /// Pops the next scripted answer for `request`.
+    fn answer(&self, request: &ChatRequest) -> Result<ChatResponse> {
         self.calls.lock().expect("calls lock").push(request.user_text());
         let mut responses = self.responses.lock().expect("responses lock");
         let content = responses.pop_front().ok_or(LlmError::Empty)?;
@@ -224,6 +219,16 @@ impl ChatModel for ScriptedLlm {
     }
 }
 
+impl ChatModel for ScriptedLlm {
+    fn model_name(&self) -> &str {
+        "scripted"
+    }
+
+    fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
+        requests.iter().map(|request| self.answer(request)).collect()
+    }
+}
+
 /// Always fails — models a dead endpoint.
 pub struct FailingLlm;
 
@@ -232,8 +237,9 @@ impl ChatModel for FailingLlm {
         "failing"
     }
 
-    fn complete(&self, _request: &ChatRequest) -> Result<ChatResponse> {
-        Err(LlmError::Completion("simulated endpoint failure".into()))
+    fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
+        let failure = LlmError::Completion("simulated endpoint failure".into());
+        requests.iter().map(|_| Err(failure.clone())).collect()
     }
 }
 
@@ -305,20 +311,30 @@ mod tests {
     }
 
     #[test]
-    fn references_and_arcs_are_models() {
+    fn references_are_models() {
         fn takes_model<M: ChatModel>(m: M) -> String {
             m.model_name().to_string()
         }
         let llm = ScriptedLlm::new(["a"]);
         assert_eq!(takes_model(&llm), "scripted");
-        let shared = std::sync::Arc::new(llm);
-        assert_eq!(takes_model(std::sync::Arc::clone(&shared)), "scripted");
-        // Batch calls forward through the blanket `&M` impl, not the
-        // sequential default.
-        let by_ref: &ScriptedLlm = &shared;
+        let by_ref: &ScriptedLlm = &llm;
         let responses =
             <&ScriptedLlm as ChatModel>::complete_batch(&by_ref, &[ChatRequest::simple("x")]);
         assert_eq!(responses[0].as_ref().unwrap().content, "a");
+    }
+
+    #[test]
+    fn answers_are_fitted_to_one_per_request() {
+        let answer =
+            |text: &str| Ok(ChatResponse { content: text.into(), usage: Usage::default() });
+        let missing =
+            Err(LlmError::Completion("backend returned fewer responses than requests".into()));
+        assert_eq!(one_per_request(vec![answer("a")], 3), [answer("a"), missing.clone(), missing]);
+        assert_eq!(
+            one_per_request(vec![answer("a"), answer("b"), answer("c")], 2),
+            [answer("a"), answer("b")]
+        );
+        assert!(one_per_request(vec![answer("a")], 0).is_empty());
     }
 
     #[test]

@@ -22,15 +22,14 @@
 //! There is one dispatch path: a call sends the prompts it registered
 //! first as one backend `complete_batch`, on its own thread, right away —
 //! callers already hand the model a whole prompt wave per call, so there
-//! is nothing left to merge by waiting. [`complete`](ChatModel::complete)
-//! is a one-prompt batch.
+//! is nothing left to merge by waiting.
 //!
 //! The dispatcher deliberately does **not** memoise finished answers — that
 //! is [`crate::CachedLlm`]'s job; stack them as
 //! `CachedLlm::new(CoalescingDispatcher::new(backend, rate_limit))` so
 //! repeats hit the cache and only genuine cold misses reach the dispatcher.
 
-use crate::chat::{ChatModel, ChatRequest, ChatResponse};
+use crate::chat::{one_per_request, ChatModel, ChatRequest, ChatResponse};
 use crate::error::{LlmError, Result};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -56,11 +55,12 @@ pub struct BatchEvent {
 /// [`CoalescingDispatcher::set_observer`].
 ///
 /// The thread contract: the observer fires on the thread of the
-/// `complete` / `complete_batch` call that sent the batch, before that call
-/// returns and before any caller waiting on the batch's prompts wakes. A
-/// batch carries only prompts that call registered first, so a thread-local
-/// the caller set (the server's current request trace) names the one
-/// caller that sent it. Implementations must be `Send + Sync` and cheap.
+/// `complete_batch` call that sent the batch (a `complete` is a one-prompt
+/// `complete_batch`), before that call returns and before any caller
+/// waiting on the batch's prompts wakes. A batch carries only prompts that
+/// call registered first, so a thread-local the caller set (the server's
+/// current request trace) names the one caller that sent it.
+/// Implementations must be `Send + Sync` and cheap.
 pub trait DispatchObserver: Send + Sync {
     /// Called once per backend `complete_batch` call.
     fn batch_dispatched(&self, event: BatchEvent);
@@ -247,12 +247,6 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
         result
     }
 
-    /// The error published for slots a misbehaving backend left unanswered
-    /// — every flight must resolve, or its waiters block forever.
-    fn short_batch_error() -> LlmError {
-        LlmError::Completion("backend returned fewer responses than requests".into())
-    }
-
     /// Runs the backend batch with a panic guard: a panicking backend
     /// becomes per-request errors instead of unwinding the dispatching
     /// call and stranding every waiter (present and future) on unresolved
@@ -276,14 +270,14 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
 
     /// Sends the flights a call owns to the backend as one batch
     /// (throttled), tells the observer, then publishes each result to its
-    /// flight. A backend that returns fewer responses than requests (the
-    /// trait cannot enforce the length) fails the unanswered tail instead
-    /// of stranding its waiters.
+    /// flight. Every flight must resolve, or its waiters block forever, so
+    /// the answers are fitted with [`one_per_request`]: a backend that
+    /// answers short fails the unanswered slots.
     fn dispatch(&self, batch: &[(u64, &ChatRequest)]) {
         let rate_limit_wait = self.throttle(batch.len());
         let requests: Vec<ChatRequest> = batch.iter().map(|(_, r)| (*r).clone()).collect();
         let backend_started = Instant::now();
-        let mut responses = self.guarded_batch(&requests).into_iter();
+        let responses = one_per_request(self.guarded_batch(&requests), batch.len());
         let backend_elapsed = backend_started.elapsed();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.batched_prompts.fetch_add(batch.len(), Ordering::Relaxed);
@@ -297,8 +291,7 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
             });
         }
         let mut flights = self.flights.lock().expect("dispatch lock");
-        for (key, _) in batch {
-            let response = responses.next().unwrap_or_else(|| Err(Self::short_batch_error()));
+        for ((key, _), response) in batch.iter().zip(responses) {
             if let Some(flight) = flights.get_mut(key) {
                 flight.result = Some(response);
             }
@@ -311,11 +304,6 @@ impl<M: ChatModel> CoalescingDispatcher<M> {
 impl<M: ChatModel> ChatModel for CoalescingDispatcher<M> {
     fn model_name(&self) -> &str {
         self.inner.model_name()
-    }
-
-    /// A one-prompt [`complete_batch`](ChatModel::complete_batch).
-    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-        self.complete_batch(std::slice::from_ref(request)).remove(0)
     }
 
     /// Dedupes identical prompts within the batch (each duplicate counts as
@@ -389,13 +377,20 @@ mod tests {
     /// each prompt deterministically by echoing it.
     struct EchoBackend {
         batch_sizes: Mutex<Vec<usize>>,
-        calls: AtomicUsize,
     }
 
     impl EchoBackend {
         fn new() -> Self {
-            EchoBackend { batch_sizes: Mutex::new(Vec::new()), calls: AtomicUsize::new(0) }
+            EchoBackend { batch_sizes: Mutex::new(Vec::new()) }
         }
+    }
+
+    /// The answer the echoing test backends give each prompt.
+    fn echo(request: &ChatRequest) -> Result<ChatResponse> {
+        Ok(ChatResponse {
+            content: format!("echo: {}", request.user_text()),
+            usage: Default::default(),
+        })
     }
 
     impl ChatModel for EchoBackend {
@@ -403,17 +398,9 @@ mod tests {
             "echo"
         }
 
-        fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            Ok(ChatResponse {
-                content: format!("echo: {}", request.user_text()),
-                usage: Default::default(),
-            })
-        }
-
         fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
             self.batch_sizes.lock().unwrap().push(requests.len());
-            requests.iter().map(|r| self.complete(r)).collect()
+            requests.iter().map(echo).collect()
         }
     }
 
@@ -497,18 +484,11 @@ mod tests {
             "gated"
         }
 
-        fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-            Ok(ChatResponse {
-                content: format!("echo: {}", request.user_text()),
-                usage: Default::default(),
-            })
-        }
-
         fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
             self.entered.fetch_add(1, Ordering::Relaxed);
             self.wait_until(|| self.release.load(Ordering::Relaxed));
             self.batch_sizes.lock().unwrap().push(requests.len());
-            requests.iter().map(|r| self.complete(r)).collect()
+            requests.iter().map(echo).collect()
         }
     }
 
@@ -617,12 +597,8 @@ mod tests {
             "short"
         }
 
-        fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-            Ok(ChatResponse { content: request.user_text(), usage: Default::default() })
-        }
-
         fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
-            requests.iter().take(1).map(|r| self.complete(r)).collect()
+            requests.iter().take(1).map(echo).collect()
         }
     }
 
@@ -643,10 +619,6 @@ mod tests {
     impl ChatModel for PanickingBackend {
         fn model_name(&self) -> &str {
             "panicking"
-        }
-
-        fn complete(&self, _request: &ChatRequest) -> Result<ChatResponse> {
-            panic!("backend exploded");
         }
 
         fn complete_batch(&self, _requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
@@ -759,7 +731,7 @@ mod tests {
         let d = CoalescingDispatcher::new(EchoBackend::new(), None);
         d.complete(&ChatRequest::simple("again")).unwrap();
         d.complete(&ChatRequest::simple("again")).unwrap();
-        assert_eq!(d.inner().calls.load(Ordering::Relaxed), 2);
+        assert_eq!(d.inner().batch_sizes.lock().unwrap().as_slice(), &[1, 1]);
         assert_eq!(d.stats().coalesced, 0);
     }
 }

@@ -7,7 +7,9 @@
 //! models that boundary:
 //!
 //! * [`chat`] — the provider-agnostic, thread-safe [`ChatModel`] trait
-//!   (single and batched completion) plus scripted and failing test doubles,
+//!   (one completion method to implement, `complete_batch`; `complete` is
+//!   a one-prompt batch), [`one_per_request`], which holds every layer to
+//!   one answer per prompt, and scripted and failing test doubles,
 //! * [`cache`] — [`CachedLlm`], a prompt-hash-keyed completion cache with
 //!   hit/miss accounting for repeat cleans,
 //! * [`dispatch`] — [`CoalescingDispatcher`], the request-shaping layer for
@@ -40,7 +42,8 @@ pub mod yaml;
 
 pub use cache::CachedLlm;
 pub use chat::{
-    ChatModel, ChatRequest, ChatResponse, FailingLlm, Message, Role, ScriptedLlm, Usage,
+    one_per_request, ChatModel, ChatRequest, ChatResponse, FailingLlm, Message, Role, ScriptedLlm,
+    Usage,
 };
 pub use dispatch::{
     BatchEvent, CoalescingDispatcher, DispatchObserver, DispatcherStats, RateLimit,

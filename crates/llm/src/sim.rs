@@ -33,49 +33,47 @@ impl SimLlm {
     }
 }
 
+/// The oracle's answer to one prompt.
+fn answer(request: &ChatRequest) -> Result<ChatResponse> {
+    let prompt = request.user_text();
+    let ctx = parse_context(&prompt).ok_or(LlmError::Malformed {
+        expected: "context block",
+        detail: "prompt carries no machine-readable context".into(),
+    })?;
+    let task_name = ctx
+        .get("task")
+        .and_then(Json::as_str)
+        .ok_or(LlmError::Malformed { expected: "task tag", detail: ctx.to_string() })?
+        .to_string();
+    let content = match task_name.as_str() {
+        task::STRING_OUTLIERS_DETECT => answer_string_detect(&ctx),
+        task::STRING_OUTLIERS_CLEAN => answer_string_clean(&ctx),
+        task::PATTERN_REVIEW => answer_pattern_review(&ctx),
+        task::DMV_DETECT => answer_dmv(&ctx),
+        task::COLUMN_TYPE => answer_column_type(&ctx),
+        task::NUMERIC_RANGE => answer_numeric_range(&ctx),
+        task::FD_REVIEW => answer_fd_review(&ctx),
+        task::FD_MAPPING => answer_fd_mapping(&ctx),
+        task::DUPLICATION_REVIEW => answer_duplication(&ctx),
+        task::UNIQUENESS_REVIEW => answer_uniqueness(&ctx),
+        task::NUMERIC_CONVERSION => answer_numeric_conversion(&ctx),
+        task::REPAIR_VERIFY => answer_repair_verify(&ctx),
+        other => {
+            return Err(LlmError::Malformed { expected: "known task", detail: other.to_string() })
+        }
+    };
+    Ok(ChatResponse {
+        usage: Usage {
+            prompt_tokens: Usage::estimate(&prompt),
+            completion_tokens: Usage::estimate(&content),
+        },
+        content,
+    })
+}
+
 impl ChatModel for SimLlm {
     fn model_name(&self) -> &str {
         "sim-claude-3.5"
-    }
-
-    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-        let prompt = request.user_text();
-        let ctx = parse_context(&prompt).ok_or(LlmError::Malformed {
-            expected: "context block",
-            detail: "prompt carries no machine-readable context".into(),
-        })?;
-        let task_name = ctx
-            .get("task")
-            .and_then(Json::as_str)
-            .ok_or(LlmError::Malformed { expected: "task tag", detail: ctx.to_string() })?
-            .to_string();
-        let content = match task_name.as_str() {
-            task::STRING_OUTLIERS_DETECT => answer_string_detect(&ctx),
-            task::STRING_OUTLIERS_CLEAN => answer_string_clean(&ctx),
-            task::PATTERN_REVIEW => answer_pattern_review(&ctx),
-            task::DMV_DETECT => answer_dmv(&ctx),
-            task::COLUMN_TYPE => answer_column_type(&ctx),
-            task::NUMERIC_RANGE => answer_numeric_range(&ctx),
-            task::FD_REVIEW => answer_fd_review(&ctx),
-            task::FD_MAPPING => answer_fd_mapping(&ctx),
-            task::DUPLICATION_REVIEW => answer_duplication(&ctx),
-            task::UNIQUENESS_REVIEW => answer_uniqueness(&ctx),
-            task::NUMERIC_CONVERSION => answer_numeric_conversion(&ctx),
-            task::REPAIR_VERIFY => answer_repair_verify(&ctx),
-            other => {
-                return Err(LlmError::Malformed {
-                    expected: "known task",
-                    detail: other.to_string(),
-                })
-            }
-        };
-        Ok(ChatResponse {
-            usage: Usage {
-                prompt_tokens: Usage::estimate(&prompt),
-                completion_tokens: Usage::estimate(&content),
-            },
-            content,
-        })
     }
 
     /// Answers a batch on scoped workers, one per available core: each
@@ -83,13 +81,13 @@ impl ChatModel for SimLlm {
     /// (the oracle's work grows with the values a prompt carries, so a
     /// long prompt claimed last would leave the other workers idle), and
     /// the answers come back in request order. The oracle is stateless, so
-    /// this equals [`complete`](ChatModel::complete) on every prompt, slot
-    /// for slot.
+    /// every slot holds the same answer at any worker count, and a batch
+    /// equals its prompts asked one at a time.
     fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let workers = cores.min(requests.len());
         if workers <= 1 {
-            return requests.iter().map(|r| self.complete(r)).collect();
+            return requests.iter().map(answer).collect();
         }
         let mut order: Vec<usize> = (0..requests.len()).collect();
         order.sort_by_key(|&i| {
@@ -99,7 +97,7 @@ impl ChatModel for SimLlm {
         let claim = || {
             let mut answered = Vec::new();
             while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
-                answered.push((i, self.complete(&requests[i])));
+                answered.push((i, answer(&requests[i])));
             }
             answered
         };

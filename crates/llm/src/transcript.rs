@@ -5,7 +5,7 @@
 //! can replay what the model was asked and answered, and so benches can
 //! account token usage and model round trips.
 
-use crate::chat::{ChatModel, ChatRequest, ChatResponse, Usage};
+use crate::chat::{one_per_request, ChatModel, ChatRequest, ChatResponse, Usage};
 use crate::error::Result;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -24,9 +24,10 @@ pub struct Exchange {
 /// Records every exchange passing through an inner model, and counts the
 /// model round trips that carried them.
 ///
-/// A round trip is one `complete` call, or one `complete_batch` call with
-/// at least one prompt: a batch of many prompts is many exchanges but one
-/// round trip, the unit a hosted model's latency is paid in.
+/// A round trip is one `complete_batch` call with at least one prompt (a
+/// `complete` is a one-prompt batch): a batch of many prompts is many
+/// exchanges but one round trip, the unit a hosted model's latency is paid
+/// in.
 ///
 /// Thread-safe: concurrent detection workers append under a `Mutex`, so
 /// usage accounting stays exact at any thread count (the *order* of
@@ -56,7 +57,7 @@ impl<M: ChatModel> Transcript<M> {
     }
 
     /// Number of calls that reached the inner model, answered or not: one
-    /// per `complete`, one per non-empty `complete_batch`.
+    /// per non-empty `complete_batch`, so one per `complete` too.
     pub fn round_trips(&self) -> usize {
         self.round_trips.load(Ordering::Relaxed)
     }
@@ -81,16 +82,11 @@ impl<M: ChatModel> ChatModel for Transcript<M> {
         self.inner.model_name()
     }
 
-    /// A one-prompt [`complete_batch`](ChatModel::complete_batch).
-    fn complete(&self, request: &ChatRequest) -> Result<ChatResponse> {
-        self.complete_batch(std::slice::from_ref(request)).remove(0)
-    }
-
     fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<Result<ChatResponse>> {
         if !requests.is_empty() {
             self.round_trips.fetch_add(1, Ordering::Relaxed);
         }
-        let responses = self.inner.complete_batch(requests);
+        let responses = one_per_request(self.inner.complete_batch(requests), requests.len());
         let mut exchanges = self.exchanges.lock().expect("exchanges lock");
         for (request, response) in requests.iter().zip(&responses) {
             if let Ok(response) = response {

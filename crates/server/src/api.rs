@@ -39,7 +39,8 @@ pub struct CleanPayload {
     /// The ingested dirty table.
     pub table: Table,
     /// Effective pipeline configuration (defaults overlaid with the
-    /// request's partial `"config"`).
+    /// request's partial `"config"`, `threads` capped at the machine's
+    /// available parallelism).
     pub config: CleanerConfig,
     /// Whether the response should embed typed JSON rows.
     pub include_rows: bool,
@@ -71,10 +72,14 @@ pub fn parse_clean_payload(body: &[u8]) -> Result<CleanPayload, String> {
         return Err("table has no rows".to_string());
     }
 
-    let config = match json.get("config") {
+    let mut config = match json.get("config") {
         Some(config) => CleanerConfig::from_json(config).map_err(|e| e.to_string())?,
         None => CleanerConfig::default(),
     };
+    // Every pipeline fan-out (prompt wave, census fill, FD scoring) starts
+    // up to `threads` scoped threads, and output is byte-identical at any
+    // count, so a request gets at most the cores.
+    config.threads = config.threads.map(|threads| threads.min(threadpool::default_threads()));
     let include_rows = match json.get("include_rows") {
         Some(Json::Bool(b)) => *b,
         Some(other) => return Err(format!("\"include_rows\" must be a boolean, got {other}")),
@@ -589,6 +594,15 @@ mod tests {
         .unwrap();
         assert_eq!(payload.config.threads, Some(1));
         assert!(payload.include_rows);
+    }
+
+    #[test]
+    fn requested_threads_are_capped_at_the_cores() {
+        let cores = threadpool::default_threads();
+        let threads = |body: &str| parse_clean_payload(body.as_bytes()).unwrap().config.threads;
+        assert_eq!(threads(r#"{"csv": "a\nx\n", "config": {"threads": 1000000}}"#), Some(cores));
+        assert_eq!(threads(r#"{"csv": "a\nx\n", "config": {"threads": 1}}"#), Some(1));
+        assert_eq!(threads(r#"{"csv": "a\nx\n"}"#), None);
     }
 
     #[test]

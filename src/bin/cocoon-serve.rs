@@ -28,7 +28,7 @@ FLAGS:
                           (default 10000)
   --request-backlog N     complete requests allowed to wait for a free
                           worker; beyond this requests get an immediate
-                          503 (default 64; --accept-backlog is an alias)
+                          503 (default 64)
   --idle-timeout-secs S   silent-connection reclaim time — the slow-loris
                           bound; any byte resets the clock (default 30)
   --max-body BYTES        request body cap    (default 8388608; over => 413)
@@ -77,9 +77,7 @@ fn parse_flags() -> ServerConfig {
                     n => n,
                 }
             }
-            // --accept-backlog survives as an alias from the pre-event-loop
-            // server, where the same valve sat at the accept queue.
-            "--request-backlog" | "--accept-backlog" => {
+            "--request-backlog" => {
                 config.request_backlog = parse_num(&value("--request-backlog"), "--request-backlog")
             }
             "--idle-timeout-secs" => {

@@ -49,11 +49,6 @@ impl<F: Fn(&str, &str) -> bool + Send + Sync> ChatModel for Recording<F> {
         "recording"
     }
 
-    fn complete(&self, request: &ChatRequest) -> cocoon_llm::Result<ChatResponse> {
-        self.calls.lock().unwrap().push(vec![tags(request)]);
-        self.answer(request)
-    }
-
     fn complete_batch(&self, requests: &[ChatRequest]) -> Vec<cocoon_llm::Result<ChatResponse>> {
         self.calls.lock().unwrap().push(requests.iter().map(tags).collect());
         requests.iter().map(|request| self.answer(request)).collect()

@@ -46,8 +46,10 @@ fn usage_lists_the_flags_the_api_reference_documents() {
 }
 
 #[test]
-fn removed_dispatcher_flags_are_unknown() {
-    for (flag, value) in [("--batch-window-ms", "2"), ("--max-batch", "64")] {
+fn removed_flags_are_unknown() {
+    for (flag, value) in
+        [("--batch-window-ms", "2"), ("--max-batch", "64"), ("--accept-backlog", "64")]
+    {
         let out = serve(&[flag, value]);
         assert_eq!(out.status.code(), Some(2), "{flag} must be refused");
         let stderr = String::from_utf8_lossy(&out.stderr);

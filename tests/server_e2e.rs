@@ -1304,6 +1304,51 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
     });
 }
 
+#[test]
+fn a_second_event_thread_serves_its_share_of_connections() {
+    // Shard 0 accepts and deals connections round robin, so of four
+    // keep-alive connections over two event threads, two reach shard 1 by
+    // `Mail::Conn`. Every one serves a clean byte-identical to a library run.
+    let config = ServerConfig { event_threads: 2, ..test_config() };
+    let csv_text = messy_csv();
+    let direct = Cleaner::new(SimLlm::new())
+        .clean(&csv::read_str(&csv_text).expect("fixture parses"))
+        .expect("direct clean");
+    let expected_csv = csv::write_str(&direct.table);
+    let expected_script = direct.sql_script();
+    let body = clean_body(&csv_text);
+    let request = format!(
+        "POST /v1/clean HTTP/1.1\r\nHost: cocoon\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+
+    with_server(config, |handle| {
+        let mut streams: Vec<TcpStream> =
+            (0..4).map(|_| TcpStream::connect(handle.addr()).expect("connect")).collect();
+        for (i, stream) in streams.iter_mut().enumerate() {
+            stream.write_all(request.as_bytes()).expect("send request");
+            let (status, response) = read_framed_response(stream);
+            assert_eq!(status, 200, "connection {i}: {response}");
+            let json = cocoon_llm::json::parse(&response).expect("response json");
+            assert_eq!(
+                json.get("cleaned_csv").and_then(Json::as_str),
+                Some(expected_csv.as_str()),
+                "connection {i}: served clean table == direct library run"
+            );
+            assert_eq!(
+                json.get("sql_script").and_then(Json::as_str),
+                Some(expected_script.as_str()),
+                "connection {i}: served SQL artifact == direct library run"
+            );
+        }
+        let (status, metrics) = get_json(handle.addr(), "/v1/metrics");
+        assert_eq!(status, 200);
+        let event_threads =
+            metrics.get("connections").and_then(|c| c.get("event_threads")).and_then(Json::as_f64);
+        assert_eq!(event_threads, Some(2.0), "{metrics}");
+    });
+}
+
 /// The review fixture: one high-confidence typo ("cofffee") and one
 /// low-confidence misplaced concept ("Hindi" in a country column), so a
 /// 0.9 threshold auto-applies the first and withholds exactly the second.
