@@ -17,21 +17,22 @@
 //! commented SQL script — the paper's Figure 5 artifact over HTTP.
 //!
 //! `POST /v1/clean` and `POST /v1/jobs` additionally accept a **raw CSV
-//! body** (`Content-Type: text/csv`): the event loop parses the document
-//! incrementally as bytes arrive via [`cocoon_table::csv::CsvStream`] —
-//! no JSON envelope to build, escape or parse, chunked-transfer friendly,
-//! and the table is byte-identical to what the JSON `"csv"` field would
-//! have produced. Symmetrically, `Accept: text/csv` on `/v1/clean` returns
-//! just the cleaned table as `text/csv` instead of the JSON report.
+//! body** (`Content-Type: text/csv`): the worker feeds the framed body to
+//! [`cocoon_table::csv::CsvStream`] — no JSON envelope to build, escape or
+//! parse, chunked-transfer friendly, and the table is byte-identical to
+//! what the JSON `"csv"` field would have produced. Symmetrically,
+//! `Accept: text/csv` on `/v1/clean` returns just the cleaned table as
+//! `text/csv` instead of the JSON report.
 
-use crate::http::{json_escape, Head, Request, Response};
+use crate::http::{json_escape, Request, Response};
 use crate::jobs::{DeleteOutcome, JobStatus};
 use crate::metrics::Counter;
 use crate::reviews::{AcceptOutcome, RejectOutcome};
 use crate::server::AppState;
 use cocoon_core::{CleanerConfig, CleaningRun, ProgressSnapshot};
 use cocoon_llm::Json;
-use cocoon_table::{csv, json as table_json, Table};
+use cocoon_table::csv::{self, CsvStream};
+use cocoon_table::{json as table_json, Table};
 
 /// A parsed, validated clean request — what travels through the job queue.
 #[derive(Clone)]
@@ -255,16 +256,6 @@ fn datasets_body() -> String {
     out
 }
 
-/// Whether `head` is a CSV-ingest request: a POST to a cleaning endpoint
-/// declaring `Content-Type: text/csv`. The event loop streams such bodies
-/// through [`CsvStream`](cocoon_table::csv::CsvStream) instead of
-/// materialising them, then routes them with [`route_streamed_csv`].
-pub fn is_csv_ingest(head: &Head) -> bool {
-    head.method == "POST"
-        && matches!(head.path.as_str(), "/v1/clean" | "/v1/jobs")
-        && content_type_is_csv(head.header("Content-Type"))
-}
-
 fn content_type_is_csv(value: Option<&str>) -> bool {
     // Parameters (`; charset=utf-8`) are tolerated and ignored.
     value
@@ -308,55 +299,6 @@ fn job_submitted_response(id: u64) -> Response {
     )
 }
 
-/// Routes one CSV-ingest request ([`is_csv_ingest`]) whose body the event
-/// loop already streamed through [`CsvStream`](cocoon_table::csv::CsvStream)
-/// (`parsed` carries the table or the CSV syntax error), so the worker
-/// only ever runs the clean. Counts like [`route`]; parse failures and
-/// empty tables are 400 responses.
-pub fn route_streamed_csv(
-    state: &AppState,
-    head: &Head,
-    parsed: Result<Table, String>,
-) -> Response {
-    // Endpoint counting waits until the transport has delivered the body:
-    // a malformed CSV still counts against the endpoint it was aimed at
-    // (like a malformed JSON body), but a framing/transport failure is the
-    // connection handler's to count, like any other unreadable request.
-    // Counted up front, as in `route`, so a panicking clean is counted too.
-    state.metrics.count(Counter::Requests);
-    match head.path.as_str() {
-        "/v1/clean" => state.metrics.count(Counter::CleanRequests),
-        _ => state.metrics.count(Counter::JobsSubmitted),
-    }
-    let response = match parsed {
-        Err(message) => Response::error(400, &message),
-        Ok(table) if table.height() == 0 => Response::error(400, "table has no rows"),
-        Ok(table) => {
-            // CSV ingest carries no envelope, so config and include_rows
-            // take their defaults; clients needing overrides use the JSON
-            // body.
-            let payload =
-                CleanPayload { table, config: CleanerConfig::default(), include_rows: false };
-            match head.path.as_str() {
-                "/v1/clean" => match state.run_clean(&payload, None, None) {
-                    Ok(run) => {
-                        render_clean(&run, payload.include_rows, wants_csv(head.header("Accept")))
-                    }
-                    Err(e) => Response::error(500, &format!("clean failed: {e}")),
-                },
-                _ => match state.jobs.submit(payload) {
-                    Some(id) => job_submitted_response(id),
-                    None => {
-                        Response::error(429, "job queue is full; retry after polling existing jobs")
-                    }
-                },
-            }
-        }
-    };
-    state.metrics.count_status(response.status);
-    response
-}
-
 /// Routes one request to its handler and counts it. The returned response
 /// is ready to serialise.
 pub fn route(state: &AppState, request: &Request) -> Response {
@@ -367,8 +309,8 @@ pub fn route(state: &AppState, request: &Request) -> Response {
 }
 
 fn dispatch(state: &AppState, request: &Request) -> Response {
-    let method = request.method.as_str();
-    let path = request.path.as_str();
+    let method = request.head.method.as_str();
+    let path = request.head.path.as_str();
     match path {
         "/v1/clean" => match method {
             "POST" => handle_clean(state, request),
@@ -404,7 +346,7 @@ fn dispatch(state: &AppState, request: &Request) -> Response {
             _ => Response::error(405, "use GET /metrics"),
         },
         _ => match (method, path.strip_prefix("/v1/jobs/")) {
-            ("GET", Some(id)) => handle_poll(state, id, wants_csv(request.header("Accept"))),
+            ("GET", Some(id)) => handle_poll(state, id, wants_csv(request.head.header("Accept"))),
             ("DELETE", Some(id)) => handle_delete(state, id),
             (_, Some(_)) => Response::error(405, "use GET or DELETE /v1/jobs/{id}"),
             _ => match (method, path.strip_prefix("/v1/reviews/")) {
@@ -418,14 +360,35 @@ fn dispatch(state: &AppState, request: &Request) -> Response {
     }
 }
 
+/// Parses a clean request's body by its `Content-Type`: a raw `text/csv`
+/// document, or else the JSON envelope ([`parse_clean_payload`]).
+fn request_payload(request: &Request) -> Result<CleanPayload, String> {
+    if !content_type_is_csv(request.head.header("Content-Type")) {
+        return parse_clean_payload(&request.body);
+    }
+    let mut stream = CsvStream::new();
+    let table = stream
+        .push_bytes(&request.body)
+        .and_then(|()| stream.finish_table())
+        .map_err(|e| format!("invalid csv: {e}"))?;
+    if table.height() == 0 {
+        return Err("table has no rows".to_string());
+    }
+    // A raw CSV body carries no envelope, so config and include_rows take
+    // their defaults; clients needing overrides use the JSON body.
+    Ok(CleanPayload { table, config: CleanerConfig::default(), include_rows: false })
+}
+
 fn handle_clean(state: &AppState, request: &Request) -> Response {
     state.metrics.count(Counter::CleanRequests);
-    let payload = match parse_clean_payload(&request.body) {
+    let payload = match request_payload(request) {
         Ok(payload) => payload,
         Err(message) => return Response::error(400, &message),
     };
     match state.run_clean(&payload, None, None) {
-        Ok(run) => render_clean(&run, payload.include_rows, wants_csv(request.header("Accept"))),
+        Ok(run) => {
+            render_clean(&run, payload.include_rows, wants_csv(request.head.header("Accept")))
+        }
         Err(e) => Response::error(500, &format!("clean failed: {e}")),
     }
 }
@@ -434,7 +397,7 @@ fn handle_submit(state: &AppState, request: &Request) -> Response {
     state.metrics.count(Counter::JobsSubmitted);
     // Validate up front so submitters learn about bad requests now, not
     // from a failed poll later.
-    let payload = match parse_clean_payload(&request.body) {
+    let payload = match request_payload(request) {
         Ok(payload) => payload,
         Err(message) => return Response::error(400, &message),
     };

@@ -1,43 +1,38 @@
-//! The readiness-driven connection core: epoll event threads that own
+//! The readiness-driven connection core: one epoll event thread that owns
 //! every socket, nonblocking.
 //!
-//! One [`Shard`] per event thread — each with its own [`Poller`], [`Waker`]
-//! and mailbox. The listener (nonblocking) lives in shard 0's poller; new
-//! connections are distributed round-robin, a remote shard receiving its
-//! handoffs through the mailbox. Each shard runs [`event_loop`]: wait for
-//! readiness, drive every ready connection's state machine as far as the
-//! socket allows, deliver worker results, sweep idle connections.
+//! The [`Reactor`] is the event thread's [`Poller`], the [`Waker`] that
+//! interrupts its waits, and the mailbox workers post finished responses
+//! through. The listener (nonblocking) lives in the same poller. The
+//! thread runs [`event_loop`]: wait for readiness, accept, drive every
+//! ready connection's state machine as far as the socket allows, deliver
+//! worker replies, sweep idle connections.
 //!
 //! A connection's life is the [`Phase`] machine:
 //!
 //! ```text
-//! ReadingHead ──▶ ReadingBody ──────▶ Dispatched ──▶ Writing ──▶ ReadingHead
-//!      │     └──▶ StreamingCsv ──▶┘       ▲             │    └──▶ Draining ─▶ closed
-//!      └── protocol error ────────────────┴─────────────┘
+//! ReadingHead ──▶ ReadingBody ──▶ Dispatched ──▶ Writing ──▶ ReadingHead
+//!      │                              ▲             │    └──▶ Draining ─▶ closed
+//!      └── protocol error ────────────┴─────────────┘
 //! ```
 //!
 //! Parsing is *incremental*: heads and bodies advance exactly as far as the
 //! bytes at hand ([`RequestReader`] suspends losslessly on `WouldBlock`),
 //! so a slow or stalled client costs one parked `Conn` struct — never a
 //! thread. Only a *complete* request crosses the [`WorkQueue`] to the
-//! worker pool; a full queue answers 503 immediately (the backpressure
-//! valve). Responses are written back nonblocking too: what doesn't fit
-//! the socket buffer waits in the connection's outbound buffer for
-//! write-readiness. CSV-ingest bodies are fed straight into the
-//! incremental [`CsvStream`] parser as chunks arrive, so the table — not
-//! the raw body — is what travels to the worker.
+//! worker pool, which parses its body (JSON or CSV); a full queue answers
+//! 503 immediately (the backpressure valve). Responses are written back
+//! nonblocking too: what doesn't fit the socket buffer waits in the
+//! connection's outbound buffer for write-readiness.
 //!
-//! Tokens are allocated from a per-shard counter and never reused, so a
-//! stale readiness report from a closed connection's file descriptor can
-//! never be misrouted to its fd-recycling successor.
+//! Tokens are allocated from a counter and never reused, so a stale
+//! readiness report from a closed connection's file descriptor can never
+//! be misrouted to its fd-recycling successor.
 
-use crate::api;
 use crate::http::{BodyProgress, Head, HttpError, Request, RequestReader, Response};
 use crate::metrics::Counter;
 use crate::obs::{endpoint_label, RequestTrace};
 use crate::server::AppState;
-use cocoon_table::csv::CsvStream;
-use cocoon_table::Table;
 use poller::{Events, Interest, Poller, Waker};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
@@ -46,9 +41,9 @@ use std::os::fd::AsRawFd;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-/// Token of the listening socket (registered in shard 0 only).
+/// Token of the listening socket.
 const LISTENER_TOKEN: u64 = 0;
-/// Token of each shard's wakeup eventfd.
+/// Token of the reactor's wakeup eventfd.
 const WAKER_TOKEN: u64 = 1;
 /// First token handed to a connection; the counter only grows.
 const FIRST_CONN_TOKEN: u64 = 2;
@@ -61,84 +56,51 @@ const DRAIN_WINDOW: Duration = Duration::from_millis(250);
 /// by feeding it.
 const DRAIN_CAP: usize = 1024 * 1024;
 
-/// The message a shard's mailbox carries. Posted by shard 0 (connection
-/// handoffs) and by workers (finished responses); the post wakes the
-/// shard's poller.
-pub(crate) enum Mail {
-    /// A freshly accepted connection for this shard to own.
-    Conn(TcpStream),
-    /// A worker's finished response for connection `token`.
-    Done {
-        /// The connection the response belongs to (may have closed since —
-        /// then the response is simply dropped).
-        token: u64,
-        /// The response to serialise and write.
-        response: Response,
-        /// Whether the connection may serve another request afterwards.
-        reusable: bool,
-        /// Whether unread request bytes remain on the wire (abandoned CSV
-        /// body): the close must drain briefly so the response survives.
-        drain: bool,
-    },
+/// A worker's finished response, posted back to the event thread.
+pub(crate) struct Reply {
+    /// The connection the response belongs to (may have closed since —
+    /// then the response is simply dropped).
+    pub(crate) token: u64,
+    /// The response to serialise and write.
+    pub(crate) response: Response,
 }
 
-/// One event thread's worth of state: the poller that owns this shard's
-/// sockets, the eventfd that interrupts its waits, and the mailbox other
-/// threads post through.
-pub(crate) struct Shard {
-    /// The epoll instance; every socket this shard owns is registered here.
+/// The event thread's shared half: the poller that owns every socket, the
+/// eventfd that interrupts its waits, and the mailbox workers post through.
+pub(crate) struct Reactor {
+    /// The epoll instance; the listener and every connection are
+    /// registered here.
     pub(crate) poller: Poller,
-    /// Wakes the poller from other threads (worker results, shutdown).
+    /// Wakes the poller from other threads (worker replies, shutdown).
     pub(crate) waker: Waker,
-    mailbox: Mutex<Vec<Mail>>,
+    mailbox: Mutex<Vec<Reply>>,
 }
 
-impl Shard {
-    /// A shard with a fresh poller and its waker already registered.
-    pub(crate) fn new() -> io::Result<Shard> {
+impl Reactor {
+    /// A reactor with a fresh poller and its waker already registered.
+    pub(crate) fn new() -> io::Result<Reactor> {
         let poller = Poller::new()?;
         let waker = Waker::new(&poller, WAKER_TOKEN)?;
-        Ok(Shard { poller, waker, mailbox: Mutex::new(Vec::new()) })
+        Ok(Reactor { poller, waker, mailbox: Mutex::new(Vec::new()) })
     }
 
-    /// Posts mail and wakes the shard's event loop.
-    pub(crate) fn post(&self, mail: Mail) {
-        self.mailbox.lock().expect("shard mailbox").push(mail);
+    /// Posts a reply and wakes the event loop.
+    pub(crate) fn post(&self, reply: Reply) {
+        self.mailbox.lock().expect("reactor mailbox").push(reply);
         self.waker.wake();
     }
 
-    pub(crate) fn take_mail(&self) -> Vec<Mail> {
-        std::mem::take(&mut *self.mailbox.lock().expect("shard mailbox"))
+    pub(crate) fn take_replies(&self) -> Vec<Reply> {
+        std::mem::take(&mut *self.mailbox.lock().expect("reactor mailbox"))
     }
 }
 
-/// What a worker receives: one *complete* request, already parsed.
-pub(crate) enum WorkKind {
-    /// A materialised request (the JSON path and every bodyless method).
-    Request(Request),
-    /// A CSV-ingest request whose body the event loop already streamed
-    /// through the incremental parser — the worker gets the table (or the
-    /// parse error to report as a 400), never the raw body.
-    CsvClean {
-        /// The request head (routing + Accept negotiation).
-        head: Head,
-        /// The parsed table, or the client-error message.
-        table: Result<Table, String>,
-    },
-}
-
-/// One unit of work crossing from an event thread to the worker pool.
+/// One complete request crossing from the event thread to the worker pool.
 pub(crate) struct Work {
-    /// Which shard owns the connection (the `Done` mail goes back there).
-    pub(crate) shard: usize,
-    /// The connection's token within that shard.
+    /// The connection's token.
     pub(crate) token: u64,
-    /// The parsed request.
-    pub(crate) kind: WorkKind,
-    /// Whether the connection may serve another request after this one.
-    pub(crate) reusable: bool,
-    /// Whether unread request bytes remain on the wire (see [`Mail::Done`]).
-    pub(crate) drain: bool,
+    /// The request, body framed and materialised.
+    pub(crate) request: Request,
     /// The request's trace; the worker records queue-wait and handler
     /// spans into it (the connection keeps its own handle for the write
     /// segment and the final seal).
@@ -147,9 +109,9 @@ pub(crate) struct Work {
     pub(crate) queued_at: Instant,
 }
 
-/// The bounded hand-off between event threads and the worker pool. Beyond
-/// `capacity` queued requests the event loop answers 503 instead — the
-/// explicit backpressure point of the whole server.
+/// The bounded hand-off between the event thread and the worker pool.
+/// Beyond `capacity` queued requests the event loop answers 503 instead —
+/// the explicit backpressure point of the whole server.
 pub(crate) struct WorkQueue {
     inner: Mutex<VecDeque<Work>>,
     arrival: Condvar,
@@ -206,15 +168,12 @@ impl WorkQueue {
 enum Phase {
     /// Accumulating request-line + header bytes.
     ReadingHead,
-    /// Accumulating a non-CSV body into memory.
+    /// Accumulating the framed body into memory.
     ReadingBody { head: Head, progress: BodyProgress, body: Vec<u8> },
-    /// Feeding a CSV-ingest body through the incremental parser as chunks
-    /// arrive. `parsed` flips to `Err` on the first CSV syntax error; the
-    /// error still dispatches (for uniform 400 rendering and counting).
-    StreamingCsv { head: Head, progress: BodyProgress, parsed: Result<CsvStream, String> },
     /// The complete request is with a worker; no read/write interest (the
     /// poller still reports hangups, which free the connection early).
-    Dispatched,
+    /// `keep_alive` is the request's own wish, for the reply's write.
+    Dispatched { keep_alive: bool },
     /// Writing the response; what the socket refuses waits here for
     /// write-readiness. The body is the response's shared allocation
     /// (written straight from the `Arc`, never copied into a connection
@@ -284,20 +243,17 @@ enum Next {
 /// Everything a drive step needs besides the connection itself.
 struct Ctx<'a> {
     state: &'a AppState,
-    shard_index: usize,
     token: u64,
 }
 
-/// Runs one shard's event loop until shutdown. `listener` is `Some` only
-/// for shard 0, which accepts on behalf of every shard.
-pub(crate) fn event_loop(state: &AppState, shard_index: usize, listener: Option<&TcpListener>) {
-    let shard = &state.shards[shard_index];
-    if let Some(listener) = listener {
-        shard
-            .poller
-            .add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
-            .expect("register listener");
-    }
+/// Runs the event loop until shutdown: accepts on `listener`, and drives
+/// every connection.
+pub(crate) fn event_loop(state: &AppState, listener: &TcpListener) {
+    let reactor = &state.reactor;
+    reactor
+        .poller
+        .add(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)
+        .expect("register listener");
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = FIRST_CONN_TOKEN;
     let mut events = Events::with_capacity(1024);
@@ -308,7 +264,7 @@ pub(crate) fn event_loop(state: &AppState, shard_index: usize, listener: Option<
     let mut next_sweep = Instant::now() + granularity;
     loop {
         let timeout = next_sweep.saturating_duration_since(Instant::now());
-        let _ = shard.poller.wait(&mut events, Some(timeout));
+        let _ = reactor.poller.wait(&mut events, Some(timeout));
         if state.shutdown_requested() {
             break;
         }
@@ -316,15 +272,15 @@ pub(crate) fn event_loop(state: &AppState, shard_index: usize, listener: Option<
         for event in events.iter() {
             match event.token {
                 LISTENER_TOKEN => accept_ready = true,
-                WAKER_TOKEN => shard.waker.clear(),
+                WAKER_TOKEN => reactor.waker.clear(),
                 token => {
                     let Some(conn) = conns.get_mut(&token) else { continue };
-                    let ctx = Ctx { state, shard_index, token };
+                    let ctx = Ctx { state, token };
                     let next = match conn.phase {
                         // A hangup while parked frees the slot early; the
                         // worker's late response finds no connection and is
                         // dropped.
-                        Phase::Dispatched => {
+                        Phase::Dispatched { .. } => {
                             if event.closed {
                                 Next::Close { reaped: false }
                             } else {
@@ -353,68 +309,52 @@ pub(crate) fn event_loop(state: &AppState, shard_index: usize, listener: Option<
                             }
                         }
                     };
-                    settle(state, shard, &mut conns, token, next);
+                    settle(state, &mut conns, token, next);
                 }
             }
         }
-        for mail in shard.take_mail() {
-            match mail {
-                Mail::Conn(stream) => {
-                    register_conn(state, shard, &mut conns, &mut next_token, stream)
-                }
-                Mail::Done { token, response, reusable, drain } => {
-                    let Some(conn) = conns.get_mut(&token) else { continue };
-                    let keep_alive = reusable && !state.shutdown_requested();
-                    let ctx = Ctx { state, shard_index, token };
-                    let next = start_write(&ctx, conn, response, keep_alive, drain);
-                    settle(state, shard, &mut conns, token, next);
-                }
-            }
+        for Reply { token, response } in reactor.take_replies() {
+            let Some(conn) = conns.get_mut(&token) else { continue };
+            let Phase::Dispatched { keep_alive } = conn.phase else { continue };
+            let keep_alive = keep_alive && !state.shutdown_requested();
+            let next = start_write(&Ctx { state, token }, conn, response, keep_alive, false);
+            settle(state, &mut conns, token, next);
         }
         if accept_ready {
-            if let Some(listener) = listener {
-                drain_accepts(state, shard_index, shard, listener, &mut conns, &mut next_token);
-            }
+            drain_accepts(state, listener, &mut conns, &mut next_token);
         }
         let now = Instant::now();
         if now >= next_sweep {
             next_sweep = now + granularity;
-            sweep(state, shard, &mut conns, now);
+            sweep(state, &mut conns, now);
         }
     }
-    // Shutdown: close every connection this shard still owns (queued
-    // worker responses for them are dropped when the Done mail finds no
-    // connection — exactly like the old design dropping queued conns).
+    // Shutdown: close every connection still open (queued worker replies
+    // for them are dropped when the reply finds no connection).
     let tokens: Vec<u64> = conns.keys().copied().collect();
     for token in tokens {
-        close_conn(state, shard, &mut conns, token, false);
+        close_conn(state, &mut conns, token, false);
     }
 }
 
 /// Applies a drive step's verdict: re-sync interest or close.
-fn settle(state: &AppState, shard: &Shard, conns: &mut HashMap<u64, Conn>, token: u64, next: Next) {
+fn settle(state: &AppState, conns: &mut HashMap<u64, Conn>, token: u64, next: Next) {
     match next {
         Next::Keep => {
             if let Some(conn) = conns.get_mut(&token) {
                 if conn.want != conn.registered {
-                    let _ = shard.poller.modify(conn.fd(), token, conn.want);
+                    let _ = state.reactor.poller.modify(conn.fd(), token, conn.want);
                     conn.registered = conn.want;
                 }
             }
         }
-        Next::Close { reaped } => close_conn(state, shard, conns, token, reaped),
+        Next::Close { reaped } => close_conn(state, conns, token, reaped),
     }
 }
 
-fn close_conn(
-    state: &AppState,
-    shard: &Shard,
-    conns: &mut HashMap<u64, Conn>,
-    token: u64,
-    reaped: bool,
-) {
+fn close_conn(state: &AppState, conns: &mut HashMap<u64, Conn>, token: u64, reaped: bool) {
     if let Some(conn) = conns.remove(&token) {
-        let _ = shard.poller.remove(conn.fd());
+        let _ = state.reactor.poller.remove(conn.fd());
         state.metrics.conn_closed();
         if reaped {
             state.metrics.count(Counter::IdleReaped);
@@ -422,12 +362,10 @@ fn close_conn(
     }
 }
 
-/// Accepts until the listener runs dry, distributing connections
-/// round-robin across every shard. Runs on shard 0 only.
+/// Accepts until the listener runs dry, registering every connection the
+/// cap admits.
 fn drain_accepts(
     state: &AppState,
-    shard_index: usize,
-    shard: &Shard,
     listener: &TcpListener,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
@@ -455,12 +393,7 @@ fn drain_accepts(
             continue;
         }
         state.metrics.count(Counter::ConnectionsAccepted);
-        let target = state.next_shard() % state.shards.len();
-        if target == shard_index {
-            register_conn(state, shard, conns, next_token, stream);
-        } else {
-            state.shards[target].post(Mail::Conn(stream));
-        }
+        register_conn(state, conns, next_token, stream);
     }
 }
 
@@ -483,7 +416,6 @@ fn refuse_busy(stream: TcpStream) {
 /// read-readiness, parked in `ReadingHead`.
 fn register_conn(
     state: &AppState,
-    shard: &Shard,
     conns: &mut HashMap<u64, Conn>,
     next_token: &mut u64,
     stream: TcpStream,
@@ -494,7 +426,7 @@ fn register_conn(
     }
     let token = *next_token;
     *next_token += 1;
-    if shard.poller.add(stream.as_raw_fd(), token, Interest::READ).is_err() {
+    if state.reactor.poller.add(stream.as_raw_fd(), token, Interest::READ).is_err() {
         return;
     }
     state.metrics.conn_opened();
@@ -514,18 +446,18 @@ fn register_conn(
 
 /// Closes idle connections (and expired drains). `Dispatched` connections
 /// are exempt — their clock is the worker's, not the socket's.
-fn sweep(state: &AppState, shard: &Shard, conns: &mut HashMap<u64, Conn>, now: Instant) {
+fn sweep(state: &AppState, conns: &mut HashMap<u64, Conn>, now: Instant) {
     let dead: Vec<(u64, bool)> = conns
         .iter()
         .filter_map(|(&token, conn)| match conn.phase {
-            Phase::Dispatched => None,
+            Phase::Dispatched { .. } => None,
             Phase::Draining { deadline, .. } => (now >= deadline).then_some((token, false)),
             _ => (now.duration_since(conn.last_activity) > state.idle_timeout)
                 .then_some((token, true)),
         })
         .collect();
     for (token, reaped) in dead {
-        close_conn(state, shard, conns, token, reaped);
+        close_conn(state, conns, token, reaped);
     }
 }
 
@@ -556,11 +488,7 @@ fn drive_read(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                         }
                         finish_segment(conn, "head_parse");
                         let progress = conn.reader.begin_body(&head);
-                        conn.phase = if api::is_csv_ingest(&head) {
-                            Phase::StreamingCsv { head, progress, parsed: Ok(CsvStream::new()) }
-                        } else {
-                            Phase::ReadingBody { head, progress, body: Vec::new() }
-                        };
+                        conn.phase = Phase::ReadingBody { head, progress, body: Vec::new() };
                     }
                     Err(e) if is_would_block(&e) => return Next::Keep,
                     Err(HttpError::Closed) => return Next::Close { reaped: false },
@@ -572,14 +500,12 @@ fn drive_read(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                 match conn.reader.read_body(progress, &mut chunk) {
                     Ok(0) => {
                         let Phase::ReadingBody { head, body, .. } =
-                            std::mem::replace(&mut conn.phase, Phase::Dispatched)
+                            std::mem::replace(&mut conn.phase, Phase::ReadingHead)
                         else {
                             unreachable!("phase checked above")
                         };
-                        let reusable = head.keep_alive();
-                        let request = Request::from_parts(head, body);
                         finish_segment(conn, "body_read");
-                        return dispatch(ctx, conn, WorkKind::Request(request), reusable, false);
+                        return dispatch(ctx, conn, Request { head, body });
                     }
                     Ok(n) => {
                         conn.last_activity = Instant::now();
@@ -589,52 +515,8 @@ fn drive_read(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
                     Err(e) => return fail_request(ctx, conn, &e),
                 }
             }
-            Phase::StreamingCsv { progress, parsed, .. } => {
-                let mut chunk = [0u8; 16 * 1024];
-                match conn.reader.read_body(progress, &mut chunk) {
-                    Ok(0) => {
-                        let Phase::StreamingCsv { head, parsed, .. } =
-                            std::mem::replace(&mut conn.phase, Phase::Dispatched)
-                        else {
-                            unreachable!("phase checked above")
-                        };
-                        let table = parsed.and_then(|stream| {
-                            stream.finish_table().map_err(|e| format!("invalid csv: {e}"))
-                        });
-                        let reusable = head.keep_alive();
-                        let kind = WorkKind::CsvClean { head, table };
-                        finish_segment(conn, "csv_stream");
-                        return dispatch(ctx, conn, kind, reusable, false);
-                    }
-                    Ok(n) => {
-                        conn.last_activity = Instant::now();
-                        if let Ok(stream) = parsed {
-                            if let Err(e) = stream.push_bytes(&chunk[..n]) {
-                                // CSV syntax error: stop reading and let the
-                                // worker render the 400. The unread body
-                                // remainder poisons the connection for
-                                // further requests, so it closes (with a
-                                // drain, see `Mail::Done::drain`).
-                                let Phase::StreamingCsv { head, .. } =
-                                    std::mem::replace(&mut conn.phase, Phase::Dispatched)
-                                else {
-                                    unreachable!("phase checked above")
-                                };
-                                let kind = WorkKind::CsvClean {
-                                    head,
-                                    table: Err(format!("invalid csv: {e}")),
-                                };
-                                finish_segment(conn, "csv_stream");
-                                return dispatch(ctx, conn, kind, false, true);
-                            }
-                        }
-                    }
-                    Err(e) if is_would_block(&e) => return Next::Keep,
-                    Err(e) => return fail_request(ctx, conn, &e),
-                }
-            }
             Phase::Draining { .. } => return drive_drain(conn),
-            Phase::Dispatched | Phase::Writing { .. } => return Next::Keep,
+            Phase::Dispatched { .. } | Phase::Writing { .. } => return Next::Keep,
         }
     }
 }
@@ -642,26 +524,20 @@ fn drive_read(ctx: &Ctx<'_>, conn: &mut Conn) -> Next {
 /// Parks a complete request with the worker pool, or answers 503 when the
 /// queue is full — the backpressure point. The rejected request is counted
 /// like a refused connection (`rejected_busy` + 503), not as a routed
-/// request, matching the previous design's accept-queue refusals.
-fn dispatch(ctx: &Ctx<'_>, conn: &mut Conn, kind: WorkKind, reusable: bool, drain: bool) -> Next {
-    conn.want = Interest::NONE;
-    let work = Work {
-        shard: ctx.shard_index,
-        token: ctx.token,
-        kind,
-        reusable,
-        drain,
-        trace: conn.trace.clone(),
-        queued_at: Instant::now(),
-    };
+/// request.
+fn dispatch(ctx: &Ctx<'_>, conn: &mut Conn, request: Request) -> Next {
+    let keep_alive = request.head.keep_alive();
+    let work =
+        Work { token: ctx.token, request, trace: conn.trace.clone(), queued_at: Instant::now() };
     if ctx.state.work.push(work) {
-        conn.phase = Phase::Dispatched;
+        conn.phase = Phase::Dispatched { keep_alive };
+        conn.want = Interest::NONE;
         Next::Keep
     } else {
         ctx.state.metrics.count(Counter::ConnectionsRejected);
         ctx.state.metrics.count_status(503);
         let response = Response::error(503, "server is at capacity; retry shortly");
-        start_write(ctx, conn, response, false, drain)
+        start_write(ctx, conn, response, false, false)
     }
 }
 

@@ -43,9 +43,8 @@ pub enum BodyFraming {
     None,
 }
 
-/// A parsed request head — everything before the body. Obtained from
-/// [`RequestReader::next_head`] when the handler wants to stream the body
-/// instead of materialising it.
+/// A parsed request head — everything before the body, as
+/// [`RequestReader::next_head`] reads it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Head {
     /// Request method, as sent (`GET`, `POST`, `DELETE`, …).
@@ -74,38 +73,10 @@ impl Head {
 /// A parsed HTTP request with its body fully materialised.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Request {
-    /// Request method, as sent.
-    pub method: String,
-    /// Request target with any `?query` suffix stripped.
-    pub path: String,
-    /// Header name/value pairs in arrival order (names as sent).
-    pub headers: Vec<(String, String)>,
+    /// The request line and headers.
+    pub head: Head,
     /// The complete body bytes (empty when the request had none).
     pub body: Vec<u8>,
-    keep_alive: bool,
-}
-
-impl Request {
-    /// Assembles a request from a streamed head and its collected body.
-    pub fn from_parts(head: Head, body: Vec<u8>) -> Request {
-        Request {
-            method: head.method,
-            path: head.path,
-            headers: head.headers,
-            body,
-            keep_alive: head.keep_alive,
-        }
-    }
-
-    /// Case-insensitive header lookup (first match).
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v.as_str())
-    }
-
-    /// Whether the connection should stay open after this exchange.
-    pub fn keep_alive(&self) -> bool {
-        self.keep_alive
-    }
 }
 
 /// Why a request could not be read.
@@ -181,7 +152,7 @@ impl<R: Read> RequestReader<R> {
         let mut progress = self.begin_body(&head);
         let mut body = Vec::new();
         self.read_body_to_end(&mut progress, &mut body)?;
-        Ok(Request::from_parts(head, body))
+        Ok(Request { head, body })
     }
 
     /// Reads the next request *head* only, leaving the body on the wire for
@@ -665,11 +636,11 @@ mod tests {
     #[test]
     fn parses_a_simple_get() {
         let req = parse(b"GET /v1/metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
-        assert_eq!(req.method, "GET");
-        assert_eq!(req.path, "/v1/metrics");
-        assert_eq!(req.header("host"), Some("x"));
+        assert_eq!(req.head.method, "GET");
+        assert_eq!(req.head.path, "/v1/metrics");
+        assert_eq!(req.head.header("host"), Some("x"));
         assert!(req.body.is_empty());
-        assert!(req.keep_alive(), "HTTP/1.1 defaults to keep-alive");
+        assert!(req.head.keep_alive(), "HTTP/1.1 defaults to keep-alive");
     }
 
     #[test]
@@ -687,7 +658,7 @@ mod tests {
             let mut reader = RequestReader::new(Trickle::new(raw, step), 1024);
             let req = reader.next_request().unwrap();
             assert_eq!(req.body, b"abcde", "step {step}");
-            assert_eq!(req.header("x-key"), Some("split value"), "step {step}");
+            assert_eq!(req.head.header("x-key"), Some("split value"), "step {step}");
         }
     }
 
@@ -778,20 +749,20 @@ mod tests {
     #[test]
     fn keep_alive_semantics() {
         let close11 = parse(b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
-        assert!(!close11.keep_alive());
+        assert!(!close11.head.keep_alive());
         let plain10 = parse(b"GET / HTTP/1.0\r\n\r\n").unwrap();
-        assert!(!plain10.keep_alive());
+        assert!(!plain10.head.keep_alive());
         let ka10 = parse(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n").unwrap();
-        assert!(ka10.keep_alive());
+        assert!(ka10.head.keep_alive());
     }
 
     #[test]
     fn pipelined_requests_on_one_connection() {
         let raw = b"GET /a HTTP/1.1\r\n\r\nPOST /b HTTP/1.1\r\nContent-Length: 2\r\n\r\nhi";
         let mut reader = RequestReader::new(raw.as_slice(), 1024);
-        assert_eq!(reader.next_request().unwrap().path, "/a");
+        assert_eq!(reader.next_request().unwrap().head.path, "/a");
         let second = reader.next_request().unwrap();
-        assert_eq!(second.path, "/b");
+        assert_eq!(second.head.path, "/b");
         assert_eq!(second.body, b"hi");
         assert!(matches!(reader.next_request(), Err(HttpError::Closed)));
     }
@@ -826,7 +797,7 @@ mod tests {
     #[test]
     fn query_strings_are_stripped_from_path() {
         let req = parse(b"GET /v1/jobs/3?verbose=1 HTTP/1.1\r\n\r\n").unwrap();
-        assert_eq!(req.path, "/v1/jobs/3");
+        assert_eq!(req.head.path, "/v1/jobs/3");
     }
 
     #[test]
@@ -907,7 +878,7 @@ mod tests {
         let mut collected = Vec::new();
         reader.read_body_to_end(&mut progress, &mut collected).unwrap();
         assert_eq!(collected, b"hi");
-        assert_eq!(reader.next_request().unwrap().path, "/b");
+        assert_eq!(reader.next_request().unwrap().head.path, "/b");
     }
 
     #[test]

@@ -29,13 +29,14 @@
 //!   chunked, read incrementally through [`http::BodyProgress`]),
 //!   keep-alive, 413 body caps.
 //! * [`server`] — a readiness-driven core on a vendored epoll shim
-//!   (`crates/compat/poller`): a few event threads own every socket
-//!   nonblocking and parse incrementally, so 10k+ idle keep-alive
-//!   connections cost no threads and a stalled client costs nothing but
-//!   its parked parser state; only *complete* requests cross a bounded
-//!   work queue to the fixed worker pool (full queue → immediate 503,
-//!   connection cap → refused at accept), plus scoped job workers, all
-//!   around one [`server::AppState`].
+//!   (`crates/compat/poller`): one event thread owns every socket
+//!   nonblocking and frames requests incrementally, so 10k+ idle
+//!   keep-alive connections cost no threads and a stalled client costs
+//!   nothing but its parked parser state; only *complete* requests cross
+//!   a bounded work queue to the fixed worker pool, which parses their
+//!   bodies (full queue → immediate 503, connection cap → refused at
+//!   accept), plus scoped job workers, all around one
+//!   [`server::AppState`].
 //! * One process-wide model stack
 //!   [`CachedLlm<CoalescingDispatcher<SimLlm>>`](server::SharedLlm):
 //!   repeat prompts replay from the LRU-bounded cache, concurrent
@@ -52,7 +53,7 @@
 //! * [`obs`] — the observability hop over the vendored `cocoon-obs`
 //!   crate: every request gets a monotonically-assigned id (echoed as
 //!   `X-Request-Id`) and a span tree from socket to LLM batch — head
-//!   parse, body/CSV stream, queue wait, handler, per-stage pipeline
+//!   parse, body read, queue wait, handler, per-stage pipeline
 //!   timings, the round-trips of the LLM batches the request itself sent,
 //!   response write. Latency lands in
 //!   log-bucketed histograms per endpoint and per stage, exported as

@@ -40,11 +40,11 @@ pub enum Counter {
     Responses5xx,
     /// Handlers and job cleans that panicked (answered 500 or failed).
     HandlerPanics,
-    /// Connections the acceptor handed to an event loop.
+    /// Connections the event loop accepted and registered.
     ConnectionsAccepted,
     /// Connections and requests refused with a fast 503 at saturation.
     ConnectionsRejected,
-    /// Connections open right now, across all event threads (a gauge).
+    /// Connections open right now (a gauge).
     ConnectionsOpen,
     /// High-water mark of [`ConnectionsOpen`](Self::ConnectionsOpen).
     ConnectionsPeak,
@@ -228,8 +228,6 @@ static FIGURES: &[Figure] = &[
         "Connections closed for sitting idle past the timeout.", |s| s.count(Counter::IdleReaped)),
     counter("connections.partial_writes", "cocoon_connections_partial_writes_total",
         "Responses finished on write-readiness.", |s| s.count(Counter::PartialWrites)),
-    gauge("connections.event_threads", "cocoon_connections_event_threads",
-        "Event threads owning the sockets.", |s| num(s.state.shards.len())),
     Figure { path: "llm.model", series: None,
         read: |s| Json::String(s.state.llm.model_name().to_string()) },
     counter("llm.cache_hits", "cocoon_llm_cache_hits_total",

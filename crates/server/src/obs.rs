@@ -2,15 +2,16 @@
 //! and per-stage latency histograms, the structured access log, and
 //! Prometheus text exposition.
 //!
-//! Every request that reaches an event loop gets a [`RequestTrace`]: a
+//! Every request that reaches the event loop gets a [`RequestTrace`]: a
 //! monotonically-assigned id (echoed as `X-Request-Id`) plus a
 //! [`SpanRecorder`] whose origin is the moment the request's first bytes
 //! were seen. The event loop records the transport segments (head parse,
-//! body read / CSV stream, response write), the worker records queue wait
-//! and the handler, and two observer adapters fan pipeline internals into
-//! the same tree: [`StageSpanObserver`] turns `cocoon_core::StageTiming`
-//! into per-stage spans + histogram samples, and [`BatchFanout`] records
-//! each `cocoon_llm::BatchEvent` under the one request that sent the batch.
+//! body read, response write), the worker records queue wait and the
+//! handler (the body's parse included), and two observer adapters fan
+//! pipeline internals into the same tree: [`StageSpanObserver`] turns
+//! `cocoon_core::StageTiming` into per-stage spans + histogram samples, and
+//! [`BatchFanout`] records each `cocoon_llm::BatchEvent` under the one
+//! request that sent the batch.
 //!
 //! All durations are recorded in **nanoseconds** and exported in
 //! microseconds (`/v1/metrics`) or seconds (`GET /metrics`), matching the

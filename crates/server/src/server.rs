@@ -1,26 +1,27 @@
-//! The serve core: event threads, worker fan-out, and shared application
-//! state.
+//! The serve core: the event thread, worker fan-out, and shared
+//! application state.
 //!
-//! `serve()` runs a small number of *event* threads (the readiness loops
-//! in `crate::event` — they own every socket, nonblocking), a fixed pool
-//! of *worker* threads (they run the actual cleans), and the job workers,
-//! all as *scoped* threads: the call blocks until [`ServerHandle::stop`],
-//! and every thread is joined before it returns — no detached threads, no
-//! `'static` state beyond the `Arc<AppState>` the handle shares.
+//! `serve()` runs one *event* thread (the readiness loop in
+//! `crate::event` — it owns every socket, nonblocking), a fixed pool of
+//! *worker* threads (they parse request bodies and run the actual cleans),
+//! and the job workers, all as *scoped* threads: the call blocks until
+//! [`ServerHandle::stop`], and every thread is joined before it returns —
+//! no detached threads, no `'static` state beyond the `Arc<AppState>` the
+//! handle shares.
 //!
-//! The division of labour is strict: event threads do all socket I/O and
-//! all protocol parsing, incrementally, exactly as far as the bytes at
-//! hand allow; workers only ever see *complete* requests, handed over
-//! through a bounded `event::WorkQueue`. A slow, stalled, or hostile
-//! client therefore costs one parked connection struct in an event thread
-//! — never a worker, and never the accept path. When the work queue is
-//! full new requests are refused with an immediate 503, and when the
-//! connection cap is reached new connections are — saturation degrades
-//! loudly and recoverably at two explicit valves.
+//! The division of labour is strict: the event thread does all socket I/O
+//! and HTTP framing, incrementally, exactly as far as the bytes at hand
+//! allow; workers only ever see *complete* requests, handed over through a
+//! bounded `event::WorkQueue`. A slow, stalled, or hostile client
+//! therefore costs one parked connection struct in the event thread —
+//! never a worker, and never the accept path. When the work queue is full
+//! new requests are refused with an immediate 503, and when the connection
+//! cap is reached new connections are — saturation degrades loudly and
+//! recoverably at two explicit valves.
 
 use crate::api::{self, CleanPayload};
-use crate::event::{self, Mail, Shard, Work, WorkKind, WorkQueue};
-use crate::http::{Response, DEFAULT_MAX_BODY_BYTES};
+use crate::event::{self, Reactor, Reply, Work, WorkQueue};
+use crate::http::{Request, Response, DEFAULT_MAX_BODY_BYTES};
 use crate::jobs::JobStore;
 use crate::metrics::{Counter, Metrics};
 use crate::obs::{self, LogFormat, ServerObs};
@@ -30,7 +31,7 @@ use cocoon_llm::{CachedLlm, CoalescingDispatcher, RateLimit, SimLlm};
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,15 +44,11 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Dedicated workers draining the async job queue.
     pub job_workers: usize,
-    /// Event threads owning the sockets. One loop comfortably multiplexes
-    /// thousands of connections; raise only when event-loop work (parsing,
-    /// response writing) itself saturates a core.
-    pub event_threads: usize,
     /// Complete requests allowed to wait for a free worker; beyond this
     /// the event loop answers 503 immediately.
     pub request_backlog: usize,
-    /// Open-connection cap across all event threads; beyond it new
-    /// connections are refused with an immediate 503.
+    /// Open-connection cap; beyond it new connections are refused with an
+    /// immediate 503.
     pub max_conns: usize,
     /// How long a connection may sit without moving a byte before the
     /// event loop reclaims it (any byte resets the clock) — the
@@ -80,7 +77,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:7878".to_string(),
             workers: threadpool::default_threads().max(8),
             job_workers: 2,
-            event_threads: 1,
             request_backlog: 64,
             max_conns: 10_000,
             idle_timeout: Duration::from_secs(30),
@@ -100,7 +96,7 @@ impl Default for ServerConfig {
 /// cross-request coalescing and cache reuse possible at all.
 pub type SharedLlm = CachedLlm<CoalescingDispatcher<SimLlm>>;
 
-/// State shared by every event, worker, and job thread.
+/// State shared by the event thread, the workers and the job workers.
 pub struct AppState {
     /// The process-wide model stack.
     pub llm: SharedLlm,
@@ -120,15 +116,14 @@ pub struct AppState {
     pub(crate) max_conns: usize,
     /// The bounded hand-off of complete requests to the worker pool.
     pub(crate) work: WorkQueue,
-    /// One shard per event thread: poller + waker + mailbox.
-    pub(crate) shards: Vec<Shard>,
-    next_shard: AtomicUsize,
+    /// The event thread's poller, waker and reply mailbox.
+    pub(crate) reactor: Reactor,
     shutdown: AtomicBool,
 }
 
 impl AppState {
-    /// Builds the shared state for `config`, including one poller shard
-    /// per event thread.
+    /// Builds the shared state for `config`, including the event thread's
+    /// poller.
     ///
     /// # Panics
     ///
@@ -145,9 +140,6 @@ impl AppState {
             Some(capacity) => CachedLlm::with_capacity(dispatcher, capacity),
             None => CachedLlm::new(dispatcher),
         };
-        let shards = (0..config.event_threads.max(1))
-            .map(|_| Shard::new().expect("create event poller"))
-            .collect();
         AppState {
             llm,
             metrics: Metrics::new(),
@@ -158,8 +150,7 @@ impl AppState {
             idle_timeout: config.idle_timeout,
             max_conns: config.max_conns.max(1),
             work: WorkQueue::new(config.request_backlog.max(1)),
-            shards,
-            next_shard: AtomicUsize::new(0),
+            reactor: Reactor::new().expect("create event poller"),
             shutdown: AtomicBool::new(false),
         }
     }
@@ -171,11 +162,6 @@ impl AppState {
 
     fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
-    }
-
-    /// The round-robin counter distributing new connections over shards.
-    pub(crate) fn next_shard(&self) -> usize {
-        self.next_shard.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Runs one clean against the shared model stack. Identical logic for
@@ -228,9 +214,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener (nonblocking — it lives in shard 0's poller) and
-    /// builds the shared state. The server is not accepting until
-    /// [`serve`](Self::serve) runs.
+    /// Binds the listener (nonblocking — it lives in the event thread's
+    /// poller) and builds the shared state. The server is not accepting
+    /// until [`serve`](Self::serve) runs.
     pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
@@ -259,18 +245,14 @@ impl Server {
     }
 
     /// Accepts and serves until the handle stops the server. Blocks the
-    /// calling thread; the event threads, worker pool and job workers are
+    /// calling thread; the event thread, worker pool and job workers are
     /// scoped inside.
     pub fn serve(&self) -> io::Result<()> {
         let state = &self.state;
         std::thread::scope(|scope| {
-            for shard_index in 0..state.shards.len() {
-                // Shard 0 owns the listener and accepts for everyone.
-                let listener = (shard_index == 0).then_some(&self.listener);
-                scope.spawn(move || event::event_loop(state, shard_index, listener));
-            }
+            scope.spawn(move || event::event_loop(state, &self.listener));
             for _ in 0..self.workers {
-                scope.spawn(move || worker_loop(state, route_work));
+                scope.spawn(move || worker_loop(state, api::route));
             }
             for _ in 0..self.job_workers {
                 scope.spawn(move || job_loop(state, clean_job));
@@ -298,20 +280,17 @@ impl ServerHandle {
         &self.state
     }
 
-    /// Stops the server. Wedge-free by construction: each event thread is
-    /// woken through its shard's eventfd and re-checks the flag (its poll
-    /// waits are bounded by the sweep tick regardless), idle workers and
-    /// job workers wake from their condvars (and re-check on a 50 ms timer
-    /// regardless), busy workers finish their current request first, and
-    /// connections still open — parked, mid-parse, or mid-response — are
-    /// simply closed.
+    /// Stops the server. Wedge-free by construction: the event thread is
+    /// woken through its eventfd and re-checks the flag (its poll waits are
+    /// bounded by the sweep tick regardless), idle workers and job workers
+    /// wake from their condvars (and re-check on a 50 ms timer regardless),
+    /// busy workers finish their current request first, and connections
+    /// still open — parked, mid-parse, or mid-response — are simply closed.
     pub fn stop(&self) {
         self.state.request_shutdown();
         self.state.jobs.wake_all();
         self.state.work.wake_all();
-        for shard in &self.state.shards {
-            shard.waker.wake();
-        }
+        self.state.reactor.waker.wake();
     }
 }
 
@@ -327,20 +306,12 @@ fn contain<T>(state: &AppState, work: impl FnOnce() -> T, on_panic: impl FnOnce(
     })
 }
 
-/// Routes one complete request to its handler.
-fn route_work(state: &AppState, kind: WorkKind) -> Response {
-    match kind {
-        WorkKind::Request(request) => api::route(state, &request),
-        WorkKind::CsvClean { head, table } => api::route_streamed_csv(state, &head, table),
-    }
-}
-
 /// One worker: pop complete requests off the queue, run them through
-/// `handle` (the server passes [`route_work`]), and post the response back
-/// to the owning shard, until shutdown. Workers never touch a socket.
-fn worker_loop(state: &AppState, handle: impl Fn(&AppState, WorkKind) -> Response) {
+/// `handle` (the server passes [`api::route`]), and post the response back
+/// to the event thread, until shutdown. Workers never touch a socket.
+fn worker_loop(state: &AppState, handle: impl Fn(&AppState, &Request) -> Response) {
     while let Some(work) = state.work.pop(|| state.shutdown_requested()) {
-        let Work { shard, token, kind, reusable, drain, trace, queued_at } = work;
+        let Work { token, request, trace, queued_at } = work;
         // The queue-wait segment runs from the event loop's push to this
         // pop; the handler span opens now and closes after routing, so
         // stage and batch spans recorded during the clean nest under it.
@@ -356,7 +327,7 @@ fn worker_loop(state: &AppState, handle: impl Fn(&AppState, WorkKind) -> Respons
         let response = obs::with_current_trace(current, || {
             contain(
                 state,
-                || handle(state, kind),
+                || handle(state, &request),
                 || {
                     state.metrics.count_status(500);
                     Response::error(500, "the handler panicked; see the server log")
@@ -366,7 +337,7 @@ fn worker_loop(state: &AppState, handle: impl Fn(&AppState, WorkKind) -> Respons
         if let (Some(trace), Some(handler)) = (&trace, handler) {
             trace.recorder.close(handler, Instant::now());
         }
-        state.shards[shard].post(Mail::Done { token, response, reusable, drain });
+        state.reactor.post(Reply { token, response });
     }
 }
 
@@ -403,7 +374,7 @@ fn job_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{Request, RequestReader};
+    use crate::http::RequestReader;
     use cocoon_llm::Json;
 
     fn test_state() -> AppState {
@@ -528,7 +499,6 @@ mod tests {
         assert_eq!(connections.get("peak").unwrap().as_f64(), Some(0.0));
         assert_eq!(connections.get("idle_reaped").unwrap().as_f64(), Some(0.0));
         assert_eq!(connections.get("partial_writes").unwrap().as_f64(), Some(0.0));
-        assert_eq!(connections.get("event_threads").unwrap().as_f64(), Some(1.0));
         let jobs = json.get("jobs").unwrap();
         assert!(jobs.get("queue_depth").is_some());
         assert_eq!(jobs.get("expired").unwrap().as_f64(), Some(0.0));
@@ -581,35 +551,23 @@ mod tests {
         let state = test_state();
         let trace = Arc::new(state.obs.begin_request(Instant::now()));
         for (token, path) in [(1, "/panic"), (2, "/v1/datasets")] {
-            let kind = WorkKind::Request(get(path));
-            let trace = Some(Arc::clone(&trace));
-            let (reusable, drain, queued_at) = (true, false, Instant::now());
-            assert!(state.work.push(Work {
-                shard: 0,
-                token,
-                kind,
-                reusable,
-                drain,
-                trace,
-                queued_at
-            }));
+            let (request, trace) = (get(path), Some(Arc::clone(&trace)));
+            assert!(state.work.push(Work { token, request, trace, queued_at: Instant::now() }));
         }
         // Runs on this thread and returns once the second request asks the
         // loop to stop: the panic cost neither the thread nor the loop.
-        worker_loop(&state, |state, kind| match &kind {
-            WorkKind::Request(request) if request.path == "/panic" => panic!("injected"),
-            _ => {
-                state.request_shutdown();
-                route_work(state, kind)
+        worker_loop(&state, |state, request| {
+            if request.head.path == "/panic" {
+                panic!("injected");
             }
+            state.request_shutdown();
+            api::route(state, request)
         });
-        let statuses: Vec<(u64, u16)> = state.shards[0]
-            .take_mail()
+        let statuses: Vec<(u64, u16)> = state
+            .reactor
+            .take_replies()
             .into_iter()
-            .filter_map(|mail| match mail {
-                Mail::Done { token, response, .. } => Some((token, response.status)),
-                Mail::Conn(_) => None,
-            })
+            .map(|reply| (reply.token, reply.response.status))
             .collect();
         assert_eq!(statuses, [(1, 500), (2, 200)]);
         assert!(obs::current_trace().is_none(), "the thread's current trace is restored");

@@ -21,11 +21,8 @@ FLAGS:
   --addr HOST:PORT        bind address        (default 127.0.0.1:7878; port 0 = ephemeral)
   --workers N             request workers     (default max(8, cores); bounds concurrent cleans)
   --job-workers N         async job workers   (default 2)
-  --event-threads N       readiness loops owning the sockets (default 1;
-                          one loop multiplexes thousands of connections)
-  --max-conns N           open-connection cap across all event threads;
-                          beyond it new connections get an immediate 503
-                          (default 10000)
+  --max-conns N           open-connection cap; beyond it new connections
+                          get an immediate 503 (default 10000)
   --request-backlog N     complete requests allowed to wait for a free
                           worker; beyond this requests get an immediate
                           503 (default 64)
@@ -63,13 +60,6 @@ fn parse_flags() -> ServerConfig {
             "--workers" => config.workers = parse_num(&value("--workers"), "--workers"),
             "--job-workers" => {
                 config.job_workers = parse_num(&value("--job-workers"), "--job-workers")
-            }
-            "--event-threads" => {
-                config.event_threads =
-                    match parse_num::<usize>(&value("--event-threads"), "--event-threads") {
-                        0 => fail("--event-threads must be positive"),
-                        n => n,
-                    }
             }
             "--max-conns" => {
                 config.max_conns = match parse_num::<usize>(&value("--max-conns"), "--max-conns") {

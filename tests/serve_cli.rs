@@ -47,9 +47,12 @@ fn usage_lists_the_flags_the_api_reference_documents() {
 
 #[test]
 fn removed_flags_are_unknown() {
-    for (flag, value) in
-        [("--batch-window-ms", "2"), ("--max-batch", "64"), ("--accept-backlog", "64")]
-    {
+    for (flag, value) in [
+        ("--batch-window-ms", "2"),
+        ("--max-batch", "64"),
+        ("--accept-backlog", "64"),
+        ("--event-threads", "2"),
+    ] {
         let out = serve(&[flag, value]);
         assert_eq!(out.status.code(), Some(2), "{flag} must be refused");
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -346,10 +346,10 @@ fn csv_ingest_and_response_are_byte_equivalent_to_the_json_path() {
 
 #[test]
 fn streamed_csv_clean_matches_json_and_direct_runs() {
-    // Streamed `text/csv` ingest parses the table incrementally as body
-    // bytes arrive. On Movies the cleaned output must stay byte-identical
-    // to the materialised JSON path *and* to a direct in-process `Cleaner`
-    // run — the ingest-equivalence guarantee, held to over the wire.
+    // Raw `text/csv` ingest parses the table with the incremental CSV
+    // parser. On Movies the cleaned output must stay byte-identical to the
+    // JSON path *and* to a direct in-process `Cleaner` run — the
+    // ingest-equivalence guarantee, held to over the wire.
     let movies = cocoon_datasets::movies::generate().dirty;
     let movies_csv = csv::write_str(&movies);
     let direct = Cleaner::new(SimLlm::new()).clean(&movies).expect("direct clean");
@@ -376,7 +376,7 @@ fn streamed_csv_clean_matches_json_and_direct_runs() {
 
 #[test]
 fn chunked_csv_upload_streams_through() {
-    // A chunked transfer (no Content-Length anywhere) must parse
+    // A chunked transfer (no Content-Length anywhere) must be framed
     // incrementally and clean identically — the streaming-friendly shape.
     let csv_text = messy_csv();
     with_server(test_config(), |handle| {
@@ -415,6 +415,17 @@ fn chunked_csv_upload_streams_through() {
 
 #[test]
 fn malformed_csv_ingest_is_a_client_error() {
+    // A malformed `text/csv` body answers the same 400 as the same document
+    // inside the JSON envelope. The body is read to its framed end first,
+    // so a keep-alive connection serves on after the error.
+    let valid = messy_csv();
+    let raw_csv = |document: &str| {
+        format!(
+            "POST /v1/clean HTTP/1.1\r\nHost: cocoon\r\nContent-Type: text/csv\r\n\
+             Accept: text/csv\r\nContent-Length: {}\r\n\r\n{document}",
+            document.len()
+        )
+    };
     with_server(test_config(), |handle| {
         let addr = handle.addr();
         for (bad, why) in [
@@ -431,7 +442,63 @@ fn malformed_csv_ingest_is_a_client_error() {
                 Some(bad),
             );
             assert_eq!(status, 400, "{why}: {body}");
+            let enveloped = http(addr, "POST", "/v1/clean", Some(&clean_body(bad)));
+            assert_eq!(enveloped, (400, body), "{why}: the JSON envelope's 400");
         }
+
+        let (_, expected) = http_with_headers(
+            addr,
+            "POST",
+            "/v1/clean",
+            &[("Accept", "text/csv")],
+            Some(&clean_body(&valid)),
+        );
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.write_all(raw_csv("a\nab\"c\n").as_bytes()).expect("send the malformed body");
+        let (status, body) = read_framed_response(&mut stream);
+        assert_eq!(status, 400, "{body}");
+        stream.write_all(raw_csv(&valid).as_bytes()).expect("send a valid body");
+        let (status, body) = read_framed_response(&mut stream);
+        assert_eq!((status, body), (200, expected), "the connection serves on after the 400");
+    });
+}
+
+/// The connection cap at work: with `max_conns: 2`, two keep-alive
+/// connections are served, a third is answered 503 at accept and closed,
+/// and once one of the two closes a new connection is served.
+#[test]
+fn connections_beyond_the_cap_are_refused_at_accept() {
+    const METRICS: &[u8] = b"GET /v1/metrics HTTP/1.1\r\nHost: cocoon\r\n\r\n";
+    let config = ServerConfig { max_conns: 2, ..test_config() };
+    with_server(config, |handle| {
+        let addr = handle.addr();
+        let state = handle.state();
+        let mut served: Vec<TcpStream> =
+            (0..2).map(|_| TcpStream::connect(addr).expect("connect")).collect();
+        for stream in &mut served {
+            stream.write_all(METRICS).expect("send");
+            assert_eq!(read_framed_response(stream).0, 200);
+        }
+
+        let mut refused = TcpStream::connect(addr).expect("the kernel completes the handshake");
+        refused.set_read_timeout(Some(Duration::from_secs(10))).expect("timeout");
+        let (status, body) = read_response(&mut refused);
+        assert_eq!(status, 503, "{body}");
+        assert!(body.contains("at capacity"), "{body}");
+        assert_eq!(state.metrics.get(Counter::ConnectionsRejected), 1);
+
+        drop(served.pop());
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while state.metrics.get(Counter::ConnectionsOpen) >= 2 {
+            assert!(Instant::now() < deadline, "the closed connection was never released");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let (status, metrics) = get_json(addr, "/v1/metrics");
+        assert_eq!(status, 200, "a freed slot admits a new connection");
+        let rejected = metrics.get("accept").and_then(|a| a.get("rejected_busy"));
+        assert_eq!(rejected.and_then(Json::as_f64), Some(1.0), "{metrics}");
+        served[0].write_all(METRICS).expect("send");
+        assert_eq!(read_framed_response(&mut served[0]).0, 200, "the kept connection serves on");
     });
 }
 
@@ -708,9 +775,9 @@ fn pipelined_requests_are_served_in_order() {
 
 #[test]
 fn mid_body_stall_parks_in_the_event_loop() {
-    // A client that stalls halfway through a streaming CSV body is parked
-    // parser state in the event loop — the lone worker serves live traffic
-    // meanwhile — and on resume the parse picks up exactly where the bytes
+    // A client that stalls halfway through a CSV body is parked framing
+    // state in the event loop — the lone worker serves live traffic
+    // meanwhile — and on resume the body picks up exactly where the bytes
     // stopped.
     let mut config = test_config();
     config.workers = 1;
@@ -1064,7 +1131,7 @@ fn request_ids_echo_and_prometheus_metrics_parse() {
 
 #[test]
 fn slow_streamed_clean_span_tree_accounts_for_wall_time() {
-    // The tracing acceptance bar: on a streamed-CSV clean of Movies (the
+    // The tracing acceptance bar: on a raw-CSV clean of Movies (the
     // largest catalog table), the recorded span tree must account for
     // >= 95% of the server-measured wall time — contiguous root segments
     // from head parse to response write, with the pipeline stages and LLM
@@ -1094,7 +1161,7 @@ fn slow_streamed_clean_span_tree_accounts_for_wall_time() {
             roots.iter().map(|s| (s.name, s.duration_ns)).collect::<Vec<_>>(),
         );
         let root_names: Vec<&str> = roots.iter().map(|s| s.name).collect();
-        for expected in ["head_parse", "csv_stream", "queue_wait", "handler", "write"] {
+        for expected in ["head_parse", "body_read", "queue_wait", "handler", "write"] {
             assert!(root_names.contains(&expected), "missing root {expected}: {root_names:?}");
         }
 
@@ -1301,51 +1368,6 @@ fn keep_alive_serves_sequential_requests_on_one_connection() {
             stream.read_exact(&mut body).expect("body");
             cocoon_llm::json::parse(std::str::from_utf8(&body).unwrap()).expect("body json");
         }
-    });
-}
-
-#[test]
-fn a_second_event_thread_serves_its_share_of_connections() {
-    // Shard 0 accepts and deals connections round robin, so of four
-    // keep-alive connections over two event threads, two reach shard 1 by
-    // `Mail::Conn`. Every one serves a clean byte-identical to a library run.
-    let config = ServerConfig { event_threads: 2, ..test_config() };
-    let csv_text = messy_csv();
-    let direct = Cleaner::new(SimLlm::new())
-        .clean(&csv::read_str(&csv_text).expect("fixture parses"))
-        .expect("direct clean");
-    let expected_csv = csv::write_str(&direct.table);
-    let expected_script = direct.sql_script();
-    let body = clean_body(&csv_text);
-    let request = format!(
-        "POST /v1/clean HTTP/1.1\r\nHost: cocoon\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-
-    with_server(config, |handle| {
-        let mut streams: Vec<TcpStream> =
-            (0..4).map(|_| TcpStream::connect(handle.addr()).expect("connect")).collect();
-        for (i, stream) in streams.iter_mut().enumerate() {
-            stream.write_all(request.as_bytes()).expect("send request");
-            let (status, response) = read_framed_response(stream);
-            assert_eq!(status, 200, "connection {i}: {response}");
-            let json = cocoon_llm::json::parse(&response).expect("response json");
-            assert_eq!(
-                json.get("cleaned_csv").and_then(Json::as_str),
-                Some(expected_csv.as_str()),
-                "connection {i}: served clean table == direct library run"
-            );
-            assert_eq!(
-                json.get("sql_script").and_then(Json::as_str),
-                Some(expected_script.as_str()),
-                "connection {i}: served SQL artifact == direct library run"
-            );
-        }
-        let (status, metrics) = get_json(handle.addr(), "/v1/metrics");
-        assert_eq!(status, 200);
-        let event_threads =
-            metrics.get("connections").and_then(|c| c.get("event_threads")).and_then(Json::as_f64);
-        assert_eq!(event_threads, Some(2.0), "{metrics}");
     });
 }
 
