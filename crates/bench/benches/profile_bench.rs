@@ -2,9 +2,11 @@
 //! feeds every LLM prompt) over the benchmark tables.
 
 use cocoon_profile::{
-    fd_candidates, pattern_census, profile_table, profile_table_chunked, ProfileOptions,
+    fd_candidates, pattern_census, profile_table, profile_table_chunked, ColumnCensus, FdScan,
+    ProfileOptions,
 };
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
 use threadpool::ThreadPool;
 
 fn bench_profile_hospital(c: &mut Criterion) {
@@ -22,6 +24,17 @@ fn bench_fd_discovery(c: &mut Criterion) {
     let flights = cocoon_datasets::flights::generate();
     c.bench_function("profile/fd candidates (Flights)", |b| {
         b.iter(|| fd_candidates(black_box(&flights.dirty), 0.6, 0.95))
+    });
+    // Scoring alone, as the FD stage runs it: the censuses are built once,
+    // outside the timed loop, and each iteration scores a fresh scan over
+    // them on one thread.
+    let movies = cocoon_datasets::movies::generate();
+    let censuses: Vec<Arc<ColumnCensus>> = (0..movies.dirty.width())
+        .map(|c| Arc::new(ColumnCensus::of(movies.dirty.column(c).expect("column in range"))))
+        .collect();
+    let pool = ThreadPool::new(1);
+    c.bench_function("profile/fd candidates (Movies)", |b| {
+        b.iter(|| FdScan::from_censuses(black_box(censuses.clone())).candidates(&pool, 0.6, 0.95))
     });
 }
 

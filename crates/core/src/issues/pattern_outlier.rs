@@ -65,9 +65,20 @@ fn resume(
     mut answers: Answers,
 ) -> crate::error::Result<Step<usize, Finding>> {
     let plan = parse_pattern_plan(&answers.remove(0)?)?;
+    if !plan.inconsistent || plan.transforms.is_empty() {
+        return Ok(Step::clean());
+    }
+
+    // Validate transforms compile before emitting SQL.
+    let valid_transforms: Vec<(String, String)> =
+        plan.transforms.iter().filter(|(p, _)| Regex::new(p).is_ok()).cloned().collect();
+    if valid_transforms.is_empty() {
+        return Ok(Step::clean());
+    }
 
     // Verify the proposed patterns against the data ("verify them with
     // SQL"): each must compile, and together they should cover most values.
+    // Only a finding carries this evidence, so a clean column skips it.
     let compiled: Vec<Regex> = plan.patterns.iter().filter_map(|p| Regex::new(p).ok()).collect();
     let distinct = ctx.census(column.index, ctx.config.sample_size);
     let covered =
@@ -79,17 +90,6 @@ fn resume(
         covered,
         distinct.len()
     );
-
-    if !plan.inconsistent || plan.transforms.is_empty() {
-        return Ok(Step::clean());
-    }
-
-    // Validate transforms compile before emitting SQL.
-    let valid_transforms: Vec<(String, String)> =
-        plan.transforms.iter().filter(|(p, _)| Regex::new(p).is_ok()).cloned().collect();
-    if valid_transforms.is_empty() {
-        return Ok(Step::clean());
-    }
     Ok(Step::Done(Outcome::Finding(Finding {
         column: column.name.clone(),
         evidence,

@@ -10,7 +10,7 @@ use cocoon_table::{Table, Value};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use threadpool::ThreadPool;
 
 /// Shannon entropy (bits) of a discrete distribution given by counts.
@@ -19,15 +19,41 @@ pub fn entropy(counts: &[usize]) -> f64 {
     if total == 0 {
         return 0.0;
     }
-    let total = total as f64;
-    counts
-        .iter()
-        .filter(|&&c| c > 0)
-        .map(|&c| {
-            let p = c as f64 / total;
-            -p * p.log2()
-        })
-        .sum()
+    counts.iter().filter(|&&c| c > 0).map(|&c| entropy_term(c, total)).sum()
+}
+
+/// One value's term of [`entropy`]: −p·log2 p for p = `count / total`. It
+/// is never negative (−0.0 when `count == total`).
+fn entropy_term(count: usize, total: usize) -> f64 {
+    let p = count as f64 / total as f64;
+    -p * p.log2()
+}
+
+/// Groups below this many rows read their entropy terms from
+/// [`small_group_terms`].
+const SMALL_GROUP: usize = 64;
+
+/// [`entropy_term`]`(c, n)` at index `n · SMALL_GROUP + c`, built once by
+/// the same function, so a term read from the table is bit-equal to the
+/// term computed. Only the entries with `1 ≤ c ≤ n` are read.
+fn small_group_terms() -> &'static [f64] {
+    static TERMS: OnceLock<Vec<f64>> = OnceLock::new();
+    TERMS.get_or_init(|| {
+        (0..SMALL_GROUP * SMALL_GROUP)
+            .map(|i| entropy_term(i % SMALL_GROUP, i / SMALL_GROUP))
+            .collect()
+    })
+}
+
+/// [`entropy`] of one lhs group's rhs counts (`n` rows, every count
+/// positive), summed in the same order with the same `Sum`.
+fn group_entropy(pairs: &[(u64, usize)], n: usize) -> f64 {
+    if n < SMALL_GROUP {
+        let terms = &small_group_terms()[n * SMALL_GROUP..(n + 1) * SMALL_GROUP];
+        pairs.iter().map(|&(_, c)| terms[c]).sum()
+    } else {
+        pairs.iter().map(|&(_, c)| entropy_term(c, n)).sum()
+    }
 }
 
 /// Code reserved for NULL cells in a [`CodedColumn`].
@@ -171,45 +197,110 @@ fn group_rows_by_code(coded: &ColumnCensus) -> LhsGroups {
     LhsGroups { rows, starts }
 }
 
-/// [`pair_counts`] served from a prebuilt lhs grouping: for each lhs group
-/// (codes ascending) the rhs codes are tallied into a scratch table and
-/// emitted in sorted order, so the output is *identical* to the sort-based
-/// scan — same keys, same order, same counts — without sorting a
-/// row-length key vector per pair. `scratch` must be all-zero on entry and
-/// is restored to all-zero before returning.
-fn pair_counts_grouped(
+/// Buffers reused across every rhs scored against one lhs: a tally per rhs
+/// code (all zero between groups), the rhs codes one group touched, and the
+/// pair counts of the pair being scored.
+#[derive(Default)]
+struct PairScratch {
+    tally: Vec<usize>,
+    touched: Vec<u32>,
+    pairs: Vec<(u64, usize)>,
+}
+
+/// How one pair scored: H(rhs | lhs), its strength and its violating group
+/// count, as [`FdCandidate`] reports them.
+struct PairScore {
+    conditional_entropy: f64,
+    strength: f64,
+    violating_groups: usize,
+}
+
+/// Scores `lhs → rhs` in one pass over the lhs groups, leaving the pair's
+/// counts in `scratch.pairs`, keyed and ordered as [`pair_counts`] builds
+/// them. `None` as soon as the strength is known to fall below
+/// `min_strength`.
+///
+/// H(rhs | lhs) is summed group by group in lhs code order, each group's
+/// entropy in rhs code order, as [`conditional_entropy_from_pairs`] sums
+/// it, with two exact shortcuts:
+/// - a group holding one rhs value adds (n/total)·(±0.0) to an `h` that
+///   starts at +0.0, which leaves `h` as it is, so it is skipped (its one
+///   pair is still recorded);
+/// - no term is negative, so the partial `h` only grows and
+///   `1 − h/H(rhs)` only falls: once that is below `min_strength`, so is
+///   the final strength.
+fn score_pair(
     groups: &LhsGroups,
     rhs: &ColumnCensus,
-    scratch: &mut Vec<usize>,
-    touched: &mut Vec<u32>,
-) -> (Vec<(u64, usize)>, usize) {
-    if scratch.len() < rhs.cardinality() {
-        scratch.resize(rhs.cardinality(), 0);
+    rhs_has_nulls: bool,
+    h_rhs: f64,
+    min_strength: f64,
+    scratch: &mut PairScratch,
+) -> Option<PairScore> {
+    let strength = |h: f64| if h_rhs == 0.0 { 0.0 } else { 1.0 - h / h_rhs };
+    // `h` starts at +0.0 and never falls: this is the best the pair can do.
+    if strength(0.0) < min_strength {
+        return None;
     }
     let rhs_codes = rhs.codes();
-    let mut pairs: Vec<(u64, usize)> = Vec::new();
-    let mut total = 0usize;
-    for lhs_code in 0..groups.starts.len() - 1 {
+    // Rows where both sides are non-null: the weights' denominator.
+    let total = if rhs_has_nulls {
+        groups.rows.iter().filter(|&&row| rhs_codes[row as usize] != NULL_CODE).count()
+    } else {
+        groups.rows.len()
+    };
+    let PairScratch { tally, touched, pairs } = scratch;
+    if tally.len() < rhs.cardinality() {
+        tally.resize(rhs.cardinality(), 0);
+    }
+    pairs.clear();
+    let (mut h, mut violating_groups) = (0.0, 0);
+    for (lhs_code, bounds) in groups.starts.windows(2).enumerate() {
+        let key = u64::from(lhs_code as u32) << 32;
+        let rows = &groups.rows[bounds[0]..bounds[1]];
+        if let [row] = rows {
+            // One row: at most one pair, and no entropy.
+            let r = rhs_codes[*row as usize];
+            if r != NULL_CODE {
+                pairs.push((key | u64::from(r), 1));
+            }
+            continue;
+        }
         touched.clear();
-        for &row in &groups.rows[groups.starts[lhs_code]..groups.starts[lhs_code + 1]] {
+        for &row in rows {
             let r = rhs_codes[row as usize];
             if r == NULL_CODE {
                 continue;
             }
-            if scratch[r as usize] == 0 {
+            if tally[r as usize] == 0 {
                 touched.push(r);
             }
-            scratch[r as usize] += 1;
-            total += 1;
+            tally[r as usize] += 1;
         }
+        // Rhs code order: the pair keys' order and the entropy's float
+        // summation order.
         touched.sort_unstable();
-        for &r in touched.iter() {
-            pairs.push(((u64::from(lhs_code as u32) << 32) | u64::from(r), scratch[r as usize]));
-            scratch[r as usize] = 0;
+        let start = pairs.len();
+        pairs.extend(
+            touched.iter().map(|&r| (key | u64::from(r), std::mem::take(&mut tally[r as usize]))),
+        );
+        if touched.len() > 1 {
+            let group = &pairs[start..];
+            let n: usize = group.iter().map(|&(_, count)| count).sum();
+            h += (n as f64 / total as f64) * group_entropy(group, n);
+            violating_groups += 1;
+            if strength(h) < min_strength {
+                return None;
+            }
         }
     }
-    (pairs, total)
+    Some(PairScore { conditional_entropy: h, strength: strength(h), violating_groups })
 }
+
+/// Margin of the entropy bound in [`FdScan::candidates`], in units of
+/// H(rhs): far above the float error of the entropy sums, which is about
+/// the row count times 2⁻⁵³ of each sum.
+const BOUND_MARGIN: f64 = 1e-6;
 
 /// H(rhs | lhs) from sorted pair counts: groups are runs sharing a lhs code.
 fn conditional_entropy_from_pairs(pairs: &[(u64, usize)], total: usize) -> f64 {
@@ -339,14 +430,31 @@ impl FdScan {
     /// reject it anyway.
     ///
     /// Each eligible lhs column is one task on `pool`: its rows are grouped
-    /// by code **once** (counting sort) and every rhs is tallied in a
-    /// single pass over those groups, with no per-pair sort of a row-length
-    /// key vector. The output does not depend on the thread count: a
-    /// task's result is a function of its lhs alone, the pair counts it
-    /// emits equal the sort-based scan's (so every entropy is summed in the
-    /// same order and every float is the same), and the per-lhs results are
-    /// concatenated in lhs order before the stable sort by strength with
-    /// its `(lhs, rhs)` tie-break.
+    /// by code **once** (counting sort), and each rhs is scored in one pass
+    /// over those groups that tallies its pair counts, sums H(rhs | lhs) and
+    /// counts the violating groups together. Three exact exits skip work
+    /// whose outcome is already fixed:
+    /// - **The entropy bound.** On shared rows H(rhs | lhs) ≥ H(rhs) −
+    ///   H(lhs), so strength ≤ H(lhs)/H(rhs), and a pair whose bound falls
+    ///   below `min_strength` (by more than a margin far above float error)
+    ///   is not scanned. Only when neither column has NULLs: NULLs put
+    ///   H(lhs), H(rhs) and H(rhs | lhs) on different rows, where the
+    ///   bound does not hold.
+    /// - **Single-valued groups.** A group whose rows share one rhs value
+    ///   adds nothing to H(rhs | lhs), so its entropy is not computed.
+    /// - **The early stop.** The partial H(rhs | lhs) only grows, so a pair
+    ///   stops as soon as its strength falls below `min_strength`.
+    ///
+    /// Groups under 64 rows read their entropy terms from a table built with
+    /// the same expression. Only the pairs that become candidates have their
+    /// pair counts copied out of the task's buffer, into the memo the group
+    /// readers use.
+    ///
+    /// Every float is the one the sort-based scan computes: each entropy is
+    /// summed in the same order with the same `Sum`. The output does not
+    /// depend on the thread count: a task's result is a function of its lhs
+    /// alone, and the per-lhs results are concatenated in lhs order before
+    /// the stable sort by strength with its `(lhs, rhs)` tie-break.
     pub fn candidates(
         &mut self,
         pool: &ThreadPool,
@@ -366,6 +474,8 @@ impl FdScan {
             .iter()
             .map(|census| census.cardinality() > 1 && !key_like(census))
             .collect();
+        let has_nulls: Vec<bool> =
+            self.columns.iter().map(|census| census.null_count() > 0).collect();
         // Code-order counts: the entropy's float summation order.
         let column_entropy: Vec<f64> =
             self.columns.iter().map(|census| entropy(census.counts())).collect();
@@ -373,26 +483,34 @@ impl FdScan {
         let lhs_columns: Vec<usize> = (0..columns.len()).filter(|&lhs| eligible[lhs]).collect();
         let scored = pool.map_ordered(lhs_columns, |lhs| {
             let groups = group_rows_by_code(&columns[lhs]);
-            let (mut scratch, mut touched) = (Vec::new(), Vec::new());
+            let mut scratch = PairScratch::default();
             let mut scored = Vec::new();
             for rhs in (0..columns.len()).filter(|&rhs| rhs != lhs && eligible[rhs]) {
-                let (pairs, total) =
-                    pair_counts_grouped(&groups, &columns[rhs], &mut scratch, &mut touched);
-                let h_cond = conditional_entropy_from_pairs(&pairs, total);
                 let h_rhs = column_entropy[rhs];
-                let strength = if h_rhs == 0.0 { 0.0 } else { 1.0 - h_cond / h_rhs };
-                if strength < min_strength {
+                if !has_nulls[lhs]
+                    && !has_nulls[rhs]
+                    && column_entropy[lhs] / h_rhs + BOUND_MARGIN < min_strength
+                {
                     continue;
                 }
-                let violating_groups = violating_groups_from_pairs(&pairs);
+                let Some(score) = score_pair(
+                    &groups,
+                    &columns[rhs],
+                    has_nulls[rhs],
+                    h_rhs,
+                    min_strength,
+                    &mut scratch,
+                ) else {
+                    continue;
+                };
                 let candidate = FdCandidate {
                     lhs,
                     rhs,
-                    conditional_entropy: h_cond,
-                    strength,
-                    violating_groups,
+                    conditional_entropy: score.conditional_entropy,
+                    strength: score.strength,
+                    violating_groups: score.violating_groups,
                 };
-                scored.push((candidate, pairs));
+                scored.push((candidate, scratch.pairs.clone()));
             }
             scored
         });
@@ -644,33 +762,6 @@ mod tests {
             scan.violating_groups(0, 1, usize::MAX),
             vec![(Value::from("2"), vec![(Value::from("Dallas"), 1), (Value::from("Houston"), 1)])]
         );
-    }
-
-    #[test]
-    fn grouped_scan_matches_sorted_scan_exactly() {
-        // The lhs-grouped pass must emit the identical sorted pair vector
-        // (keys, order, counts, total) as the sort-based pass — including
-        // NULLs on either side.
-        let lhs = census_of(
-            &["b", "a", "", "b", "c", "a", "b", ""]
-                .iter()
-                .map(|s| if s.is_empty() { Value::Null } else { Value::from(*s) })
-                .collect::<Vec<_>>(),
-        );
-        let rhs = census_of(
-            &["y", "x", "z", "", "z", "x", "y", "w"]
-                .iter()
-                .map(|s| if s.is_empty() { Value::Null } else { Value::from(*s) })
-                .collect::<Vec<_>>(),
-        );
-        let groups = group_rows_by_code(&lhs);
-        let mut scratch = Vec::new();
-        let mut touched = Vec::new();
-        assert_eq!(
-            pair_counts_grouped(&groups, &rhs, &mut scratch, &mut touched),
-            pair_counts(&lhs, &rhs)
-        );
-        assert!(scratch.iter().all(|&c| c == 0), "scratch restored to zero");
     }
 
     #[test]

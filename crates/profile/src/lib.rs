@@ -44,7 +44,7 @@ pub use partial::{profile_table_chunked, PartialProfile, DEFAULT_PROFILE_CHUNK_R
 pub use patterns::{pattern_census, pattern_census_from_distinct, PatternBucket, PatternCensus};
 pub use profile::{profile_table, ColumnProfile, ProfileOptions, TableProfile};
 pub use sampling::{batches, frequent_values, DEFAULT_BATCH_SIZE, DEFAULT_SAMPLE_SIZE};
-pub use stats::{quantile_sorted, NumericStats};
+pub use stats::NumericStats;
 pub use uniqueness::{
     duplicate_profile, duplicates_from_censuses, uniqueness_from_distinct, uniqueness_profile,
     DuplicateProfile, UniquenessProfile,

@@ -29,23 +29,29 @@ pub fn numeric_profile(column: &Column) -> Option<NumericProfile> {
 }
 
 /// [`numeric_profile`] over an already-censused column: each distinct
-/// `(value, count)` pair contributes its parse `count` times. Parsing is
-/// deterministic per value and [`NumericStats::compute`] sorts its input
-/// before any summation, so the expanded multiset yields exactly the
-/// per-cell statistics. Shared with the chunk-merged profile path
-/// (`crate::PartialProfile`).
+/// `(value, count)` pair whose value parses to a finite number becomes one
+/// `(number, count)` pair of [`NumericStats::compute`], which sorts and sums
+/// the pairs as the per-cell list would be sorted and summed, and the
+/// outlier count adds up the counts outside the fences. Parsing is
+/// deterministic per value, so every field equals the per-cell statistic
+/// bit for bit, while the work follows the distinct values, not the rows.
+/// Shared with the chunk-merged profile path (`crate::PartialProfile`).
 pub fn numeric_from_distinct(distinct: &[(Value, usize)]) -> Option<NumericProfile> {
-    let mut parsed = Vec::new();
+    let mut parsed: Vec<(f64, usize)> = Vec::new();
     let mut non_numeric = 0usize;
     for (v, count) in distinct {
         match v.as_f64().or_else(|| v.as_text().and_then(|s| s.trim().parse::<f64>().ok())) {
-            Some(x) if x.is_finite() => parsed.extend(std::iter::repeat_n(x, *count)),
+            Some(x) if x.is_finite() => parsed.push((x, *count)),
             _ => non_numeric += count,
         }
     }
     let stats = NumericStats::compute(&parsed)?;
     let (fence_low, fence_high) = stats.tukey_fences(1.5);
-    let outlier_count = parsed.iter().filter(|&&x| x < fence_low || x > fence_high).count();
+    let outlier_count = parsed
+        .iter()
+        .filter(|&&(x, _)| x < fence_low || x > fence_high)
+        .map(|&(_, count)| count)
+        .sum();
     Some(NumericProfile {
         stats,
         fence_low,

@@ -1,6 +1,11 @@
 //! Basic numeric summary statistics.
 
 /// Summary statistics over a set of numeric observations.
+///
+/// The observations arrive as `(value, count)` pairs, `count` copies of
+/// `value` each, so a column's statistics cost its distinct values, not its
+/// rows. Every field is bit-equal to the same statistic over the expanded
+/// list of observations sorted ascending by a stable sort.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NumericStats {
     /// Number of finite observations.
@@ -22,27 +27,56 @@ pub struct NumericStats {
 }
 
 impl NumericStats {
-    /// Computes stats over `values`, ignoring NaNs. Returns `None` when no
-    /// finite observations remain.
-    pub fn compute(values: &[f64]) -> Option<Self> {
-        let mut sorted: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+    /// Computes stats over `pairs`, each `count` observations of `value`,
+    /// ignoring non-finite values and zero counts. Returns `None` when no
+    /// finite observation remains.
+    ///
+    /// The pairs are stable-sorted by value. That orders the observations
+    /// exactly as a stable sort of the expanded list would, equal values
+    /// (`-0.0` beside `0.0`) included, since each pair's copies sit
+    /// together in both. The sums run over that order through `repeat_n`,
+    /// and the quantiles index it through cumulative counts, so no list of
+    /// one `f64` per observation is built or sorted.
+    pub fn compute(pairs: &[(f64, usize)]) -> Option<Self> {
+        let mut sorted: Vec<(f64, usize)> =
+            pairs.iter().copied().filter(|&(v, n)| v.is_finite() && n > 0).collect();
         if sorted.is_empty() {
             return None;
         }
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        let count = sorted.len();
-        let sum: f64 = sorted.iter().sum();
+        sorted.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite values compare"));
+        let observations = || sorted.iter().flat_map(|&(v, n)| std::iter::repeat_n(v, n));
+        let ends: Vec<usize> = sorted
+            .iter()
+            .scan(0, |end, &(_, n)| {
+                *end += n;
+                Some(*end)
+            })
+            .collect();
+        let count = ends[ends.len() - 1];
+        let sum: f64 = observations().sum();
         let mean = sum / count as f64;
-        let var = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
+        let var = observations().map(|v| (v - mean).powi(2)).sum::<f64>() / count as f64;
+        // The observation at `index` of the ascending order.
+        let nth = |index: usize| sorted[ends.partition_point(|&end| end <= index)].0;
+        // Linear-interpolated quantile.
+        let quantile = |q: f64| {
+            if count == 1 {
+                return nth(0);
+            }
+            let pos = q * (count - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            let frac = pos - lo as f64;
+            nth(lo) * (1.0 - frac) + nth(hi) * frac
+        };
         Some(NumericStats {
             count,
-            min: sorted[0],
-            max: sorted[count - 1],
+            min: sorted[0].0,
+            max: sorted[sorted.len() - 1].0,
             mean,
             std_dev: var.sqrt(),
-            median: quantile_sorted(&sorted, 0.5),
-            q1: quantile_sorted(&sorted, 0.25),
-            q3: quantile_sorted(&sorted, 0.75),
+            median: quantile(0.5),
+            q1: quantile(0.25),
+            q3: quantile(0.75),
         })
     }
 
@@ -67,27 +101,18 @@ impl NumericStats {
     }
 }
 
-/// Linear-interpolated quantile of an ascending-sorted, non-empty slice.
-pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    debug_assert!(!sorted.is_empty());
-    let q = q.clamp(0.0, 1.0);
-    if sorted.len() == 1 {
-        return sorted[0];
-    }
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    sorted[lo] * (1.0 - frac) + sorted[hi] * frac
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// One observation per value.
+    fn each_once(values: &[f64]) -> Vec<(f64, usize)> {
+        values.iter().map(|&v| (v, 1)).collect()
+    }
+
     #[test]
     fn basic_stats() {
-        let s = NumericStats::compute(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
+        let s = NumericStats::compute(&each_once(&[1.0, 2.0, 3.0, 4.0, 5.0])).unwrap();
         assert_eq!(s.count, 5);
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 5.0);
@@ -98,18 +123,23 @@ mod tests {
 
     #[test]
     fn quantiles_interpolate() {
-        let sorted = [1.0, 2.0, 3.0, 4.0];
-        assert!((quantile_sorted(&sorted, 0.5) - 2.5).abs() < 1e-12);
-        assert_eq!(quantile_sorted(&sorted, 0.0), 1.0);
-        assert_eq!(quantile_sorted(&sorted, 1.0), 4.0);
-        assert_eq!(quantile_sorted(&[7.0], 0.9), 7.0);
+        let s = NumericStats::compute(&each_once(&[4.0, 1.0, 3.0, 2.0])).unwrap();
+        assert!((s.median - 2.5).abs() < 1e-12);
+        assert!((s.q1 - 1.75).abs() < 1e-12);
+        assert!((s.q3 - 3.25).abs() < 1e-12);
+        let s = NumericStats::compute(&[(7.0, 1)]).unwrap();
+        assert_eq!((s.q1, s.median, s.q3), (7.0, 7.0, 7.0));
+        // Quantiles index the observations, not the pairs.
+        let s = NumericStats::compute(&[(1.0, 3), (9.0, 1)]).unwrap();
+        assert_eq!((s.count, s.q1, s.median, s.q3), (4, 1.0, 1.0, 3.0));
     }
 
     #[test]
     fn empty_and_nan_handling() {
         assert!(NumericStats::compute(&[]).is_none());
-        assert!(NumericStats::compute(&[f64::NAN]).is_none());
-        let s = NumericStats::compute(&[f64::NAN, 2.0]).unwrap();
+        assert!(NumericStats::compute(&[(f64::NAN, 1)]).is_none());
+        assert!(NumericStats::compute(&[(2.0, 0)]).is_none());
+        let s = NumericStats::compute(&[(f64::NAN, 1), (2.0, 1)]).unwrap();
         assert_eq!(s.count, 1);
         assert_eq!(s.mean, 2.0);
     }
@@ -118,7 +148,7 @@ mod tests {
     fn tukey_fences_flag_outliers() {
         let mut values: Vec<f64> = (1..=100).map(f64::from).collect();
         values.push(10_000.0);
-        let s = NumericStats::compute(&values).unwrap();
+        let s = NumericStats::compute(&each_once(&values)).unwrap();
         let (lo, hi) = s.tukey_fences(1.5);
         assert!(10_000.0 > hi);
         assert!(1.0 > lo);
@@ -126,9 +156,9 @@ mod tests {
 
     #[test]
     fn z_score_degenerate_sigma() {
-        let s = NumericStats::compute(&[5.0, 5.0, 5.0]).unwrap();
+        let s = NumericStats::compute(&[(5.0, 3)]).unwrap();
         assert_eq!(s.z_score(100.0), 0.0);
-        let s = NumericStats::compute(&[0.0, 10.0]).unwrap();
+        let s = NumericStats::compute(&each_once(&[0.0, 10.0])).unwrap();
         assert!(s.z_score(10.0) > 0.0);
     }
 }

@@ -39,17 +39,27 @@ pub fn infer_column_type(column: &Column, tolerance: f64) -> TypeInference {
 /// yields exactly the per-cell success ratio — which is what lets
 /// chunk-merged profiles (`cocoon_profile::PartialProfile`) reproduce the
 /// whole-column inference without keeping the cells around.
+///
+/// A candidate type is dropped as soon as `(ok + count still unread) /
+/// total` falls below `tolerance`: the final `ok` cannot exceed that sum,
+/// so its ratio would fall below too. Census pairs come most frequent
+/// first, so a type most cells fail is dropped after a few casts. The
+/// winner's values are all cast, so its confidence is exact.
 pub fn infer_from_distinct(distinct: &[(Value, usize)], tolerance: f64) -> TypeInference {
     let total: usize = distinct.iter().map(|(_, count)| count).sum();
     if total == 0 {
         return TypeInference { data_type: DataType::Text, confidence: 1.0, violations: 0 };
     }
-    for candidate in CANDIDATES {
-        let ok: usize = distinct
-            .iter()
-            .filter(|(value, _)| value.cast(candidate).is_ok())
-            .map(|(_, count)| count)
-            .sum();
+    'candidates: for candidate in CANDIDATES {
+        let (mut ok, mut unread) = (0usize, total);
+        for (value, count) in distinct {
+            unread -= count;
+            if value.cast(candidate).is_ok() {
+                ok += count;
+            } else if ((ok + unread) as f64 / total as f64) < tolerance {
+                continue 'candidates;
+            }
+        }
         let ratio = ok as f64 / total as f64;
         if ratio >= tolerance {
             let violations = ((1.0 - ratio) * total as f64).round() as usize;
