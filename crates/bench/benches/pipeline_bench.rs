@@ -20,13 +20,14 @@ fn bench_pipeline(c: &mut Criterion) {
 }
 
 fn bench_stages(c: &mut Criterion) {
-    use cocoon_core::CleanerConfig;
+    use cocoon_core::{CleanerConfig, IssueKind};
     let dataset = cocoon_datasets::hospital::generate();
     let mut group = c.benchmark_group("pipeline-stages");
     group.sample_size(10);
-    for issue in ["string_outliers", "column_type", "functional_dependencies"] {
+    for issue in [IssueKind::StringOutliers, IssueKind::ColumnType, IssueKind::FunctionalDependency]
+    {
         let config = CleanerConfig::only_issue(issue);
-        group.bench_function(format!("Hospital/{issue} only"), |b| {
+        group.bench_function(format!("Hospital/{} only", issue.key()), |b| {
             b.iter(|| {
                 Cleaner::with_config(SimLlm::new(), config.clone())
                     .expect("valid config")

@@ -10,7 +10,7 @@
 //! cargo run --release -p cocoon-bench --bin ablation
 //! ```
 
-use cocoon_core::{Cleaner, CleanerConfig, IssueToggles};
+use cocoon_core::{Cleaner, CleanerConfig, IssueKind, STAGE_ORDER};
 use cocoon_eval::{evaluate, Equivalence, Prf};
 use cocoon_llm::{SimLlm, Transcript};
 
@@ -51,18 +51,15 @@ fn main() {
     }
 
     println!("\n== Ablation 3: per-issue contribution (Hospital)");
-    for issue in [
-        "string_outliers",
-        "pattern_outliers",
-        "disguised_missing",
-        "column_type",
-        "numeric_outliers",
-        "functional_dependencies",
-    ] {
+    // Every stage but the two row-level ones (duplication, uniqueness).
+    for &issue in &STAGE_ORDER[..6] {
         let (prf, _) = score(CleanerConfig::only_issue(issue), &hospital);
         println!(
-            "  only {issue:<24}  P {:.2}  R {:.2}  F {:.2}",
-            prf.precision, prf.recall, prf.f1
+            "  only {:<24}  P {:.2}  R {:.2}  F {:.2}",
+            issue.key(),
+            prf.precision,
+            prf.recall,
+            prf.f1
         );
     }
     let (full, _) = score(CleanerConfig::default(), &hospital);
@@ -75,10 +72,8 @@ fn main() {
     println!("  The paper argues typos must be fixed before patterns, patterns before");
     println!("  casts, casts before numeric review. Running ONLY the later stages");
     println!("  (no string-outlier pass first) shows the dependency:");
-    let no_strings = CleanerConfig {
-        issues: IssueToggles { string_outliers: false, ..IssueToggles::default() },
-        ..CleanerConfig::default()
-    };
+    let mut no_strings = CleanerConfig::default();
+    no_strings.issues.set(IssueKind::StringOutliers, false);
     let (prf, _) = score(no_strings, &hospital);
     println!(
         "  without string outliers first  P {:.2}  R {:.2}  F {:.2}",

@@ -2,43 +2,34 @@
 //! service accepts (`CleanerConfig::from_json` / `to_json`).
 
 use crate::error::{CoreError, Result};
+use crate::ops::IssueKind;
+use crate::pipeline::STAGE_ORDER;
 use cocoon_llm::Json;
 use cocoon_profile::ProfileOptions;
 
-/// Which issue types (§2.1.1–2.1.8) the pipeline runs. All on by default;
-/// the ablation benches toggle these.
+/// Which issue types (§2.1.1–2.1.8) the pipeline runs: one switch per
+/// [`IssueKind`], read with [`enabled`](Self::enabled) and flipped with
+/// [`set`](Self::set). All on by default; the ablation benches toggle
+/// these. The JSON config names each switch by [`IssueKind::key`].
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IssueToggles {
-    /// §2.1.1 — rare string values that are typos of frequent ones.
-    pub string_outliers: bool,
-    /// §2.1.2 — values breaking the column's dominant character pattern.
-    pub pattern_outliers: bool,
-    /// §2.1.3 — sentinel strings standing in for NULL ("N/A", "-").
-    pub disguised_missing: bool,
-    /// §2.1.4 — text columns that should be typed (int, date, …).
-    pub column_type: bool,
-    /// §2.1.5 — numeric values outside plausible bounds.
-    pub numeric_outliers: bool,
-    /// §2.1.6 — rows violating discovered functional dependencies.
-    pub functional_dependencies: bool,
-    /// §2.1.7 — exact duplicate rows.
-    pub duplication: bool,
-    /// §2.1.8 — duplicate values in key-like columns.
-    pub uniqueness: bool,
-}
+pub struct IssueToggles([bool; STAGE_ORDER.len()]);
 
 impl Default for IssueToggles {
     fn default() -> Self {
-        IssueToggles {
-            string_outliers: true,
-            pattern_outliers: true,
-            disguised_missing: true,
-            column_type: true,
-            numeric_outliers: true,
-            functional_dependencies: true,
-            duplication: true,
-            uniqueness: true,
-        }
+        IssueToggles([true; STAGE_ORDER.len()])
+    }
+}
+
+impl IssueToggles {
+    /// Whether `kind`'s stage runs.
+    pub fn enabled(&self, kind: IssueKind) -> bool {
+        // `IssueKind` is declared in `STAGE_ORDER`'s order.
+        self.0[kind as usize]
+    }
+
+    /// Turns `kind`'s stage on or off.
+    pub fn set(&mut self, kind: IssueKind, on: bool) {
+        self.0[kind as usize] = on;
     }
 }
 
@@ -168,16 +159,9 @@ impl CleanerConfig {
     /// The JSON wire form of this config (round-trips through
     /// [`from_json`](Self::from_json)).
     pub fn to_json(&self) -> Json {
-        let issues = Json::object([
-            ("string_outliers".into(), Json::Bool(self.issues.string_outliers)),
-            ("pattern_outliers".into(), Json::Bool(self.issues.pattern_outliers)),
-            ("disguised_missing".into(), Json::Bool(self.issues.disguised_missing)),
-            ("column_type".into(), Json::Bool(self.issues.column_type)),
-            ("numeric_outliers".into(), Json::Bool(self.issues.numeric_outliers)),
-            ("functional_dependencies".into(), Json::Bool(self.issues.functional_dependencies)),
-            ("duplication".into(), Json::Bool(self.issues.duplication)),
-            ("uniqueness".into(), Json::Bool(self.issues.uniqueness)),
-        ]);
+        let issues = Json::object(
+            STAGE_ORDER.map(|kind| (kind.key().into(), Json::Bool(self.issues.enabled(kind)))),
+        );
         Json::object([
             ("sample_size".into(), Json::Number(self.sample_size as f64)),
             ("batch_size".into(), Json::Number(self.batch_size as f64)),
@@ -212,31 +196,12 @@ impl CleanerConfig {
         }
     }
 
-    /// A configuration with every semantic step disabled except `only` —
-    /// used by ablations.
-    pub fn only_issue(issue: &str) -> Self {
-        let mut toggles = IssueToggles {
-            string_outliers: false,
-            pattern_outliers: false,
-            disguised_missing: false,
-            column_type: false,
-            numeric_outliers: false,
-            functional_dependencies: false,
-            duplication: false,
-            uniqueness: false,
-        };
-        match issue {
-            "string_outliers" => toggles.string_outliers = true,
-            "pattern_outliers" => toggles.pattern_outliers = true,
-            "disguised_missing" => toggles.disguised_missing = true,
-            "column_type" => toggles.column_type = true,
-            "numeric_outliers" => toggles.numeric_outliers = true,
-            "functional_dependencies" => toggles.functional_dependencies = true,
-            "duplication" => toggles.duplication = true,
-            "uniqueness" => toggles.uniqueness = true,
-            _ => {}
-        }
-        CleanerConfig { issues: toggles, ..CleanerConfig::default() }
+    /// The default configuration with every stage but `issue`'s switched
+    /// off — used by ablations.
+    pub fn only_issue(issue: IssueKind) -> Self {
+        let mut issues = IssueToggles([false; STAGE_ORDER.len()]);
+        issues.set(issue, true);
+        CleanerConfig { issues, ..CleanerConfig::default() }
     }
 }
 
@@ -268,17 +233,10 @@ fn apply_issue_toggles(toggles: &mut IssueToggles, json: &Json) -> Result<()> {
     };
     for (key, value) in members {
         let on = bool_field(key, value)?;
-        match key.as_str() {
-            "string_outliers" => toggles.string_outliers = on,
-            "pattern_outliers" => toggles.pattern_outliers = on,
-            "disguised_missing" => toggles.disguised_missing = on,
-            "column_type" => toggles.column_type = on,
-            "numeric_outliers" => toggles.numeric_outliers = on,
-            "functional_dependencies" => toggles.functional_dependencies = on,
-            "duplication" => toggles.duplication = on,
-            "uniqueness" => toggles.uniqueness = on,
-            other => return Err(CoreError::Config(format!("unknown issue toggle \"{other}\""))),
-        }
+        let Some(kind) = STAGE_ORDER.into_iter().find(|kind| kind.key() == key) else {
+            return Err(CoreError::Config(format!("unknown issue toggle \"{key}\"")));
+        };
+        toggles.set(kind, on);
     }
     Ok(())
 }
@@ -292,7 +250,7 @@ mod tests {
         let c = CleanerConfig::default();
         assert_eq!(c.sample_size, 1000);
         assert_eq!(c.batch_size, 1000);
-        assert!(c.issues.string_outliers && c.issues.uniqueness);
+        assert!(STAGE_ORDER.iter().all(|&kind| c.issues.enabled(kind)));
     }
 
     #[test]
@@ -319,7 +277,7 @@ mod tests {
             threads: Some(3),
             statistical_context: false,
             confidence_threshold: 0.75,
-            issues: CleanerConfig::only_issue("column_type").issues,
+            issues: CleanerConfig::only_issue(IssueKind::ColumnType).issues,
             ..CleanerConfig::default()
         };
         let round = CleanerConfig::from_json(&config.to_json()).unwrap();
@@ -334,10 +292,10 @@ mod tests {
         .unwrap();
         let config = CleanerConfig::from_json(&json).unwrap();
         assert_eq!(config.threads, Some(1));
-        assert!(!config.issues.functional_dependencies);
+        assert!(!config.issues.enabled(IssueKind::FunctionalDependency));
         // Everything else keeps the paper defaults.
         assert_eq!(config.sample_size, 1000);
-        assert!(config.issues.string_outliers);
+        assert!(config.issues.enabled(IssueKind::StringOutliers));
     }
 
     #[test]
@@ -390,9 +348,17 @@ mod tests {
 
     #[test]
     fn only_issue_isolates() {
-        let c = CleanerConfig::only_issue("column_type");
-        assert!(c.issues.column_type);
-        assert!(!c.issues.string_outliers);
-        assert!(!c.issues.functional_dependencies);
+        for (i, &only) in STAGE_ORDER.iter().enumerate() {
+            // The toggle array is indexed by `kind as usize`.
+            assert_eq!(only as usize, i);
+            let config = CleanerConfig::only_issue(only);
+            for kind in STAGE_ORDER {
+                assert_eq!(config.issues.enabled(kind), kind == only, "{only:?} only: {kind:?}");
+            }
+            let json = config.to_json();
+            let issues = json.get("issues").and_then(Json::as_object).unwrap();
+            assert_eq!(issues.len(), STAGE_ORDER.len());
+            assert_eq!(CleanerConfig::from_json(&json).unwrap(), config);
+        }
     }
 }

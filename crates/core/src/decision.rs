@@ -8,6 +8,7 @@
 //! and use the LLM provided ground truth" (§3.1).
 
 use crate::ops::IssueKind;
+use cocoon_sql::{render_select, Select};
 
 /// What the human decided about a proposed step.
 #[derive(Debug, Clone, PartialEq)]
@@ -16,7 +17,12 @@ pub enum Decision {
     Approve,
     /// Skip the step entirely.
     Reject,
-    /// Apply with an adjusted value mapping (old → new pairs).
+    /// Apply with an adjusted value mapping (old → new pairs), compiled by
+    /// the same rule as the proposed one. Only the cleaning reviews of
+    /// string outliers, disguised missing values and functional dependencies
+    /// carry a mapping; an FD pair applies only inside the groups that hold
+    /// `old` and whose most common value is `new`. A detection review reads
+    /// it as [`Approve`](Decision::Approve).
     AdjustMapping(Vec<(String, String)>),
 }
 
@@ -33,7 +39,9 @@ pub struct DetectionReview<'a> {
     pub llm_reasoning: &'a str,
 }
 
-/// A proposed cleaning shown to the human.
+/// A proposed cleaning shown to the human: the string-outlier, DMV and FD
+/// repairs, each after its detection review (DMV has none). The other
+/// stages' repairs pass only a [`DetectionReview`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CleaningReview<'a> {
     /// Issue type being repaired.
@@ -44,11 +52,25 @@ pub struct CleaningReview<'a> {
     pub llm_explanation: &'a str,
     /// old → new pairs ("" = NULL).
     pub mapping: &'a [(String, String)],
-    /// The generated SQL, as it would execute.
-    pub sql_preview: &'a str,
+    /// The generated SQL statement, as it would execute.
+    pub sql: &'a Select,
+}
+
+impl CleaningReview<'_> {
+    /// The generated SQL as text. Rendered on each call, so a hook that
+    /// never shows it, such as [`AutoApprove`], renders nothing.
+    pub fn sql_preview(&self) -> String {
+        render_select(self.sql)
+    }
 }
 
 /// The human-in-the-loop boundary.
+///
+/// Every stage asks it through one protocol, in its sequential decide
+/// phase: a [`DetectionReview`] for each finding of every stage but DMV,
+/// then a [`CleaningReview`] of the compiled repair for string outliers,
+/// DMV and FDs. A [`Decision::Reject`] at either point skips the repair and
+/// notes "… rejected by reviewer" in the run.
 pub trait DecisionHook {
     /// Review a semantic detection verdict before cleaning is attempted.
     fn review_detection(&mut self, review: &DetectionReview<'_>) -> Decision;
@@ -155,9 +177,10 @@ mod tests {
             column: Some("c"),
             llm_explanation: "e",
             mapping: &mapping,
-            sql_preview: "SELECT",
+            sql: &Select::star("t"),
         };
         hook.review_cleaning(&review);
         assert_eq!(hook.cleanings, vec![(IssueKind::StringOutliers, 1)]);
+        assert_eq!(review.sql_preview(), render_select(&Select::star("t")));
     }
 }

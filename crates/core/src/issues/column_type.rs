@@ -13,9 +13,8 @@
 //! destructive-cast guard.
 
 use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values, restrict_mapping};
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
+use crate::ops::IssueKind;
+use crate::state::{weakest, Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
 use cocoon_llm::{parse_cleaning_map, parse_type_verdict, prompts};
 use cocoon_sql::Expr;
 use cocoon_table::{infer_from_distinct, DataType};
@@ -46,7 +45,7 @@ fn degraded(column: &str, err: &crate::error::CoreError) -> String {
 }
 
 /// Runs column-type review and casting over every text column.
-pub fn run(state: &mut PipelineState<'_>) {
+pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
     let outcomes =
         state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
@@ -91,10 +90,7 @@ fn resume(
             finding.conversion_mapping = restrict_mapping(&map.mapping, &failing);
             if !finding.conversion_mapping.is_empty() {
                 finding.conversion_reasoning = map.explanation;
-                finding.confidence = match (finding.confidence, map.confidence) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+                finding.confidence = weakest(finding.confidence, map.confidence);
             }
             Ok(Step::Done(Outcome::Finding(finding)))
         }
@@ -150,14 +146,14 @@ fn review(
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
     let column = finding.column.as_str();
     let target = finding.target;
-    let detection = DetectionReview {
+    let mut repair = Repair {
         issue: IssueKind::ColumnType,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
+        column: Some(finding.column.clone()),
+        evidence: finding.evidence.clone(),
+        reasoning: finding.reasoning.clone(),
+        confidence: finding.confidence,
     };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("column-type cast on {column:?} rejected by reviewer"));
+    if !state.detection_approved(&repair, &format!("column-type cast on {column:?}")) {
         return Ok(());
     }
 
@@ -191,20 +187,9 @@ fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Res
             return Ok(());
         }
     }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::ColumnType,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: format!("{} {}", finding.reasoning, finding.conversion_reasoning)
-                .trim()
-                .to_string(),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
+    repair.reasoning =
+        format!("{} {}", repair.reasoning, finding.conversion_reasoning).trim().to_string();
+    state.commit_op(table, repair.into_op(select, changed));
     Ok(())
 }
 
@@ -213,6 +198,7 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
     use cocoon_table::{Table, Value};
 

@@ -5,16 +5,15 @@
 //! cleaning is `CASE WHEN … THEN NULL`.
 //!
 //! Detect phase (one prompt wave over the text columns): census → DMV
-//! prompt → token filter. Decide phase (sequential): cleaning review → SQL
-//! compile → apply.
+//! prompt → token filter. Decide phase (sequential): SQL compile →
+//! cleaning review → apply.
 
-use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values};
-use crate::decision::{CleaningReview, Decision};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
+use crate::apply::{column_rewrite_select, mapping_to_values};
+use crate::ops::IssueKind;
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
 use cocoon_llm::{parse_dmv_verdict, prompts};
-use cocoon_sql::{render_select, Expr};
-use cocoon_table::DataType;
+use cocoon_sql::Expr;
+use cocoon_table::{DataType, Table};
 
 struct Finding {
     column: String,
@@ -36,7 +35,7 @@ fn degraded(column: &str, err: &crate::error::CoreError) -> String {
 }
 
 /// Runs DMV detection and cleaning over every text column.
-pub fn run(state: &mut PipelineState<'_>) {
+pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
     let outcomes =
         state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
@@ -85,42 +84,29 @@ fn resume(
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
     let column = finding.column.as_str();
-    let expr = Expr::value_map(column, &mapping_to_values(&finding.mapping));
-    let select = column_rewrite_select(&state.table, column, expr);
-    let preview = render_select(&select);
-    let review = CleaningReview {
+    let repair = Repair {
         issue: IssueKind::DisguisedMissing,
-        column: Some(column),
-        llm_explanation: &finding.reasoning,
-        mapping: &finding.mapping,
-        sql_preview: &preview,
+        column: Some(finding.column.clone()),
+        evidence: finding.evidence.clone(),
+        reasoning: finding.reasoning.clone(),
+        confidence: finding.confidence,
     };
-    let mapping = match state.hook.review_cleaning(&review) {
-        Decision::Reject => {
-            state.note(format!("DMV cleaning on {column:?} rejected by reviewer"));
-            return Ok(());
-        }
-        Decision::AdjustMapping(adjusted) => adjusted,
-        Decision::Approve => finding.mapping.clone(),
+    let compile = |table: &Table, mapping: &[(String, String)]| {
+        column_rewrite_select(table, column, Expr::value_map(column, &mapping_to_values(mapping)))
     };
-    let expr = Expr::value_map(column, &mapping_to_values(&mapping));
-    let select = column_rewrite_select(&state.table, column, expr);
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
+    let select = compile(&state.table, &finding.mapping);
+    let subject = format!("DMV cleaning on {column:?}");
+    let Some(select) = state.cleaning_approved(
+        &repair,
+        &finding.reasoning,
+        &finding.mapping,
+        select,
+        compile,
+        &subject,
+    ) else {
         return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::DisguisedMissing,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
+    };
+    state.apply_repair(repair, select)?;
     Ok(())
 }
 
@@ -130,7 +116,7 @@ mod tests {
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
     use cocoon_llm::SimLlm;
-    use cocoon_table::{Table, Value};
+    use cocoon_table::Value;
 
     fn with_dmvs() -> Table {
         let rows: Vec<Vec<String>> = vec![

@@ -8,10 +8,8 @@
 //! prompt wave of at most one prompt; the decide phase reviews and applies
 //! as usual.
 
-use crate::apply::apply_and_count;
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{Answers, DetectCtx, Outcome, PipelineState, Step};
+use crate::ops::IssueKind;
+use crate::state::{Answers, DetectCtx, Outcome, PipelineState, Repair, Step};
 use cocoon_llm::{parse_dup_verdict, prompts};
 use cocoon_profile::duplicates_from_censuses;
 use cocoon_sql::Select;
@@ -27,7 +25,7 @@ fn degraded(err: &crate::error::CoreError) -> String {
 }
 
 /// Runs duplicate-row review over the whole table.
-pub fn run(state: &mut PipelineState<'_>) {
+pub(crate) fn run(state: &mut PipelineState<'_>) {
     let outcomes = state.detect_waves(vec![()], start, resume, |_, err| degraded(err));
     state.decide_outcomes(outcomes, decide, |_, err| degraded(err));
 }
@@ -69,31 +67,19 @@ fn resume(
 }
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let detection = DetectionReview {
+    let repair = Repair {
         issue: IssueKind::Duplication,
         column: None,
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
+        evidence: finding.evidence.clone(),
+        reasoning: finding.reasoning.clone(),
+        confidence: finding.confidence,
     };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note("duplicate removal rejected by reviewer".to_string());
+    if !state.detection_approved(&repair, "duplicate removal") {
         return Ok(());
     }
     let mut select = Select::star("input");
     select.distinct = true;
-    let (table, removed) = apply_and_count(&select, &state.table)?;
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::Duplication,
-            column: None,
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: removed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
+    state.apply_repair(repair, select)?;
     Ok(())
 }
 
@@ -102,6 +88,7 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
     use cocoon_table::Table;
 

@@ -40,14 +40,13 @@
 //! censuses, and each applied repair hands it the census of the column it
 //! rewrote, so the scan always describes the live table.
 
-use crate::apply::{apply_and_count, column_rewrite_select};
-use crate::decision::{CleaningReview, Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{Answers, DetectCtx, Outcome, PipelineState, Step};
+use crate::apply::column_rewrite_select;
+use crate::ops::IssueKind;
+use crate::state::{weakest, Answers, DetectCtx, Outcome, PipelineState, Repair, Step};
 use cocoon_llm::{parse_cleaning_map, parse_fd_verdict, prompts, FdVerdict};
 use cocoon_profile::{FdCandidate, FdScan};
-use cocoon_sql::{render_select, Expr};
-use cocoon_table::Value;
+use cocoon_sql::Expr;
+use cocoon_table::{DataType, Table, Value};
 
 /// One violating group: `(lhs value, rhs census)`, census by descending count.
 type Group = (Value, Vec<(Value, usize)>);
@@ -81,7 +80,7 @@ fn degraded(err: &crate::error::CoreError) -> String {
 }
 
 /// Runs FD review and repair over the whole table.
-pub fn run(state: &mut PipelineState<'_>) {
+pub(crate) fn run(state: &mut PipelineState<'_>) {
     // One scan over the clean's column censuses, filled and scored on the
     // stage pool; each detection worker's group reads and the decide
     // phase's live groups reuse it. It shares the censuses, so it outlives
@@ -218,10 +217,28 @@ fn ask_mappings(
     own
 }
 
-/// Reviews and (when approved) repairs the finding at `outcomes[at]`.
-/// Returns whether a repair was applied to the table; an applied repair
-/// re-codes its column in `scan` from the rewritten column's census,
-/// keeping the scan live for the candidates after it.
+/// The group-scoped arms of `pairs` (old → new) over `groups`, as
+/// `(lhs, old, new)`: a pair applies only inside the groups that contain
+/// `old` and whose most common value is `new`.
+fn group_arms<'a>(
+    groups: &'a GroupsText,
+    pairs: &'a [(String, String)],
+) -> Vec<(&'a str, &'a str, &'a str)> {
+    let mut arms = Vec::new();
+    for (lhs_value, census) in groups {
+        let Some((top_value, _)) = census.first() else { continue };
+        for (old, new) in pairs {
+            if new == top_value && old != new && census.iter().any(|(v, _)| v == old) {
+                arms.push((lhs_value.as_str(), old.as_str(), new.as_str()));
+            }
+        }
+    }
+    arms
+}
+
+/// Reviews and (when approved) repairs the finding at `outcomes[at]`. An
+/// applied repair re-codes its column in `scan` from the rewritten
+/// column's census, keeping the scan live for the candidates after it.
 fn decide(
     state: &mut PipelineState<'_>,
     scan: &mut FdScan,
@@ -229,10 +246,9 @@ fn decide(
     outcomes: &[Outcome<Finding>],
     at: usize,
     ahead: &mut [Option<Mapped>],
-) -> crate::error::Result<bool> {
+) -> crate::error::Result<()> {
     let (lhs_name, rhs_name) = (finding.lhs_name.as_str(), finding.rhs_name.as_str());
-    let FdVerdict { meaningful, reasoning, confidence: review_confidence } =
-        finding.verdict.clone();
+    let FdVerdict { meaningful, reasoning, confidence } = finding.verdict.clone();
     if !meaningful {
         // An earlier repair may have removed the candidate's violations,
         // and then there is nothing to reject. Counting them decodes
@@ -242,7 +258,7 @@ fn decide(
                 "FD {lhs_name} → {rhs_name} rejected as not semantically meaningful: {reasoning}"
             ));
         }
-        return Ok(false);
+        return Ok(());
     }
     let (groups_text, answer) = match ahead[at].take() {
         Some(Mapped { groups, answer }) => {
@@ -256,19 +272,19 @@ fn decide(
         None => (all_groups(scan, finding.lhs, finding.rhs), None),
     };
     if groups_text.is_empty() {
-        return Ok(false);
+        return Ok(());
     }
     let evidence =
         format!("entropy strength {:.3}; {} violating groups", finding.strength, groups_text.len());
-    let detection = DetectionReview {
+    let mut repair = Repair {
         issue: IssueKind::FunctionalDependency,
-        column: Some(rhs_name),
-        statistical_evidence: &evidence,
-        llm_reasoning: &reasoning,
+        column: Some(rhs_name.to_string()),
+        evidence,
+        reasoning,
+        confidence,
     };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("FD {lhs_name} → {rhs_name} rejected by reviewer"));
-        return Ok(false);
+    if !state.detection_approved(&repair, &format!("FD {lhs_name} → {rhs_name}")) {
+        return Ok(());
     }
 
     // Semantic cleaning: the LLM provides the correct mapping per group.
@@ -277,75 +293,43 @@ fn decide(
         None => ask_mappings(state, scan, finding, &groups_text, outcomes, at, ahead)?,
     };
     let map = parse_cleaning_map(&response)?;
-    if map.mapping.is_empty() {
-        return Ok(false);
+    let proposed = group_arms(&groups_text, &map.mapping);
+    if proposed.is_empty() {
+        return Ok(());
     }
-    // Compile group-scoped CASE arms: a pair (old → new) applies only inside
-    // groups that contain `old` and whose plurality value is `new`. Literals
-    // are parsed back into the column's declared type so repairs keep
-    // working after a CAST step retyped the column.
+    let pairs: Vec<(String, String)> =
+        proposed.iter().map(|&(_, old, new)| (old.into(), new.into())).collect();
+    // Literals are parsed back into the column's declared type so repairs
+    // keep working after a CAST step retyped the column.
     let lhs_type = state.table.schema().field(finding.lhs)?.data_type();
     let rhs_type = state.table.schema().field(finding.rhs)?.data_type();
-    let typed = |raw: &str, ty: cocoon_table::DataType| -> Value {
+    let typed = |raw: &str, ty: DataType| -> Value {
         let text = Value::Text(raw.to_string());
         text.cast(ty).unwrap_or(text)
     };
-    let mut arms: Vec<(Value, Value, Value)> = Vec::new();
-    let mut pairs_for_review: Vec<(String, String)> = Vec::new();
-    for (lhs_value, census) in &groups_text {
-        let Some((top_value, _)) = census.first() else { continue };
-        for (old, new) in &map.mapping {
-            if new != top_value || old == new {
-                continue;
-            }
-            if !census.iter().any(|(v, _)| v == old) {
-                continue;
-            }
-            arms.push((typed(lhs_value, lhs_type), typed(old, rhs_type), typed(new, rhs_type)));
-            pairs_for_review.push((old.clone(), new.clone()));
-        }
-    }
-    if arms.is_empty() {
-        return Ok(false);
-    }
-    let expr = Expr::pair_map(lhs_name, rhs_name, &arms);
-    let select = column_rewrite_select(&state.table, rhs_name, expr);
-    let preview = render_select(&select);
-    let review = CleaningReview {
-        issue: IssueKind::FunctionalDependency,
-        column: Some(rhs_name),
-        llm_explanation: &map.explanation,
-        mapping: &pairs_for_review,
-        sql_preview: &preview,
+    let compile = |table: &Table, pairs: &[(String, String)]| {
+        let arms: Vec<(Value, Value, Value)> = group_arms(&groups_text, pairs)
+            .into_iter()
+            .map(|(lhs, old, new)| {
+                (typed(lhs, lhs_type), typed(old, rhs_type), typed(new, rhs_type))
+            })
+            .collect();
+        column_rewrite_select(table, rhs_name, Expr::pair_map(lhs_name, rhs_name, &arms))
     };
-    if state.hook.review_cleaning(&review) == Decision::Reject {
-        state.note(format!("FD repair {lhs_name} → {rhs_name} rejected by reviewer"));
-        return Ok(false);
-    }
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
-        return Ok(false);
-    }
-    let confidence = match (review_confidence, map.confidence) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
+    let select = compile(&state.table, &map.mapping);
+    let subject = format!("FD repair {lhs_name} → {rhs_name}");
+    let Some(select) =
+        state.cleaning_approved(&repair, &map.explanation, &pairs, select, compile, &subject)
+    else {
+        return Ok(());
     };
-    let applied = state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::FunctionalDependency,
-            column: Some(rhs_name.to_string()),
-            statistical_evidence: format!("{lhs_name} → {rhs_name}: {evidence}"),
-            llm_reasoning: format!("{reasoning} {}", map.explanation),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(confidence),
-        },
-    );
-    if applied {
+    repair.evidence = format!("{lhs_name} → {rhs_name}: {}", repair.evidence);
+    repair.reasoning = format!("{} {}", repair.reasoning, map.explanation);
+    repair.confidence = weakest(repair.confidence, map.confidence);
+    if state.apply_repair(repair, select)? {
         scan.recode(finding.rhs, state.detect_ctx().column_census(finding.rhs)?);
     }
-    Ok(applied)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -353,9 +337,9 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::prompts::{parse_context, task};
     use cocoon_llm::{ChatModel, ChatRequest, ChatResponse, Json, SimLlm};
-    use cocoon_table::Table;
     use std::sync::Mutex;
 
     fn hospital_like() -> Table {

@@ -10,10 +10,9 @@
 //! range prompt → offender count. Decide phase (sequential): hook review →
 //! SQL → apply.
 
-use crate::apply::{apply_and_count, column_rewrite_select};
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
+use crate::apply::column_rewrite_select;
+use crate::ops::IssueKind;
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
 use cocoon_llm::{parse_range_verdict, prompts};
 use cocoon_profile::{numeric_from_distinct, NumericStats};
 use cocoon_sql::{BinaryOp, Expr};
@@ -32,7 +31,7 @@ fn degraded(column: &str, err: &crate::error::CoreError) -> String {
 }
 
 /// Runs numeric-outlier review over every numeric column.
-pub fn run(state: &mut PipelineState<'_>) {
+pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty.is_numeric());
     let outcomes =
         state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
@@ -96,14 +95,14 @@ fn resume(
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
     let column = finding.column.as_str();
-    let detection = DetectionReview {
+    let repair = Repair {
         issue: IssueKind::NumericOutliers,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
+        column: Some(finding.column.clone()),
+        evidence: finding.evidence.clone(),
+        reasoning: finding.reasoning.clone(),
+        confidence: finding.confidence,
     };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("numeric outliers on {column:?} rejected by reviewer"));
+    if !state.detection_approved(&repair, &format!("numeric outliers on {column:?}")) {
         return Ok(());
     }
 
@@ -125,22 +124,7 @@ fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Res
         otherwise: Some(Box::new(Expr::col(column))),
     };
     let select = column_rewrite_select(&state.table, column, expr);
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
-        return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::NumericOutliers,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
+    state.apply_repair(repair, select)?;
     Ok(())
 }
 
@@ -149,6 +133,7 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
     use cocoon_table::{DataType, Table, Value};
 

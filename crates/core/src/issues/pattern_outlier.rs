@@ -9,10 +9,9 @@
 //! review prompt → pattern verification. Decide phase (sequential): hook
 //! review → SQL compile → apply.
 
-use crate::apply::{apply_and_count, column_rewrite_select};
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
+use crate::apply::column_rewrite_select;
+use crate::ops::IssueKind;
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
 use cocoon_llm::{parse_pattern_plan, prompts};
 use cocoon_pattern::Regex;
 use cocoon_profile::pattern_census_from_distinct;
@@ -33,7 +32,7 @@ fn degraded(column: &str, err: &crate::error::CoreError) -> String {
 }
 
 /// Runs pattern-outlier detection and cleaning over every text column.
-pub fn run(state: &mut PipelineState<'_>) {
+pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
     let outcomes =
         state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
@@ -101,14 +100,14 @@ fn resume(
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
     let column = finding.column.as_str();
-    let detection = DetectionReview {
+    let repair = Repair {
         issue: IssueKind::PatternOutliers,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
+        column: Some(finding.column.clone()),
+        evidence: finding.evidence.clone(),
+        reasoning: finding.reasoning.clone(),
+        confidence: finding.confidence,
     };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("pattern outliers on {column:?} rejected by reviewer"));
+    if !state.detection_approved(&repair, &format!("pattern outliers on {column:?}")) {
         return Ok(());
     }
 
@@ -121,22 +120,7 @@ fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Res
         );
     }
     let select = column_rewrite_select(&state.table, column, expr);
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
-        return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::PatternOutliers,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
+    state.apply_repair(repair, select)?;
     Ok(())
 }
 

@@ -7,18 +7,17 @@
 //!
 //! Detect phase (prompt waves over the text columns): census → detect
 //! prompt in the first wave; the flagged columns' cleaning-map prompts, one
-//! per value batch, all go in the second. Decide phase (sequential): hook
-//! reviews → SQL compile → apply.
+//! per value batch, all go in the second. Decide phase (sequential):
+//! detection review → SQL compile → cleaning review → apply.
 
-use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values, restrict_mapping};
-use crate::decision::{CleaningReview, Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
+use crate::apply::{column_rewrite_select, mapping_to_values, restrict_mapping};
+use crate::ops::IssueKind;
+use crate::state::{weakest, Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
 use cocoon_llm::prompts;
 use cocoon_llm::{parse_cleaning_map, parse_detect_verdict, DetectVerdict};
 use cocoon_profile::batches;
-use cocoon_sql::{render_select, Expr};
-use cocoon_table::DataType;
+use cocoon_sql::Expr;
+use cocoon_table::{DataType, Table};
 
 /// A column flagged by detection, carrying everything the decide phase
 /// needs: evidence, reasoning, and the prefetched cleaning map.
@@ -45,7 +44,7 @@ fn degraded(column: &str, err: &crate::error::CoreError) -> String {
 }
 
 /// Runs string-outlier detection and cleaning over every text column.
-pub fn run(state: &mut PipelineState<'_>) {
+pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
     let outcomes =
         state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
@@ -97,10 +96,7 @@ fn resume(
                 if !map.explanation.is_empty() {
                     explanations.push(map.explanation.clone());
                 }
-                confidence = match (confidence, map.confidence) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+                confidence = weakest(confidence, map.confidence);
                 mapping.extend(restrict_mapping(&map.mapping, batch));
             }
             if mapping.is_empty() {
@@ -120,54 +116,29 @@ fn resume(
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
     let column = finding.column.as_str();
-    let detection = DetectionReview {
+    let mut repair = Repair {
         issue: IssueKind::StringOutliers,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
+        column: Some(finding.column.clone()),
+        evidence: finding.evidence.clone(),
+        reasoning: finding.reasoning.clone(),
+        confidence: finding.confidence,
     };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("string outliers on {column:?} rejected by reviewer"));
+    if !state.detection_approved(&repair, &format!("string outliers on {column:?}")) {
         return Ok(());
     }
-
-    let expr = Expr::value_map(column, &mapping_to_values(&finding.mapping));
-    let select = column_rewrite_select(&state.table, column, expr);
-    let preview = render_select(&select);
+    let compile = |table: &Table, mapping: &[(String, String)]| {
+        column_rewrite_select(table, column, Expr::value_map(column, &mapping_to_values(mapping)))
+    };
+    let select = compile(&state.table, &finding.mapping);
     let explanation = finding.explanations.join(" ");
-    let review = CleaningReview {
-        issue: IssueKind::StringOutliers,
-        column: Some(column),
-        llm_explanation: &explanation,
-        mapping: &finding.mapping,
-        sql_preview: &preview,
-    };
-    let mapping = match state.hook.review_cleaning(&review) {
-        Decision::Reject => {
-            state.note(format!("string-outlier cleaning on {column:?} rejected by reviewer"));
-            return Ok(());
-        }
-        Decision::AdjustMapping(adjusted) => adjusted,
-        Decision::Approve => finding.mapping.clone(),
-    };
-    let expr = Expr::value_map(column, &mapping_to_values(&mapping));
-    let select = column_rewrite_select(&state.table, column, expr);
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    if changed == 0 {
+    let subject = format!("string-outlier cleaning on {column:?}");
+    let Some(select) =
+        state.cleaning_approved(&repair, &explanation, &finding.mapping, select, compile, &subject)
+    else {
         return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::StringOutliers,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: format!("{} {}", finding.reasoning, explanation),
-            sql: select,
-            cells_changed: changed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
+    };
+    repair.reasoning = format!("{} {explanation}", repair.reasoning);
+    state.apply_repair(repair, select)?;
     Ok(())
 }
 
@@ -177,7 +148,7 @@ mod tests {
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
     use cocoon_llm::{FailingLlm, SimLlm};
-    use cocoon_table::{Table, Value};
+    use cocoon_table::Value;
 
     fn rayyan_like() -> Table {
         let mut rows: Vec<Vec<String>> = Vec::new();

@@ -10,10 +10,8 @@
 //! apply. Dedup drops rows, so the filter is always applied against the
 //! live table; a `removed == 0` apply (rows already gone) is a no-op.
 
-use crate::apply::apply_and_count;
-use crate::decision::{Decision, DetectionReview};
-use crate::ops::{CleaningOp, Confidence, IssueKind};
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Step};
+use crate::ops::IssueKind;
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
 use cocoon_llm::{parse_unique_verdict, prompts};
 use cocoon_profile::uniqueness_from_distinct;
 use cocoon_sql::{Expr, Projection, RowNumberFilter, Select, SortOrder};
@@ -31,7 +29,7 @@ fn degraded(column: &str, err: &crate::error::CoreError) -> String {
 }
 
 /// Runs uniqueness review over every nearly-unique column.
-pub fn run(state: &mut PipelineState<'_>) {
+pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|_| true);
     let outcomes =
         state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
@@ -80,14 +78,14 @@ fn resume(
 
 fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
     let column = finding.column.as_str();
-    let detection = DetectionReview {
+    let repair = Repair {
         issue: IssueKind::Uniqueness,
-        column: Some(column),
-        statistical_evidence: &finding.evidence,
-        llm_reasoning: &finding.reasoning,
+        column: Some(finding.column.clone()),
+        evidence: finding.evidence.clone(),
+        reasoning: finding.reasoning.clone(),
+        confidence: finding.confidence,
     };
-    if state.hook.review_detection(&detection) == Decision::Reject {
-        state.note(format!("uniqueness dedup on {column:?} rejected by reviewer"));
+    if !state.detection_approved(&repair, &format!("uniqueness dedup on {column:?}")) {
         return Ok(());
     }
     // Window: keep the best row per key, ordered by the LLM-chosen column
@@ -106,22 +104,7 @@ fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Res
         qualify: Some(RowNumberFilter { partition_by: vec![Expr::col(column)], order_by, keep: 1 }),
         comment: None,
     };
-    let (table, removed) = apply_and_count(&select, &state.table)?;
-    if removed == 0 {
-        return Ok(());
-    }
-    state.commit_op(
-        table,
-        CleaningOp {
-            issue: IssueKind::Uniqueness,
-            column: Some(column.to_string()),
-            statistical_evidence: finding.evidence.clone(),
-            llm_reasoning: finding.reasoning.clone(),
-            sql: select,
-            cells_changed: removed,
-            confidence: Confidence::self_reported(finding.confidence),
-        },
-    );
+    state.apply_repair(repair, select)?;
     Ok(())
 }
 
@@ -130,6 +113,7 @@ mod tests {
     use super::*;
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
+    use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
     use cocoon_table::{Table, Value};
 

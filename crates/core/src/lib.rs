@@ -39,7 +39,7 @@ pub mod ops;
 pub mod pipeline;
 pub mod progress;
 pub mod report;
-pub mod state;
+mod state;
 
 pub use apply::{apply_and_count, column_rewrite_select};
 pub use cocoon_profile::ProfileOptions;
@@ -53,4 +53,3 @@ pub use ops::{CleaningOp, Confidence, IssueKind, DEFAULT_SELF_REPORT};
 pub use pipeline::{Cleaner, CleaningRun, STAGE_ORDER};
 pub use progress::{ProgressSnapshot, RunProgress, StageObserver, StageTiming};
 pub use report::{full_report, issue_summary, workflow_trace};
-pub use state::{DetectCtx, PipelineState};

@@ -7,7 +7,9 @@
 use cocoon_sql::{render_select, Select};
 use std::fmt;
 
-/// The issue taxonomy of §2.1, in pipeline order.
+/// The issue taxonomy of §2.1, declared in pipeline order
+/// ([`STAGE_ORDER`](crate::STAGE_ORDER)), so `kind as usize` is the
+/// stage's position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IssueKind {
     /// Rare string values that are variants of frequent ones (§2.1.1).
@@ -40,6 +42,21 @@ impl IssueKind {
             IssueKind::FunctionalDependency => "Functional Dependency",
             IssueKind::Duplication => "Duplication",
             IssueKind::Uniqueness => "Column Uniqueness",
+        }
+    }
+
+    /// The key of this issue's switch in the JSON config's `"issues"`
+    /// object ([`CleanerConfig::to_json`](crate::CleanerConfig::to_json)).
+    pub fn key(&self) -> &'static str {
+        match self {
+            IssueKind::StringOutliers => "string_outliers",
+            IssueKind::PatternOutliers => "pattern_outliers",
+            IssueKind::DisguisedMissing => "disguised_missing",
+            IssueKind::ColumnType => "column_type",
+            IssueKind::NumericOutliers => "numeric_outliers",
+            IssueKind::FunctionalDependency => "functional_dependencies",
+            IssueKind::Duplication => "duplication",
+            IssueKind::Uniqueness => "uniqueness",
         }
     }
 

@@ -15,7 +15,7 @@
 //! batch is the shape a hosted API amortises). Decisions and applies stay
 //! sequential, so with a prompt-deterministic model a [`CleaningRun`] is
 //! byte-identical at any thread count ([`CleanerConfig::threads`] spells
-//! out the precondition). See [`crate::state`] for the detect/decide model
+//! out the precondition). See [`crate::issues`] for the detect/decide model
 //! and [`CleanerConfig::threads`] / `COCOON_THREADS` for the worker policy.
 
 use crate::config::CleanerConfig;
@@ -162,34 +162,25 @@ impl<M: ChatModel> Cleaner<M> {
     /// to `state.progress` when observed, then sends the confidence re-asks
     /// the stages deferred as one model batch.
     fn run_stages(&self, state: &mut PipelineState<'_>) {
-        type StageFn = for<'a, 'b> fn(&'b mut PipelineState<'a>);
-        let toggles = &self.config.issues;
-        let stages: [(bool, IssueKind, StageFn); 8] = [
-            (toggles.string_outliers, IssueKind::StringOutliers, issues::string_outlier::run),
-            (toggles.pattern_outliers, IssueKind::PatternOutliers, issues::pattern_outlier::run),
-            (toggles.disguised_missing, IssueKind::DisguisedMissing, issues::dmv::run),
-            (toggles.column_type, IssueKind::ColumnType, issues::column_type::run),
-            (toggles.numeric_outliers, IssueKind::NumericOutliers, issues::numeric_outlier::run),
-            (
-                toggles.functional_dependencies,
-                IssueKind::FunctionalDependency,
-                issues::functional_dependency::run,
-            ),
-            (toggles.duplication, IssueKind::Duplication, issues::duplication::run),
-            (toggles.uniqueness, IssueKind::Uniqueness, issues::uniqueness::run),
-        ];
+        let enabled = STAGE_ORDER.into_iter().filter(|&kind| self.config.issues.enabled(kind));
         let progress = state.progress;
         if let Some(p) = progress {
-            p.begin(stages.iter().filter(|(enabled, _, _)| *enabled).count());
+            p.begin(enabled.clone().count());
         }
-        for (enabled, kind, run) in stages {
-            if !enabled {
-                continue;
-            }
+        for kind in enabled {
             if let Some(p) = progress {
                 p.start_stage(kind.name());
             }
-            run(state);
+            match kind {
+                IssueKind::StringOutliers => issues::string_outlier::run(state),
+                IssueKind::PatternOutliers => issues::pattern_outlier::run(state),
+                IssueKind::DisguisedMissing => issues::dmv::run(state),
+                IssueKind::ColumnType => issues::column_type::run(state),
+                IssueKind::NumericOutliers => issues::numeric_outlier::run(state),
+                IssueKind::FunctionalDependency => issues::functional_dependency::run(state),
+                IssueKind::Duplication => issues::duplication::run(state),
+                IssueKind::Uniqueness => issues::uniqueness::run(state),
+            }
             if let Some(p) = progress {
                 p.finish_stage(state.ops.len());
             }
@@ -322,7 +313,7 @@ mod tests {
 
     #[test]
     fn toggles_disable_stages() {
-        let config = CleanerConfig::only_issue("disguised_missing");
+        let config = CleanerConfig::only_issue(IssueKind::DisguisedMissing);
         let cleaner = Cleaner::with_config(SimLlm::new(), config).unwrap();
         let run = cleaner.clean(&messy()).unwrap();
         assert!(run.ops.iter().all(|o| o.issue == IssueKind::DisguisedMissing));
@@ -397,7 +388,7 @@ mod tests {
 
     #[test]
     fn progress_counts_only_enabled_stages() {
-        let config = CleanerConfig::only_issue("disguised_missing");
+        let config = CleanerConfig::only_issue(IssueKind::DisguisedMissing);
         let cleaner = Cleaner::with_config(SimLlm::new(), config).unwrap();
         let progress = RunProgress::new();
         cleaner.clean_with_progress(&messy(), &progress).unwrap();
@@ -421,7 +412,7 @@ mod tests {
 
         let strict = CleanerConfig {
             confidence_threshold: 0.9,
-            ..CleanerConfig::only_issue("string_outliers")
+            ..CleanerConfig::only_issue(IssueKind::StringOutliers)
         };
         let withheld = Cleaner::with_config(SimLlm::new(), strict).unwrap().clean(&table).unwrap();
         assert_eq!(withheld.ops.len(), 1, "typo repair applies");
@@ -439,7 +430,7 @@ mod tests {
         // defers work, it never changes it.
         let lenient = CleanerConfig {
             confidence_threshold: 0.0,
-            ..CleanerConfig::only_issue("string_outliers")
+            ..CleanerConfig::only_issue(IssueKind::StringOutliers)
         };
         let full = Cleaner::with_config(SimLlm::new(), lenient).unwrap().clean(&table).unwrap();
         assert!(full.pending.is_empty());

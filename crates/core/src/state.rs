@@ -12,13 +12,15 @@
 //!   concludes it or asks again for the next wave. Outcomes
 //!   (`Outcome::Finding` for a candidate finding) come back in unit order,
 //!   so output never depends on worker scheduling.
-//! * a **decide** phase — sequential and ordered. Findings pass through the
-//!   [`DecisionHook`] reviews, compile to SQL, and are applied one at a
-//!   time; `ops` and `notes` record them in deterministic order. Its model
-//!   calls are batched too, as far as the order allows: the FD stage asks
-//!   a candidate's mapping prompt together with those of the later
-//!   candidates whose groups no repair before their turn can change (see
-//!   [`crate::issues::functional_dependency`]), and
+//! * a **decide** phase — sequential and ordered. Each finding becomes a
+//!   [`Repair`] and goes through one protocol: the [`DecisionHook`]
+//!   reviews (`detection_approved`, then `cleaning_approved` for the stages
+//!   that show a mapping), compiled SQL, and `apply_repair`, which applies
+//!   it and records the op; `ops` and `notes` record them in deterministic
+//!   order. Its model calls are batched too, as far as the order allows:
+//!   the FD stage asks a candidate's mapping prompt together with those of
+//!   the later candidates whose groups no repair before their turn can
+//!   change (see [`crate::issues::functional_dependency`]), and
 //!   [`PipelineState::commit_op`] queues the confidence re-asks of every
 //!   repair whose outcome they cannot change, which the clean sends as one
 //!   batch after its last stage (`PipelineState::verify_deferred`). Only
@@ -41,15 +43,16 @@
 //! `Arc` across ops and stages; a rewrite makes a new `Arc`, which is
 //! censused afresh when first read.
 
+use crate::apply::apply_and_count;
 use crate::config::CleanerConfig;
-use crate::decision::DecisionHook;
+use crate::decision::{CleaningReview, Decision, DecisionHook, DetectionReview};
 use crate::error::{CoreError, Result};
-use crate::ops::CleaningOp;
+use crate::ops::{CleaningOp, Confidence, IssueKind};
 use crate::progress::RunProgress;
 use cocoon_llm::responses::parse_repair_verdict;
 use cocoon_llm::{one_per_request, prompts, ChatModel, ChatRequest};
 use cocoon_profile::ColumnCensus;
-use cocoon_sql::render_select;
+use cocoon_sql::{render_select, Select};
 use cocoon_table::{Column as TableColumn, DataType, Table};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -207,6 +210,43 @@ pub(crate) struct Column {
     pub(crate) name: String,
 }
 
+/// What a stage proposes to repair and why: everything of its
+/// [`CleaningOp`] but the SQL and its effect.
+pub(crate) struct Repair {
+    pub(crate) issue: IssueKind,
+    /// `None` for whole-table repairs.
+    pub(crate) column: Option<String>,
+    pub(crate) evidence: String,
+    pub(crate) reasoning: String,
+    /// The weakest self-report the stage's completions stated, if any did.
+    pub(crate) confidence: Option<f64>,
+}
+
+impl Repair {
+    /// The op that records this repair once `select` changed `changed`
+    /// cells (rows, for row filters).
+    pub(crate) fn into_op(self, select: Select, changed: usize) -> CleaningOp {
+        CleaningOp {
+            issue: self.issue,
+            column: self.column,
+            statistical_evidence: self.evidence,
+            llm_reasoning: self.reasoning,
+            sql: select,
+            cells_changed: changed,
+            confidence: Confidence::self_reported(self.confidence),
+        }
+    }
+}
+
+/// The weaker of two optional self-reports: their minimum when both are
+/// stated, else whichever is.
+pub(crate) fn weakest(a: Option<f64>, b: Option<f64>) -> Option<f64> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 /// State shared by all issue steps while a table is being cleaned.
 pub struct PipelineState<'a> {
     /// The table, progressively rewritten by each applied op.
@@ -215,8 +255,9 @@ pub struct PipelineState<'a> {
     pub llm: &'a dyn ChatModel,
     /// Pipeline configuration (thresholds, toggles).
     pub config: &'a CleanerConfig,
-    /// Human-in-the-loop decision boundary.
-    pub hook: &'a mut dyn DecisionHook,
+    /// Human-in-the-loop decision boundary, asked only through the
+    /// repair protocol (`detection_approved`, `cleaning_approved`).
+    hook: &'a mut dyn DecisionHook,
     /// Worker policy for the detection steps of each prompt wave.
     pub pool: ThreadPool,
     /// Applied operations, in order.
@@ -399,6 +440,64 @@ impl<'a> PipelineState<'a> {
     /// Records a note for the run report.
     pub fn note(&mut self, text: impl Into<String>) {
         self.notes.push(text.into());
+    }
+
+    /// Asks the hook's detection review of `repair`. A rejection is noted
+    /// as "`subject` rejected by reviewer".
+    pub(crate) fn detection_approved(&mut self, repair: &Repair, subject: &str) -> bool {
+        let review = DetectionReview {
+            issue: repair.issue,
+            column: repair.column.as_deref(),
+            statistical_evidence: &repair.evidence,
+            llm_reasoning: &repair.reasoning,
+        };
+        let approved = self.hook.review_detection(&review) != Decision::Reject;
+        if !approved {
+            self.note(format!("{subject} rejected by reviewer"));
+        }
+        approved
+    }
+
+    /// Asks the hook's cleaning review of `repair`, whose proposed
+    /// `mapping` compiled to `select`. Returns the statement to apply:
+    /// `select` when approved, `compile` of the live table and the
+    /// reviewer's pairs when adjusted, and `None` when rejected, noted as
+    /// "`subject` rejected by reviewer".
+    pub(crate) fn cleaning_approved(
+        &mut self,
+        repair: &Repair,
+        explanation: &str,
+        mapping: &[(String, String)],
+        select: Select,
+        compile: impl FnOnce(&Table, &[(String, String)]) -> Select,
+        subject: &str,
+    ) -> Option<Select> {
+        let review = CleaningReview {
+            issue: repair.issue,
+            column: repair.column.as_deref(),
+            llm_explanation: explanation,
+            mapping,
+            sql: &select,
+        };
+        match self.hook.review_cleaning(&review) {
+            Decision::Approve => Some(select),
+            Decision::AdjustMapping(pairs) => Some(compile(&self.table, &pairs)),
+            Decision::Reject => {
+                self.note(format!("{subject} rejected by reviewer"));
+                None
+            }
+        }
+    }
+
+    /// Applies `select` to the live table and commits the changed table
+    /// with `repair`'s op through [`commit_op`](Self::commit_op). A repair
+    /// that changes nothing is skipped. Returns whether the table changed.
+    pub(crate) fn apply_repair(&mut self, repair: Repair, select: Select) -> Result<bool> {
+        let (table, changed) = apply_and_count(&select, &self.table)?;
+        if changed == 0 {
+            return Ok(false);
+        }
+        Ok(self.commit_op(table, repair.into_op(select, changed)))
     }
 
     /// Commits a compiled repair through the confidence policy. A

@@ -380,7 +380,7 @@ impl ReviewStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cocoon_core::{Cleaner, CleanerConfig};
+    use cocoon_core::{Cleaner, CleanerConfig, IssueKind};
     use cocoon_llm::SimLlm;
     use cocoon_table::Table;
 
@@ -399,7 +399,7 @@ mod tests {
         let table = Table::from_text_rows(&["drink", "country"], &rows).unwrap();
         let config = CleanerConfig {
             confidence_threshold: 0.9,
-            ..CleanerConfig::only_issue("string_outliers")
+            ..CleanerConfig::only_issue(IssueKind::StringOutliers)
         };
         let run = Cleaner::with_config(SimLlm::new(), config).unwrap().clean(&table).unwrap();
         assert_eq!(run.pending.len(), 1, "the misplaced value is withheld");

@@ -608,7 +608,7 @@ mod tests {
         let state = test_state();
         let config = cocoon_core::CleanerConfig {
             confidence_threshold: 0.9,
-            ..cocoon_core::CleanerConfig::only_issue("string_outliers")
+            ..cocoon_core::CleanerConfig::only_issue(cocoon_core::IssueKind::StringOutliers)
         };
         let mut csv = String::from("drink,country\n");
         csv.push_str(&"coffee,USA\n".repeat(50));

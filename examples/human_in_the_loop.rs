@@ -46,6 +46,11 @@ impl DecisionHook for ConsoleReviewer {
         for (old, new) in review.mapping.iter().take(5) {
             println!("    {old:?} -> {new:?}");
         }
+        // The review carries the statement; its text is rendered on demand.
+        println!("    sql:");
+        for line in review.sql_preview().lines() {
+            println!("      {line}");
+        }
         if review.issue == IssueKind::StringOutliers
             && review.mapping.iter().any(|(old, _)| old == "English")
         {

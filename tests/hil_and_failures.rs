@@ -60,6 +60,90 @@ fn reviewer_can_adjust_a_mapping() {
 }
 
 #[test]
+fn an_adjusted_fd_mapping_applies_only_the_pairs_kept() {
+    // zip_code → city over ten zip groups, two of which violate it: a typo
+    // in the first group and a misplaced county name in the second.
+    let cities = [
+        "birmingham",
+        "dothan",
+        "mobile",
+        "huntsville",
+        "montgomery",
+        "tuscaloosa",
+        "phoenix",
+        "tucson",
+        "austin",
+        "dallas",
+    ];
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    for (i, city) in cities.iter().enumerate() {
+        rows.extend((0..8).map(|_| vec![format!("35{i:03}"), city.to_string()]));
+    }
+    rows[1][1] = "birminghxm".into();
+    rows[9][1] = "jefferson".into();
+    let table = cocoon_table::Table::from_text_rows(&["zip_code", "city"], &rows).unwrap();
+
+    /// Keeps the first pair of each FD cleaning review, and records the
+    /// pairs proposed.
+    #[derive(Default)]
+    struct KeepFirstPair(Vec<(String, String)>);
+    impl DecisionHook for KeepFirstPair {
+        fn review_detection(&mut self, _r: &DetectionReview<'_>) -> Decision {
+            Decision::Approve
+        }
+        fn review_cleaning(&mut self, review: &CleaningReview<'_>) -> Decision {
+            assert_eq!(review.issue, IssueKind::FunctionalDependency);
+            self.0.extend_from_slice(review.mapping);
+            Decision::AdjustMapping(review.mapping[..1].to_vec())
+        }
+    }
+    let config = CleanerConfig::only_issue(IssueKind::FunctionalDependency);
+    let cleaner = Cleaner::with_config(SimLlm::new(), config).unwrap();
+    let mut hook = KeepFirstPair::default();
+    let run = cleaner.clean_observed(&table, &mut hook, None).unwrap();
+    let pair = |old: &str, new: &str| (old.to_string(), new.to_string());
+    assert_eq!(hook.0, [pair("birminghxm", "birmingham"), pair("jefferson", "dothan")]);
+    assert_eq!(run.ops.len(), 1, "{:?}", run.notes);
+    assert_eq!(run.ops[0].cells_changed, 1);
+    assert_eq!(run.table.render_cell(1, 1).unwrap(), "birmingham");
+    assert_eq!(run.table.render_cell(9, 1).unwrap(), "jefferson", "the dropped pair applied");
+}
+
+#[test]
+fn cleaning_reviews_show_the_sql_that_applies() {
+    /// Approves everything, keeping each cleaning review's SQL preview.
+    #[derive(Default)]
+    struct Previews(Vec<String>);
+    impl DecisionHook for Previews {
+        fn review_detection(&mut self, _r: &DetectionReview<'_>) -> Decision {
+            Decision::Approve
+        }
+        fn review_cleaning(&mut self, review: &CleaningReview<'_>) -> Decision {
+            self.0.push(review.sql_preview());
+            Decision::Approve
+        }
+    }
+    let dataset = cocoon_datasets::catalog::by_name("Hospital").expect("catalog dataset");
+    let mut previews = Previews::default();
+    let run =
+        Cleaner::new(SimLlm::new()).clean_observed(&dataset.dirty, &mut previews, None).unwrap();
+    for kind in
+        [IssueKind::StringOutliers, IssueKind::DisguisedMissing, IssueKind::FunctionalDependency]
+    {
+        let ops = run.ops_for(kind);
+        assert!(!ops.is_empty(), "Hospital has {kind} repairs");
+        for op in ops {
+            let applied = cocoon_sql::render_select(&op.sql);
+            assert!(
+                previews.0.contains(&applied),
+                "{kind} on {:?} not reviewed as applied",
+                op.column
+            );
+        }
+    }
+}
+
+#[test]
 fn recording_hook_sees_every_review() {
     let cleaner = Cleaner::new(SimLlm::new());
     let mut recorder = RecordingHook::default();
@@ -117,7 +201,7 @@ fn a_nan_confidence_does_not_withhold_a_repair_at_the_default_threshold() {
         r#"{"Reasoning": "codes and names mixed", "Unusualness": true, "Summary": "mixed"}"#,
         "```yml\nexplanation: >\n  use the code\nconfidence: nan\nmapping:\n  English: eng\n```",
     ];
-    let config = CleanerConfig::only_issue("string_outliers");
+    let config = CleanerConfig::only_issue(IssueKind::StringOutliers);
     let run =
         Cleaner::with_config(ScriptedLlm::new(responses), config).unwrap().clean(&table).unwrap();
     assert!(run.pending.is_empty(), "{:?}", run.notes);

@@ -4,7 +4,7 @@
 //! a clean share its last call. A failed slot in a wave's batch degrades
 //! only the unit that asked it.
 
-use cocoon_core::{Cleaner, CleanerConfig, CleaningRun};
+use cocoon_core::{Cleaner, CleanerConfig, CleaningRun, IssueKind};
 use cocoon_llm::prompts::{parse_context, task};
 use cocoon_llm::{ChatModel, ChatRequest, ChatResponse, Json, LlmError, SimLlm};
 use cocoon_table::Table;
@@ -163,7 +163,7 @@ fn a_failed_slot_degrades_only_the_column_that_asked_it() {
     let fail = |task: &str, column: &str| {
         column == "lang_b" || (column == "lang_c" && task == task::STRING_OUTLIERS_CLEAN)
     };
-    let config = || CleanerConfig::only_issue("string_outliers");
+    let config = || CleanerConfig::only_issue(IssueKind::StringOutliers);
     let degraded = clean(&Recording::new(fail), config());
     let full = clean(&Recording::new(|_: &str, _: &str| false), config());
 

@@ -1391,7 +1391,7 @@ fn review_csv() -> String {
 fn review_body(threshold: f64) -> String {
     let config = cocoon_core::CleanerConfig {
         confidence_threshold: threshold,
-        ..cocoon_core::CleanerConfig::only_issue("string_outliers")
+        ..cocoon_core::CleanerConfig::only_issue(cocoon_core::IssueKind::StringOutliers)
     };
     format!(
         "{{\"csv\": {}, \"config\": {}}}",
