@@ -3,14 +3,16 @@
 //! Cocoon's detection prompts ask the model to "respond in JSON" inside a
 //! code fence (Figure 2). This module parses those responses — including
 //! the fence-wrapped and slightly-sloppy variants real models produce — and
-//! emits the JSON context blocks our prompts embed.
+//! holds the string escaper and number formatter that [`Json`]'s `Display`
+//! and the prompts' context blocks share.
 
 use crate::error::{LlmError, Result};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// A JSON value. Object keys keep insertion order via `BTreeMap` — fine for
-/// our payloads, which never rely on duplicate or ordered keys.
+/// A JSON value. Object keys are kept sorted by a `BTreeMap`, so a
+/// displayed object lists its members in key order — fine for our
+/// payloads, which never rely on duplicate or ordered keys.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// JSON `null`.
@@ -84,13 +86,7 @@ impl fmt::Display for Json {
         match self {
             Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
-            Json::Number(n) => {
-                if n.fract() == 0.0 && n.abs() < 1e15 {
-                    write!(f, "{}", *n as i64)
-                } else {
-                    write!(f, "{n}")
-                }
-            }
+            Json::Number(n) => write_number(f, *n),
             Json::String(s) => f.write_str(&escape(s)),
             Json::Array(items) => {
                 f.write_str("[")?;
@@ -116,14 +112,31 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `n` the way [`Json::Number`] displays: an integral value below
+/// 1e15 in magnitude as an integer (`3`, and `0` for `-0.0`), every other
+/// value as `f64` displays it (`0.5`, `1000000000000000`, `NaN`, `inf`).
+pub fn write_number<W: fmt::Write>(out: &mut W, n: f64) -> fmt::Result {
+    if n.fract() == 0.0 && n.abs() < 1e15 {
+        write!(out, "{}", n as i64)
+    } else {
+        write!(out, "{n}")
+    }
+}
+
 // One escaper for the workspace: the table crate's, which its JSON row
 // emitters use too.
-pub use cocoon_table::json::escape;
+pub use cocoon_table::json::{escape, escape_into};
+
+/// How deep arrays and objects may nest in a parsed document. The parser
+/// recurses once per level, and a stack overflow aborts the process, so a
+/// deeper document is an error. Nothing valid comes close: a clean request
+/// nests 3 deep, and a prompt's context block (FD groups) 5.
+pub const MAX_DEPTH: usize = 128;
 
 /// Parses a complete JSON document.
 pub fn parse(input: &str) -> Result<Json> {
     let chars: Vec<char> = input.chars().collect();
-    let mut p = JsonParser { chars, pos: 0 };
+    let mut p = JsonParser::new(&chars, 0);
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
@@ -147,7 +160,7 @@ pub fn extract(text: &str) -> Result<Json> {
     let chars: Vec<char> = text.chars().collect();
     for (i, &c) in chars.iter().enumerate() {
         if c == '{' || c == '[' {
-            let mut p = JsonParser { chars: chars.clone(), pos: i };
+            let mut p = JsonParser::new(&chars, i);
             if let Ok(v) = p.value() {
                 return Ok(v);
             }
@@ -183,12 +196,18 @@ fn preview(text: &str) -> String {
     out
 }
 
-struct JsonParser {
-    chars: Vec<char>,
+struct JsonParser<'a> {
+    chars: &'a [char],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
-impl JsonParser {
+impl<'a> JsonParser<'a> {
+    fn new(chars: &'a [char], pos: usize) -> Self {
+        JsonParser { chars, pos, depth: 0 }
+    }
+
     fn err(&self, message: &str) -> LlmError {
         LlmError::Malformed { expected: "json", detail: format!("{message} at {}", self.pos) }
     }
@@ -206,8 +225,11 @@ impl JsonParser {
     fn value(&mut self) -> Result<Json> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some('{' | '[') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some('{') => self.nested(Self::object),
+            Some('[') => self.nested(Self::array),
             Some('"') => Ok(Json::String(self.string()?)),
             Some('t') => self.keyword("true", Json::Bool(true)),
             Some('f') => self.keyword("false", Json::Bool(false)),
@@ -215,6 +237,13 @@ impl JsonParser {
             Some(c) if c == '-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected value")),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json>) -> Result<Json> {
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn keyword(&mut self, word: &str, value: Json) -> Result<Json> {
@@ -262,15 +291,9 @@ impl JsonParser {
                         Some('b') => out.push('\u{8}'),
                         Some('f') => out.push('\u{c}'),
                         Some('u') => {
-                            let hex: String =
-                                self.chars.iter().skip(self.pos + 1).take(4).collect();
-                            if hex.len() != 4 {
-                                return Err(self.err("bad \\u escape"));
-                            }
-                            let code = u32::from_str_radix(&hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            out.push(self.utf16_char(code));
                         }
                         _ => return Err(self.err("bad escape")),
                     }
@@ -283,6 +306,33 @@ impl JsonParser {
                 None => return Err(self.err("unterminated string")),
             }
         }
+    }
+
+    /// The four hex digits at `at`, as a UTF-16 code unit.
+    fn hex4(&self, at: usize) -> Result<u32> {
+        match self.chars.get(at..at + 4) {
+            Some(digits) if digits.iter().all(char::is_ascii_hexdigit) => {
+                Ok(digits.iter().fold(0, |code, d| code * 16 + d.to_digit(16).unwrap_or(0)))
+            }
+            _ => Err(self.err("bad \\u escape")),
+        }
+    }
+
+    /// The character a `\uXXXX` escape of `code` stands for, `pos` at its
+    /// last digit. A high surrogate followed by an escaped low surrogate is
+    /// one character above U+FFFF (RFC 8259 §7), and `pos` moves to the end
+    /// of the pair; any other surrogate is U+FFFD.
+    fn utf16_char(&mut self, code: u32) -> char {
+        if (0xd800..0xdc00).contains(&code)
+            && self.chars.get(self.pos + 1..self.pos + 3) == Some(&['\\', 'u'][..])
+        {
+            if let Ok(low @ 0xdc00..=0xdfff) = self.hex4(self.pos + 3) {
+                self.pos += 6;
+                let scalar = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                return char::from_u32(scalar).unwrap_or('\u{fffd}');
+            }
+        }
+        char::from_u32(code).unwrap_or('\u{fffd}')
     }
 
     fn object(&mut self) -> Result<Json> {
@@ -395,6 +445,33 @@ mod tests {
     #[test]
     fn unicode_escapes() {
         assert_eq!(parse(r#""é""#).unwrap(), Json::String("é".into()));
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_char() {
+        let parsed = |text: &str| parse(text).unwrap().as_str().unwrap().to_string();
+        assert_eq!(parsed(r#""caf\u00e9""#), "café");
+        assert_eq!(parsed(r#""\ud83d\ude00""#), "😀");
+        assert_eq!(parsed(r#""\uD83D\uDE00!""#), "😀!");
+        // A lone surrogate stays U+FFFD, and what follows it parses as usual.
+        assert_eq!(parsed(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(parsed(r#""\ude00\ud83d""#), "\u{fffd}\u{fffd}");
+        assert_eq!(parsed(r#""\ud83dx""#), "\u{fffd}x");
+        assert_eq!(parsed(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(parsed(r#""\ud83d\ud83d\ude00""#), "\u{fffd}😀");
+        assert!(parse(r#""\ud83d\uzzzz""#).is_err());
+        assert!(parse(r#""\u+abc""#).is_err());
+        assert!(parse(r#""\u12""#).is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        let objects = |depth: usize| format!("{}1{}", r#"{"a": "#.repeat(depth), "}".repeat(depth));
+        assert!(parse(&objects(MAX_DEPTH)).is_ok());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
     }
 
     #[test]

@@ -6,8 +6,24 @@
 //! the same information, which is what allows [`crate::sim::SimLlm`] to act
 //! on the prompt deterministically (a hosted model would simply read the
 //! whole text).
+//!
+//! Each builder writes its prompt in one pass into one `String`: text
+//! through [`escape_into`], numbers through [`write_number`] (the formatter
+//! [`Json`]'s `Display` calls too), and the context's members in sorted key
+//! order, the order a displayed `Json` object lists them in. No `Json`
+//! value is built.
+//!
+//! A prompt's bytes are a contract: they are the cache and dispatcher key
+//! ([`crate::ChatRequest::fingerprint`]), the key a recorded model's replay
+//! looks its answer up by, the prompt's token count, and what a hosted model
+//! reads. A rewrite that moves one byte (a context count written as `1.0`
+//! for `1`, say) changes all four, even where `SimLlm`, which reads only the
+//! parsed context, answers the same. `tests/clean_fingerprints.rs` pins
+//! every prompt a catalog clean sends, and `crates/llm/tests/prompt_bytes.rs`
+//! holds each builder to a `Json`-tree rendering on arbitrary input.
 
-use crate::json::{escape, Json};
+use crate::json::{escape_into, write_number, Json};
+use std::fmt::Write;
 
 /// Marker separating the NL body from the machine-readable context.
 pub const CONTEXT_MARKER: &str = "### context (JSON)";
@@ -40,35 +56,135 @@ pub mod task {
     pub const REPAIR_VERIFY: &str = "repair_verify";
 }
 
-fn values_json(values: &[(String, usize)]) -> Json {
-    Json::Array(
-        values
-            .iter()
-            .map(|(v, c)| Json::Array(vec![Json::String(v.clone()), Json::Number(*c as f64)]))
-            .collect(),
-    )
-}
+// `write!` into a `String` cannot fail, so its `Result` is dropped below.
 
-fn values_list_str(values: &[(String, usize)], limit: usize) -> String {
-    let shown: Vec<String> = values.iter().take(limit).map(|(v, _)| escape(v)).collect();
-    let mut text = format!("[{}]", shown.join(", "));
-    if values.len() > limit {
-        text.push_str(&format!(" (+{} more)", values.len() - limit));
+/// Writes each of `items` with `item`, separated by `, `.
+fn push_joined<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String, &T)) {
+    for (i, x) in items.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(out, x);
     }
-    text
 }
 
-fn context_block(pairs: Vec<(String, Json)>) -> String {
-    format!("\n{CONTEXT_MARKER}\n{}\n", Json::object(pairs))
+/// `[a, b, …]`: [`push_joined`] in brackets.
+fn push_list<T>(out: &mut String, items: &[T], item: impl FnMut(&mut String, &T)) {
+    out.push('[');
+    push_joined(out, items, item);
+    out.push(']');
+}
+
+/// A count as a context number. It goes through `f64`, so a count above
+/// 2^53 is written as the nearest `f64`, the value a `Json::Number` holds.
+fn push_count(out: &mut String, count: usize) {
+    let _ = write_number(out, count as f64);
+}
+
+/// `[["value", count], …]`: a value census as context JSON.
+fn push_census(out: &mut String, values: &[(String, usize)]) {
+    push_list(out, values, |out, (value, count)| {
+        out.push('[');
+        escape_into(out, value);
+        out.push_str(", ");
+        push_count(out, *count);
+        out.push(']');
+    });
+}
+
+/// `[["lhs", census], …]`: FD groups as context JSON.
+fn push_groups(out: &mut String, groups: &[(String, Vec<(String, usize)>)]) {
+    push_list(out, groups, |out, (lhs, census)| {
+        out.push('[');
+        escape_into(out, lhs);
+        out.push_str(", ");
+        push_census(out, census);
+        out.push(']');
+    });
+}
+
+/// The first `limit` values as the prompt text lists them, `["a", "b"]`,
+/// then ` (+n more)` for the rest.
+fn push_value_list(out: &mut String, values: &[(String, usize)], limit: usize) {
+    push_list(out, &values[..values.len().min(limit)], |out, (value, _)| escape_into(out, value));
+    if values.len() > limit {
+        let _ = write!(out, " (+{} more)", values.len() - limit);
+    }
+}
+
+/// One violating group as the prompt text shows it:
+/// `  "lhs" → {"a" ×3, "b" ×1}`.
+fn push_group_line(out: &mut String, lhs: &str, census: &[(String, usize)]) {
+    out.push_str("  ");
+    escape_into(out, lhs);
+    out.push_str(" → {");
+    push_joined(out, census, |out, (value, count)| {
+        escape_into(out, value);
+        let _ = write!(out, " ×{count}");
+    });
+    out.push_str("}\n");
+}
+
+/// The `### context (JSON)` block, written member by member straight into
+/// the prompt. Members must come in sorted key order, the order a displayed
+/// `Json` object lists them in; debug builds check it.
+struct Context<'p> {
+    prompt: &'p mut String,
+    last_key: Option<&'static str>,
+}
+
+impl<'p> Context<'p> {
+    fn open(prompt: &'p mut String) -> Self {
+        prompt.push('\n');
+        prompt.push_str(CONTEXT_MARKER);
+        prompt.push_str("\n{");
+        Context { prompt, last_key: None }
+    }
+
+    /// Writes the member's key and returns the prompt, for its value.
+    fn key(&mut self, key: &'static str) -> &mut String {
+        debug_assert!(self.last_key < Some(key), "context key {key:?} after {:?}", self.last_key);
+        if self.last_key.is_some() {
+            self.prompt.push_str(", ");
+        }
+        self.last_key = Some(key);
+        escape_into(self.prompt, key);
+        self.prompt.push_str(": ");
+        self.prompt
+    }
+
+    fn text(&mut self, key: &'static str, value: &str) {
+        escape_into(self.key(key), value);
+    }
+
+    fn number(&mut self, key: &'static str, value: f64) {
+        let _ = write_number(self.key(key), value);
+    }
+
+    fn count(&mut self, key: &'static str, value: usize) {
+        push_count(self.key(key), value);
+    }
+
+    fn census(&mut self, key: &'static str, values: &[(String, usize)]) {
+        push_census(self.key(key), values);
+    }
+
+    fn strings(&mut self, key: &'static str, values: &[String]) {
+        push_list(self.key(key), values, |out, value| escape_into(out, value));
+    }
+
+    fn close(self) {
+        self.prompt.push_str("}\n");
+    }
 }
 
 /// Figure 2: semantic detection of string outliers for one column.
 pub fn string_outliers_detect(column: &str, values: &[(String, usize)]) -> String {
     let mut p = String::new();
-    p.push_str(&format!(
-        "{column} has the following distinct values: {}\n\n",
-        values_list_str(values, 1000)
-    ));
+    p.push_str(column);
+    p.push_str(" has the following distinct values: ");
+    push_value_list(&mut p, values, 1000);
+    p.push_str("\n\n");
     p.push_str("Please review if there are:\n");
     p.push_str("Strange characters or typos (e.g., \"cofffee\").\n");
     p.push_str(
@@ -80,11 +196,11 @@ pub fn string_outliers_detect(column: &str, values: &[(String, usize)]) -> Strin
     p.push_str("\"Unusualness\": true/false,\n");
     p.push_str("\"Summary\": \"xxx values are unusual because ...\",\n");
     p.push_str("\"Confidence\": 0.0-1.0\n}\n```\n");
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::STRING_OUTLIERS_DETECT.into())),
-        ("column".into(), Json::String(column.into())),
-        ("values".into(), values_json(values)),
-    ]));
+    let mut context = Context::open(&mut p);
+    context.text("column", column);
+    context.text("task", task::STRING_OUTLIERS_DETECT);
+    context.census("values", values);
+    context.close();
     p
 }
 
@@ -95,23 +211,21 @@ pub fn string_outliers_clean(
     batch_values: &[(String, usize)],
 ) -> String {
     let mut p = String::new();
-    p.push_str(&format!("{column} is unusual: {summary}\n"));
-    p.push_str(&format!(
-        "It has the following values: {}\n\n",
-        values_list_str(batch_values, 1000)
-    ));
+    let _ = write!(p, "{column} is unusual: {summary}\nIt has the following values: ");
+    push_value_list(&mut p, batch_values, 1000);
+    p.push_str("\n\n");
     p.push_str("Maps those unusual values to the correct ones to address the problems.\n");
     p.push_str("If old values are meaningless, map to empty string.\n\n");
     p.push_str("Return in the following format:\n```yml\nexplanation: >\n");
     p.push_str(
         "The problem is ... The correct values are ...\nconfidence: 0.0-1.0\nmapping:\nold_value: new_value\n```\n",
     );
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::STRING_OUTLIERS_CLEAN.into())),
-        ("column".into(), Json::String(column.into())),
-        ("summary".into(), Json::String(summary.into())),
-        ("values".into(), values_json(batch_values)),
-    ]));
+    let mut context = Context::open(&mut p);
+    context.text("column", column);
+    context.text("summary", summary);
+    context.text("task", task::STRING_OUTLIERS_CLEAN);
+    context.census("values", batch_values);
+    context.close();
     p
 }
 
@@ -119,12 +233,11 @@ pub fn string_outliers_clean(
 /// standardising transformations.
 pub fn pattern_review(column: &str, buckets: &[(String, usize, Vec<String>)]) -> String {
     let mut p = String::new();
-    p.push_str(&format!("The values of {column} group into the following regex shapes:\n"));
+    let _ = writeln!(p, "The values of {column} group into the following regex shapes:");
     for (pattern, count, examples) in buckets {
-        p.push_str(&format!(
-            "  {pattern} — {count} values (e.g. {})\n",
-            examples.iter().take(3).map(|e| escape(e)).collect::<Vec<_>>().join(", ")
-        ));
+        let _ = write!(p, "  {pattern} — {count} values (e.g. ");
+        push_joined(&mut p, &examples[..examples.len().min(3)], |out, e| escape_into(out, e));
+        p.push_str(")\n");
     }
     p.push_str(
         "\nWrite a list of semantically meaningful regular expression patterns that cover all \
@@ -133,44 +246,40 @@ pub fn pattern_review(column: &str, buckets: &[(String, usize, Vec<String>)]) ->
          of the same concept, and if so provide regex transformations to standardise them.\n\n",
     );
     p.push_str("Respond in JSON: {\"Reasoning\": \"...\", \"Patterns\": [...], \"Inconsistent\": true/false, \"Transforms\": [{\"pattern\": \"...\", \"replacement\": \"...\"}], \"Confidence\": 0.0-1.0}\n");
-    let buckets_json = Json::Array(
-        buckets
-            .iter()
-            .map(|(pattern, count, examples)| {
-                Json::Array(vec![
-                    Json::String(pattern.clone()),
-                    Json::Number(*count as f64),
-                    Json::Array(examples.iter().map(|e| Json::String(e.clone())).collect()),
-                ])
-            })
-            .collect(),
-    );
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::PATTERN_REVIEW.into())),
-        ("column".into(), Json::String(column.into())),
-        ("buckets".into(), buckets_json),
-    ]));
+    let mut context = Context::open(&mut p);
+    push_list(context.key("buckets"), buckets, |out, (pattern, count, examples)| {
+        out.push('[');
+        escape_into(out, pattern);
+        out.push_str(", ");
+        push_count(out, *count);
+        out.push_str(", ");
+        push_list(out, examples, |out, e| escape_into(out, e));
+        out.push(']');
+    });
+    context.text("column", column);
+    context.text("task", task::PATTERN_REVIEW);
+    context.close();
     p
 }
 
 /// §2.1.3: identify disguised missing values.
 pub fn dmv_detect(column: &str, values: &[(String, usize)], numeric_share: f64) -> String {
     let mut p = String::new();
-    p.push_str(&format!(
-        "{column} has the following values: {}\n\n",
-        values_list_str(values, 1000)
-    ));
+    p.push_str(column);
+    p.push_str(" has the following values: ");
+    push_value_list(&mut p, values, 1000);
+    p.push_str("\n\n");
     p.push_str(
         "Identify values that are currently not NULL, but semantically mean that the value is \
          missing (e.g., string values like \"N/A\", \"null\").\n\n",
     );
     p.push_str("Respond in JSON: {\"Reasoning\": \"...\", \"DisguisedMissing\": [\"...\"], \"Confidence\": 0.0-1.0}\n");
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::DMV_DETECT.into())),
-        ("column".into(), Json::String(column.into())),
-        ("values".into(), values_json(values)),
-        ("numeric_share".into(), Json::Number(numeric_share)),
-    ]));
+    let mut context = Context::open(&mut p);
+    context.text("column", column);
+    context.number("numeric_share", numeric_share);
+    context.text("task", task::DMV_DETECT);
+    context.census("values", values);
+    context.close();
     p
 }
 
@@ -183,12 +292,14 @@ pub fn column_type(
     values: &[(String, usize)],
 ) -> String {
     let mut p = String::new();
-    p.push_str(&format!(
+    let _ = write!(
+        p,
         "The database catalog types {column} as {declared}. Statistically, {:.0}% of its \
-         values parse as {inferred}. Sample values: {}\n\n",
+         values parse as {inferred}. Sample values: ",
         confidence * 100.0,
-        values_list_str(values, 50)
-    ));
+    );
+    push_value_list(&mut p, values, 50);
+    p.push_str("\n\n");
     p.push_str(
         "Suggest the most suitable data type semantically (e.g. values \"yes\"/\"no\" are \
          better represented as BOOLEAN). Available types: BOOLEAN, BIGINT, DOUBLE, DATE, TIME, \
@@ -197,24 +308,25 @@ pub fn column_type(
     p.push_str(
         "Respond in JSON: {\"Reasoning\": \"...\", \"Type\": \"...\", \"Confidence\": 0.0-1.0}\n",
     );
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::COLUMN_TYPE.into())),
-        ("column".into(), Json::String(column.into())),
-        ("declared".into(), Json::String(declared.into())),
-        ("inferred".into(), Json::String(inferred.into())),
-        ("confidence".into(), Json::Number(confidence)),
-        ("values".into(), values_json(values)),
-    ]));
+    let mut context = Context::open(&mut p);
+    context.text("column", column);
+    context.number("confidence", confidence);
+    context.text("declared", declared);
+    context.text("inferred", inferred);
+    context.text("task", task::COLUMN_TYPE);
+    context.census("values", values);
+    context.close();
     p
 }
 
 /// §2.1.5: review the acceptable numeric range.
 pub fn numeric_range(column: &str, min: f64, max: f64, q1: f64, q3: f64) -> String {
     let mut p = String::new();
-    p.push_str(&format!(
+    let _ = write!(
+        p,
         "{column} is numeric with minimum {min}, maximum {max}, and interquartile range \
          [{q1}, {q3}].\n\n",
-    ));
+    );
     p.push_str(
         "Review the acceptable range semantically given what the column represents. Values \
          outside the range will be treated as outliers and set to NULL.\n\n",
@@ -223,14 +335,14 @@ pub fn numeric_range(column: &str, min: f64, max: f64, q1: f64, q3: f64) -> Stri
         "Respond in JSON: {\"Reasoning\": \"...\", \"Low\": number|null, \"High\": number|null, \
          \"Confidence\": 0.0-1.0}\n",
     );
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::NUMERIC_RANGE.into())),
-        ("column".into(), Json::String(column.into())),
-        ("min".into(), Json::Number(min)),
-        ("max".into(), Json::Number(max)),
-        ("q1".into(), Json::Number(q1)),
-        ("q3".into(), Json::Number(q3)),
-    ]));
+    let mut context = Context::open(&mut p);
+    context.text("column", column);
+    context.number("max", max);
+    context.number("min", min);
+    context.number("q1", q1);
+    context.number("q3", q3);
+    context.text("task", task::NUMERIC_RANGE);
+    context.close();
     p
 }
 
@@ -244,16 +356,15 @@ pub fn fd_review(
     examples: &[(String, Vec<(String, usize)>)],
 ) -> String {
     let mut p = String::new();
-    p.push_str(&format!(
+    let _ = writeln!(
+        p,
         "The functional dependency {lhs} \u{2192} {rhs} holds with entropy strength {strength:.3} \
-         ({violating_groups} violating groups).\n",
-    ));
+         ({violating_groups} violating groups).",
+    );
     if !examples.is_empty() {
         p.push_str("Example violating groups:\n");
         for (lhs_value, census) in examples.iter().take(5) {
-            let rhs_text: Vec<String> =
-                census.iter().map(|(v, c)| format!("{} ×{c}", escape(v))).collect();
-            p.push_str(&format!("  {} → {{{}}}\n", escape(lhs_value), rhs_text.join(", ")));
+            push_group_line(&mut p, lhs_value, census);
         }
     }
     p.push_str(
@@ -265,86 +376,51 @@ pub fn fd_review(
         "Respond in JSON: {\"Reasoning\": \"...\", \"Meaningful\": true/false, \
          \"Confidence\": 0.0-1.0}\n",
     );
-    let examples_json = Json::Array(
-        examples
-            .iter()
-            .map(|(l, census)| {
-                Json::Array(vec![
-                    Json::String(l.clone()),
-                    Json::Array(
-                        census
-                            .iter()
-                            .map(|(v, c)| {
-                                Json::Array(vec![Json::String(v.clone()), Json::Number(*c as f64)])
-                            })
-                            .collect(),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::FD_REVIEW.into())),
-        ("lhs".into(), Json::String(lhs.into())),
-        ("rhs".into(), Json::String(rhs.into())),
-        ("strength".into(), Json::Number(strength)),
-        ("violating_groups".into(), Json::Number(violating_groups as f64)),
-        ("examples".into(), examples_json),
-    ]));
+    let mut context = Context::open(&mut p);
+    push_groups(context.key("examples"), examples);
+    context.text("lhs", lhs);
+    context.text("rhs", rhs);
+    context.number("strength", strength);
+    context.text("task", task::FD_REVIEW);
+    context.count("violating_groups", violating_groups);
+    context.close();
     p
 }
 
 /// §2.1.6: provide the correct value for each violating group.
 pub fn fd_mapping(lhs: &str, rhs: &str, groups: &[(String, Vec<(String, usize)>)]) -> String {
     let mut p = String::new();
-    p.push_str(&format!(
+    let _ = writeln!(
+        p,
         "The functional dependency {lhs} \u{2192} {rhs} is meaningful, but these {lhs} groups \
-         contain conflicting {rhs} values:\n",
-    ));
+         contain conflicting {rhs} values:",
+    );
     for (lhs_value, census) in groups.iter().take(50) {
-        let rhs_text: Vec<String> =
-            census.iter().map(|(v, c)| format!("{} ×{c}", escape(v))).collect();
-        p.push_str(&format!("  {} → {{{}}}\n", escape(lhs_value), rhs_text.join(", ")));
+        push_group_line(&mut p, lhs_value, census);
     }
     p.push_str(
         "\nFor each group, provide the correct value. Map each incorrect value to the correct \
          one.\n\nReturn in the following format:\n```yml\nexplanation: >\n  ...\nconfidence: 0.0-1.0\nmapping:\n  old_value: new_value\n```\n",
     );
-    let groups_json = Json::Array(
-        groups
-            .iter()
-            .map(|(l, census)| {
-                Json::Array(vec![
-                    Json::String(l.clone()),
-                    Json::Array(
-                        census
-                            .iter()
-                            .map(|(v, c)| {
-                                Json::Array(vec![Json::String(v.clone()), Json::Number(*c as f64)])
-                            })
-                            .collect(),
-                    ),
-                ])
-            })
-            .collect(),
-    );
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::FD_MAPPING.into())),
-        ("lhs".into(), Json::String(lhs.into())),
-        ("rhs".into(), Json::String(rhs.into())),
-        ("groups".into(), groups_json),
-    ]));
+    let mut context = Context::open(&mut p);
+    push_groups(context.key("groups"), groups);
+    context.text("lhs", lhs);
+    context.text("rhs", rhs);
+    context.text("task", task::FD_MAPPING);
+    context.close();
     p
 }
 
 /// §2.1.7: decide whether exact duplicate rows are acceptable.
 pub fn duplication_review(duplicate_rows: usize, total_rows: usize, columns: &[String]) -> String {
     let mut p = String::new();
-    p.push_str(&format!(
+    let _ = write!(
+        p,
         "The table has {total_rows} rows, of which {duplicate_rows} are exact duplicates of \
-         earlier rows. Columns: {}.\n\n",
-        columns.join(", ")
-    ));
+         earlier rows. Columns: ",
+    );
+    push_joined(&mut p, columns, |out, name| out.push_str(name));
+    p.push_str(".\n\n");
     p.push_str(
         "Determine if these duplications are semantically acceptable (e.g., duplication in \
          logging with coarse time granularity) or erroneous (cleaned with SELECT DISTINCT).\n\n",
@@ -353,12 +429,12 @@ pub fn duplication_review(duplicate_rows: usize, total_rows: usize, columns: &[S
         "Respond in JSON: {\"Reasoning\": \"...\", \"Acceptable\": true/false, \
          \"Confidence\": 0.0-1.0}\n",
     );
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::DUPLICATION_REVIEW.into())),
-        ("duplicate_rows".into(), Json::Number(duplicate_rows as f64)),
-        ("total_rows".into(), Json::Number(total_rows as f64)),
-        ("columns".into(), Json::Array(columns.iter().map(|c| Json::String(c.clone())).collect())),
-    ]));
+    let mut context = Context::open(&mut p);
+    context.strings("columns", columns);
+    context.count("duplicate_rows", duplicate_rows);
+    context.text("task", task::DUPLICATION_REVIEW);
+    context.count("total_rows", total_rows);
+    context.close();
     p
 }
 
@@ -366,25 +442,21 @@ pub fn duplication_review(duplicate_rows: usize, total_rows: usize, columns: &[S
 /// surviving rows.
 pub fn uniqueness_review(column: &str, unique_ratio: f64, all_columns: &[String]) -> String {
     let mut p = String::new();
-    p.push_str(&format!(
-        "Column {column} has unique ratio {unique_ratio:.4}. Table columns: {}.\n\n",
-        all_columns.join(", ")
-    ));
+    let _ = write!(p, "Column {column} has unique ratio {unique_ratio:.4}. Table columns: ");
+    push_joined(&mut p, all_columns, |out, name| out.push_str(name));
+    p.push_str(".\n\n");
     p.push_str(
         "Decide if the column should be unique semantically (e.g., a primary key). If so, name \
          a column that prioritises which record to keep (e.g., the latest time), or null to \
          keep the first.\n\n",
     );
     p.push_str("Respond in JSON: {\"Reasoning\": \"...\", \"ShouldBeUnique\": true/false, \"OrderBy\": \"column\"|null, \"Confidence\": 0.0-1.0}\n");
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::UNIQUENESS_REVIEW.into())),
-        ("column".into(), Json::String(column.into())),
-        ("unique_ratio".into(), Json::Number(unique_ratio)),
-        (
-            "columns".into(),
-            Json::Array(all_columns.iter().map(|c| Json::String(c.clone())).collect()),
-        ),
-    ]));
+    let mut context = Context::open(&mut p);
+    context.text("column", column);
+    context.strings("columns", all_columns);
+    context.text("task", task::UNIQUENESS_REVIEW);
+    context.number("unique_ratio", unique_ratio);
+    context.close();
     p
 }
 
@@ -392,21 +464,20 @@ pub fn uniqueness_review(column: &str, unique_ratio: f64, all_columns: &[String]
 /// numbers before a `CAST` can succeed (e.g. `"1 hr. 30 min."` → `90`).
 pub fn numeric_conversion(column: &str, failing_values: &[(String, usize)]) -> String {
     let mut p = String::new();
-    p.push_str(&format!(
-        "{column} is being cast to a numeric type, but these values do not parse as numbers: \
-         {}\n\n",
-        values_list_str(failing_values, 1000)
-    ));
+    p.push_str(column);
+    p.push_str(" is being cast to a numeric type, but these values do not parse as numbers: ");
+    push_value_list(&mut p, failing_values, 1000);
+    p.push_str("\n\n");
     p.push_str(
         "Map each value to the number it semantically denotes (e.g., \"1 hr. 30 min.\" \u{2192} \
          90 minutes, \"$1,234\" \u{2192} 1234). If a value carries no number, map to empty \
          string.\n\nReturn in the following format:\n```yml\nexplanation: >\n  ...\nconfidence: 0.0-1.0\nmapping:\n  old_value: new_value\n```\n",
     );
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::NUMERIC_CONVERSION.into())),
-        ("column".into(), Json::String(column.into())),
-        ("values".into(), values_json(failing_values)),
-    ]));
+    let mut context = Context::open(&mut p);
+    context.text("column", column);
+    context.text("task", task::NUMERIC_CONVERSION);
+    context.census("values", failing_values);
+    context.close();
     p
 }
 
@@ -431,32 +502,29 @@ pub fn repair_verify(
     };
     p.push_str(angle);
     p.push_str("\n\n");
-    p.push_str(&format!("Issue type: {issue}\n"));
+    let _ = writeln!(p, "Issue type: {issue}");
     if let Some(column) = column {
-        p.push_str(&format!("Column: {column}\n"));
+        let _ = writeln!(p, "Column: {column}");
     }
     if !evidence.is_empty() {
-        p.push_str(&format!("Statistical evidence: {evidence}\n"));
+        let _ = writeln!(p, "Statistical evidence: {evidence}");
     }
     if !reasoning.is_empty() {
-        p.push_str(&format!("Proposed reasoning: {reasoning}\n"));
+        let _ = writeln!(p, "Proposed reasoning: {reasoning}");
     }
-    p.push_str(&format!("Compiled SQL:\n{sql}\n\n"));
+    let _ = write!(p, "Compiled SQL:\n{sql}\n\n");
     p.push_str("Respond in JSON: {\"Reasoning\": \"...\", \"Agree\": true/false, \"Confidence\": 0.0-1.0}\n");
-    p.push_str(&context_block(vec![
-        ("task".into(), Json::String(task::REPAIR_VERIFY.into())),
-        ("issue".into(), Json::String(issue.into())),
-        (
-            "column".into(),
-            match column {
-                Some(c) => Json::String(c.into()),
-                None => Json::Null,
-            },
-        ),
-        ("evidence".into(), Json::String(evidence.into())),
-        ("reasoning".into(), Json::String(reasoning.into())),
-        ("variant".into(), Json::Number(variant as f64)),
-    ]));
+    let mut context = Context::open(&mut p);
+    match column {
+        Some(column) => context.text("column", column),
+        None => context.key("column").push_str("null"),
+    }
+    context.text("evidence", evidence);
+    context.text("issue", issue);
+    context.text("reasoning", reasoning);
+    context.text("task", task::REPAIR_VERIFY);
+    context.count("variant", variant);
+    context.close();
     p
 }
 
@@ -524,10 +592,11 @@ mod tests {
     }
 
     #[test]
-    fn values_list_str_limits() {
+    fn value_lists_stop_at_their_limit() {
         let many: Vec<(String, usize)> = (0..5).map(|i| (format!("v{i}"), 1)).collect();
-        let text = values_list_str(&many, 3);
-        assert!(text.contains("(+2 more)"));
+        let mut text = String::new();
+        push_value_list(&mut text, &many, 3);
+        assert_eq!(text, "[\"v0\", \"v1\", \"v2\"] (+2 more)");
     }
 
     #[test]

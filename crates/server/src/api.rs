@@ -569,6 +569,14 @@ mod tests {
     }
 
     #[test]
+    fn escaped_surrogate_pairs_ingest_as_one_character() {
+        // Python's `json.dumps` writes U+1F600 as the pair `\ud83d\ude00`.
+        let payload =
+            parse_clean_payload(br#"{"csv": "id,name\n1,caf\u00e9 \ud83d\ude00\n"}"#).unwrap();
+        assert_eq!(payload.table.cell(0, 1).unwrap(), &cocoon_table::Value::from("café 😀"));
+    }
+
+    #[test]
     fn bad_payloads_are_client_errors() {
         for (body, why) in [
             (&b"not json"[..], "unparsable"),

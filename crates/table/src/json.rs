@@ -13,20 +13,41 @@ use crate::value::Value;
 /// Escapes a string as a JSON string literal (quotes included).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    escape_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal (quotes included): `"`,
+/// `\`, `\n`, `\r` and `\t` as two-character escapes, the other controls
+/// below U+0020 as `\u00xx`, and every other character as itself.
+///
+/// Every character it escapes is ASCII, so it copies the runs between them
+/// as whole slices (a byte below 0x80 is never inside a UTF-8 sequence).
+pub fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte >= 0x20 && byte != b'"' && byte != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
-    out
 }
 
 /// The JSON scalar for one cell.

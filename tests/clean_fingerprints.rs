@@ -1,6 +1,12 @@
-//! Output pins for every catalog dataset: the cleaned CSV, the SQL script
-//! and the notes of a default clean (canonical seed, cold `SimLlm`) hash to
-//! recorded FNV-1a constants.
+//! Output and prompt pins for every catalog dataset: the cleaned CSV, the
+//! SQL script and the notes of a default clean (canonical seed, cold
+//! `SimLlm`) hash to recorded FNV-1a constants, and so do the prompts that
+//! clean sends, in send order, with their count.
+//!
+//! The prompt pins matter on their own: `SimLlm` reads only a prompt's
+//! parsed context, so a context number written as `1.0` instead of `1`
+//! would leave every output alone while it changed every cache key, replay
+//! key and token count, and what a hosted model reads.
 //!
 //! A change that means to keep outputs byte-identical (a speed-up, a
 //! refactor) must leave every constant alone. A change that alters output
@@ -9,17 +15,31 @@
 //! and a failure names the dataset and the artifact that moved.
 
 use cocoon_core::{Cleaner, CleaningRun};
-use cocoon_llm::SimLlm;
+use cocoon_llm::{SimLlm, Transcript};
 use cocoon_table::csv;
 
-/// FNV-1a, 64-bit.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a, 64-bit, continued from `hash` over `bytes`.
+fn fnv1a_from(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
+}
+
+/// FNV-1a, 64-bit.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// One FNV-1a over every prompt in send order, each prefixed by its byte
+/// length so that no two prompt lists share a stream.
+fn prompts_fingerprint<'a>(prompts: impl IntoIterator<Item = &'a str>) -> u64 {
+    prompts.into_iter().fold(FNV_OFFSET, |hash, prompt| {
+        fnv1a_from(fnv1a_from(hash, &(prompt.len() as u64).to_le_bytes()), prompt.as_bytes())
+    })
 }
 
 /// `[cleaned CSV, SQL script, notes]` hashes; notes are joined by `\n`.
@@ -31,41 +51,79 @@ fn fingerprints(run: &CleaningRun) -> [u64; 3] {
     ]
 }
 
-fn check(name: &str, recorded: [u64; 3]) {
+/// Checks the outputs' `[cleaned CSV, SQL script, notes]` fingerprints and
+/// the `(fingerprint, count)` of the prompts sent, which a `Transcript`
+/// records in send order (one model call per prompt wave, each listing its
+/// prompts in unit order, so the order is the same at any thread count).
+fn check(name: &str, outputs: [u64; 3], prompts: (u64, usize)) {
     let dataset = cocoon_datasets::catalog::by_name(name).expect("catalog dataset");
-    let run = Cleaner::new(SimLlm::new()).clean(&dataset.dirty).expect("clean");
+    let cleaner = Cleaner::new(Transcript::new(SimLlm::new()));
+    let run = cleaner.clean(&dataset.dirty).expect("clean");
     let actual = fingerprints(&run);
-    let moved: Vec<&str> = ["cleaned CSV", "SQL script", "notes"]
+    let mut moved: Vec<&str> = ["cleaned CSV", "SQL script", "notes"]
         .into_iter()
-        .zip(actual.iter().zip(&recorded))
+        .zip(actual.iter().zip(&outputs))
         .filter(|(_, (a, r))| a != r)
         .map(|(artifact, _)| artifact)
         .collect();
+    let exchanges = cleaner.llm().exchanges();
+    let sent = (prompts_fingerprint(exchanges.iter().map(|e| e.prompt.as_str())), exchanges.len());
+    if sent.0 != prompts.0 {
+        moved.push("prompts");
+    }
+    if sent.1 != prompts.1 {
+        moved.push("prompt count");
+    }
     let now = actual.map(|hash| format!("{hash:#018x}")).join(", ");
-    assert!(moved.is_empty(), "{name}: {moved:?} moved; fingerprints now [{now}]");
+    assert!(
+        moved.is_empty(),
+        "{name}: {moved:?} moved; fingerprints now [{now}], prompts now ({:#018x}, {})",
+        sent.0,
+        sent.1
+    );
 }
 
 #[test]
 fn hospital_clean_matches_its_fingerprint() {
-    check("Hospital", [0x40dc2be2b6443f71, 0x340f21095834baaa, 0x238b0c2319e1f9cd]);
+    check(
+        "Hospital",
+        [0x40dc2be2b6443f71, 0x340f21095834baaa, 0x238b0c2319e1f9cd],
+        (0xe81a928e55349800, 174),
+    );
 }
 
 #[test]
 fn flights_clean_matches_its_fingerprint() {
-    check("Flights", [0xa1a77661ca2a17dc, 0xdff59160d4d9eebe, 0xe644b15b9a211ef9]);
+    check(
+        "Flights",
+        [0xa1a77661ca2a17dc, 0xdff59160d4d9eebe, 0xe644b15b9a211ef9],
+        (0x6cadea843c2a9553, 60),
+    );
 }
 
 #[test]
 fn beers_clean_matches_its_fingerprint() {
-    check("Beers", [0x800b1e1ffcc36a3d, 0xd22b1dac2578cb33, 0x1bbf84aba8c0b6ad]);
+    check(
+        "Beers",
+        [0x800b1e1ffcc36a3d, 0xd22b1dac2578cb33, 0x1bbf84aba8c0b6ad],
+        (0x1dd7588ee67ac3c5, 67),
+    );
 }
 
 #[test]
 fn rayyan_clean_matches_its_fingerprint() {
-    check("Rayyan", [0xc32d0378a9850893, 0x82cfb534a293050e, 0x399c9b9617c4f4bf]);
+    check(
+        "Rayyan",
+        [0xc32d0378a9850893, 0x82cfb534a293050e, 0x399c9b9617c4f4bf],
+        (0x96eb7e30fb117b09, 76),
+    );
 }
 
 #[test]
 fn movies_clean_matches_its_fingerprint() {
-    check("Movies", [0x51514a5e6a740937, 0x53c1d5ad85e8613d, 0xc08d0f58b98ddc37]);
+    check(
+        "Movies",
+        [0x51514a5e6a740937, 0x53c1d5ad85e8613d, 0xc08d0f58b98ddc37],
+        (0xd35224ec5eaba32a, 118),
+    );
 }

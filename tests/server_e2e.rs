@@ -296,6 +296,26 @@ fn protocol_and_routing_errors_over_the_wire() {
     });
 }
 
+/// 100,000 nested `[` (100 KB) once aborted the whole server: the JSON
+/// parser recursed once per bracket and overflowed the worker's stack, which
+/// no `catch_unwind` can catch. The body now gets the usual 400, and the one
+/// worker that parsed it serves the next clean.
+#[test]
+fn deeply_nested_json_is_a_client_error_and_the_worker_lives() {
+    let mut config = test_config();
+    config.workers = 1;
+    with_server(config, |handle| {
+        let addr = handle.addr();
+        let nested = format!("{{\"csv\": {}", "[".repeat(100_000));
+        let (status, body) = http(addr, "POST", "/v1/clean", Some(&nested));
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains("invalid json"), "{body}");
+        let (status, body) = http(addr, "POST", "/v1/clean", Some(&clean_body(&messy_csv())));
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"cleaned_csv\""), "{body}");
+    });
+}
+
 #[test]
 fn csv_ingest_and_response_are_byte_equivalent_to_the_json_path() {
     // The acceptance bar: on Movies (the paper's largest benchmark), a

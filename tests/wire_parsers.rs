@@ -343,4 +343,49 @@ proptest! {
     fn json_escape_round_trips_strings(text in text(24)) {
         prop_assert_eq!(json::parse(&json::escape(&text)).unwrap(), Json::String(text));
     }
+
+    #[test]
+    fn ascii_only_json_strings_parse_back(text in text(24)) {
+        prop_assert_eq!(json::parse(&ascii_only_json(&text)).unwrap(), Json::String(text));
+    }
+}
+
+/// `text` as a JSON string literal in ASCII alone, as Python's `json.dumps`
+/// writes by default: every control and non-ASCII character as `\uXXXX`,
+/// and one above U+FFFF as its UTF-16 surrogate pair (RFC 8259 §7).
+fn ascii_only_json(text: &str) -> String {
+    let mut out = String::from("\"");
+    for c in text.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            ' '..='~' => out.push(c),
+            _ => {
+                for unit in c.encode_utf16(&mut [0; 2]) {
+                    out.push_str(&format!("\\u{unit:04x}"));
+                }
+            }
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A million `[` is about 1 MB, far below the server's 8 MiB body cap. The
+/// parser recurses once per level, and on a 2 MiB stack, the size a server
+/// worker thread gets, recursion that deep overflows the stack, which aborts
+/// the whole process where a panic would not. It must answer an error.
+#[test]
+fn a_million_nested_brackets_are_an_error_not_a_stack_overflow() {
+    let rejected = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let brackets = "[".repeat(1_000_000);
+            let payload = format!("{{\"csv\": {brackets}");
+            (json::parse(&brackets).is_err(), parse_clean_payload(payload.as_bytes()).is_err())
+        })
+        .expect("spawn")
+        .join()
+        .expect("the parse returns");
+    assert_eq!(rejected, (true, true));
 }
