@@ -1,8 +1,8 @@
 //! Shared machinery for compiling and applying column rewrites.
 
 use crate::error::Result;
-use cocoon_sql::{eval_column, execute, infer_expr_type, Expr, Projection, Select, Selection};
-use cocoon_table::{Column, Table, Value};
+use cocoon_sql::{execute, Expr, Projection, Select};
+use cocoon_table::{Table, Value};
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -32,27 +32,12 @@ pub fn column_rewrite_select(table: &Table, column: &str, expr: Expr) -> Select 
 }
 
 /// Executes a select against `table` and counts cell-level differences
-/// (only meaningful when the row count is unchanged).
+/// when the shape is unchanged, else the rows dropped.
 ///
-/// Selects with the [`column_rewrite_select`] shape take a fast path:
-/// only the target column is evaluated and diffed, and every other column
-/// of the output shares the input's storage.
+/// [`execute`] hands every pass-through column on as the input's own
+/// storage, and the diff skips physically shared columns, so a
+/// [`column_rewrite_select`] evaluates and compares only its target column.
 pub fn apply_and_count(select: &Select, table: &Table) -> Result<(Table, usize)> {
-    if let Some((index, expr)) = single_column_rewrite(select, table) {
-        let rewritten = if table.height() == 0 {
-            Column::default()
-        } else {
-            eval_column(expr, table, &Selection::All(table.height()))?
-        };
-        let before = table.column(index)?;
-        let changed =
-            before.values().iter().zip(rewritten.values()).filter(|(b, a)| b != a).count();
-        let mut output = table.clone();
-        output.replace_column(index, Arc::new(rewritten))?;
-        output.set_column_type(index, infer_expr_type(expr, table.schema()))?;
-        return Ok((output, changed));
-    }
-
     let output = execute(select, table)?;
     let mut changed = 0usize;
     if output.height() == table.height() && output.width() == table.width() {
@@ -69,36 +54,6 @@ pub fn apply_and_count(select: &Select, table: &Table) -> Result<(Table, usize)>
         changed = table.height().saturating_sub(output.height());
     }
     Ok((output, changed))
-}
-
-/// Recognises the [`column_rewrite_select`] shape: no filters, one
-/// projection per input column in schema order, all of them pass-through
-/// column references except exactly one expression aliased back to its
-/// field's name. Returns the target column index and expression.
-fn single_column_rewrite<'a>(select: &'a Select, table: &Table) -> Option<(usize, &'a Expr)> {
-    if select.distinct || select.where_clause.is_some() || select.qualify.is_some() {
-        return None;
-    }
-    let schema = table.schema();
-    if select.projections.len() != schema.len() {
-        return None;
-    }
-    let mut target: Option<(usize, &Expr)> = None;
-    for (i, projection) in select.projections.iter().enumerate() {
-        let Projection::Expr { expr, alias } = projection else { return None };
-        let field_name = schema.field(i).ok()?.name();
-        if let Expr::Column(name) = expr {
-            let out_name = alias.as_deref().unwrap_or(name);
-            if name == field_name && out_name == field_name {
-                continue; // pass-through
-            }
-        }
-        if alias.as_deref() != Some(field_name) || target.is_some() {
-            return None;
-        }
-        target = Some((i, expr));
-    }
-    target
 }
 
 /// Converts a textual cleaning mapping into `(Value, Value)` pairs; an
@@ -130,6 +85,7 @@ pub fn restrict_mapping(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cocoon_table::DataType;
 
     fn table() -> Table {
         let rows: Vec<Vec<String>> =
@@ -161,51 +117,28 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_matches_generic_executor() {
+    fn try_cast_rewrite_retypes_its_column_and_counts_changed_cells() {
         let t = table();
-        let cast = Expr::try_cast(Expr::col("id"), cocoon_table::DataType::Int);
+        let cast = Expr::try_cast(Expr::col("id"), DataType::Int);
         let select = column_rewrite_select(&t, "id", cast);
-        assert!(single_column_rewrite(&select, &t).is_some());
-        let (fast, fast_changed) = apply_and_count(&select, &t).unwrap();
-        let generic = execute(&select, &t).unwrap();
-        assert_eq!(fast, generic);
-        assert_eq!(fast_changed, 2); // "1" → 1, "2" → 2
-                                     // Declared type follows the cast, as in the generic path.
-        assert_eq!(fast.schema().field(0).unwrap().data_type(), cocoon_table::DataType::Int);
+        let (out, changed) = apply_and_count(&select, &t).unwrap();
+        assert_eq!(changed, 2); // "1" → 1, "2" → 2
+        assert_eq!(out.cell(1, 0).unwrap(), &Value::Int(2));
+        assert_eq!(out.schema().field(0).unwrap().data_type(), DataType::Int);
+        assert_eq!(out.schema().names(), vec!["id", "lang"]);
+        assert!(Arc::ptr_eq(t.shared_column(1).unwrap(), out.shared_column(1).unwrap()));
     }
 
     #[test]
-    fn non_rewrite_shapes_skip_the_fast_path() {
-        let t = table();
-        // DISTINCT, WHERE, star and column-subset selects are not rewrites.
-        let mut distinct = Select::star("input");
-        distinct.distinct = true;
-        assert!(single_column_rewrite(&distinct, &t).is_none());
-        let mut filtered = column_rewrite_select(&t, "lang", Expr::lit("x"));
-        filtered.where_clause = Some(Expr::eq(Expr::col("id"), Expr::lit("1")));
-        assert!(single_column_rewrite(&filtered, &t).is_none());
-        let subset = Select {
-            distinct: false,
-            projections: vec![Projection::Expr { expr: Expr::col("id"), alias: None }],
-            from: "input".into(),
-            where_clause: None,
-            qualify: None,
-            comment: None,
-        };
-        assert!(single_column_rewrite(&subset, &t).is_none());
-        // Two rewritten columns: also generic.
-        let two = Select {
-            distinct: false,
-            projections: vec![
-                Projection::aliased(Expr::lit("x"), "id"),
-                Projection::aliased(Expr::lit("y"), "lang"),
-            ],
-            from: "input".into(),
-            where_clause: None,
-            qualify: None,
-            comment: None,
-        };
-        assert!(single_column_rewrite(&two, &t).is_none());
+    fn zero_row_rewrite_changes_nothing_and_still_retypes() {
+        let t = Table::from_text_rows(&["id", "lang"], &[]).unwrap();
+        let cast = Expr::try_cast(Expr::col("id"), DataType::Float);
+        let select = column_rewrite_select(&t, "id", cast);
+        let (out, changed) = apply_and_count(&select, &t).unwrap();
+        assert_eq!(changed, 0);
+        assert_eq!((out.height(), out.width()), (0, 2));
+        assert_eq!(out.schema().field(0).unwrap().data_type(), DataType::Float);
+        assert_eq!(out.schema().field(1).unwrap().data_type(), DataType::Text);
     }
 
     #[test]

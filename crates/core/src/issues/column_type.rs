@@ -20,16 +20,12 @@ use cocoon_sql::Expr;
 use cocoon_table::{infer_from_distinct, DataType};
 
 struct Finding {
-    index: usize,
-    column: String,
-    evidence: String,
-    reasoning: String,
+    repair: Repair,
     target: DataType,
     /// Semantic numeric-conversion map ("1 hr. 30 min." → "90"), prefetched
     /// for numeric targets whose census holds non-parsing values.
     conversion_mapping: Vec<(String, String)>,
     conversion_reasoning: String,
-    confidence: Option<f64>,
 }
 
 /// What a column waits on: the type verdict (holding the statistical
@@ -40,16 +36,15 @@ enum Asked {
     Conversion(Finding, Vec<(String, usize)>),
 }
 
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("column-type review on {column:?} degraded to statistical-only: {err}")
+fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
+    format!("column-type review on {:?} degraded to statistical-only: {err}", column.name)
 }
 
 /// Runs column-type review and casting over every text column.
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
-    let outcomes =
-        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    let outcomes = state.detect_waves(&columns, start, resume, degraded);
+    state.decide_outcomes(&columns, outcomes, decide, degraded);
 }
 
 fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Finding>> {
@@ -90,7 +85,7 @@ fn resume(
             finding.conversion_mapping = restrict_mapping(&map.mapping, &failing);
             if !finding.conversion_mapping.is_empty() {
                 finding.conversion_reasoning = map.explanation;
-                finding.confidence = weakest(finding.confidence, map.confidence);
+                finding.repair.confidence = weakest(finding.repair.confidence, map.confidence);
             }
             Ok(Step::Done(Outcome::Finding(finding)))
         }
@@ -116,14 +111,16 @@ fn review(
         return Ok(Step::clean());
     }
     let finding = Finding {
-        index: column.index,
-        column: column.name.clone(),
-        evidence,
-        reasoning: verdict.reasoning,
+        repair: Repair {
+            issue: IssueKind::ColumnType,
+            column: Some(column.name.clone()),
+            evidence,
+            reasoning: verdict.reasoning,
+            confidence: verdict.confidence,
+        },
         target,
         conversion_mapping: Vec::new(),
         conversion_reasoning: String::new(),
-        confidence: verdict.confidence,
     };
     if target.is_numeric() {
         // Values that don't parse as numbers first get a semantic
@@ -143,26 +140,22 @@ fn review(
     Ok(Step::Done(Outcome::Finding(finding)))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let target = finding.target;
-    let mut repair = Repair {
-        issue: IssueKind::ColumnType,
-        column: Some(finding.column.clone()),
-        evidence: finding.evidence.clone(),
-        reasoning: finding.reasoning.clone(),
-        confidence: finding.confidence,
-    };
+fn decide(
+    state: &mut PipelineState<'_>,
+    column: &Column,
+    Finding { mut repair, target, conversion_mapping, conversion_reasoning }: Finding,
+) -> crate::error::Result<()> {
+    let (index, column) = (column.index, column.name.as_str());
     if !state.detection_approved(&repair, &format!("column-type cast on {column:?}")) {
         return Ok(());
     }
 
-    let inner = if finding.conversion_mapping.is_empty() {
+    let inner = if conversion_mapping.is_empty() {
         Expr::col(column)
     } else {
         Expr::Case {
             operand: Some(Box::new(Expr::col(column))),
-            arms: mapping_to_values(&finding.conversion_mapping)
+            arms: mapping_to_values(&conversion_mapping)
                 .into_iter()
                 .map(|(old, new)| (Expr::Literal(old), Expr::Literal(new)))
                 .collect(),
@@ -174,8 +167,8 @@ fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Res
     let (table, changed) = apply_and_count(&select, &state.table)?;
     // A cast that empties the column means the suggestion was wrong; the
     // human-in-the-loop would reject it, and so do we.
-    let nulls_before = state.table.column(finding.index)?.null_count();
-    let nulls_after = table.column(finding.index)?.null_count();
+    let nulls_before = state.table.column(index)?.null_count();
+    let nulls_after = table.column(index)?.null_count();
     let non_null_before = state.table.height() - nulls_before;
     if non_null_before > 0 {
         let lost = nulls_after.saturating_sub(nulls_before);
@@ -187,8 +180,7 @@ fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Res
             return Ok(());
         }
     }
-    repair.reasoning =
-        format!("{} {}", repair.reasoning, finding.conversion_reasoning).trim().to_string();
+    repair.reasoning = format!("{} {conversion_reasoning}", repair.reasoning).trim().to_string();
     state.commit_op(table, repair.into_op(select, changed));
     Ok(())
 }

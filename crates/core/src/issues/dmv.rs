@@ -16,12 +16,9 @@ use cocoon_sql::Expr;
 use cocoon_table::{DataType, Table};
 
 struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
+    repair: Repair,
     /// token → "" (the Figure 3 convention: empty new value means NULL).
     mapping: Vec<(String, String)>,
-    confidence: Option<f64>,
 }
 
 /// What a column's DMV prompt was shown: its census and numeric share.
@@ -30,16 +27,15 @@ struct Asked {
     numeric_share: f64,
 }
 
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("DMV detection on {column:?} degraded to statistical-only: {err}")
+fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
+    format!("DMV detection on {:?} degraded to statistical-only: {err}", column.name)
 }
 
 /// Runs DMV detection and cleaning over every text column.
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
-    let outcomes =
-        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    let outcomes = state.detect_waves(&columns, start, resume, degraded);
+    state.decide_outcomes(&columns, outcomes, decide, degraded);
 }
 
 fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Finding>> {
@@ -74,36 +70,31 @@ fn resume(
     let evidence =
         format!("{} distinct values reviewed; numeric share {numeric_share:.2}", census.len());
     Ok(Step::Done(Outcome::Finding(Finding {
-        column: column.name.clone(),
-        evidence,
-        reasoning: verdict.reasoning,
+        repair: Repair {
+            issue: IssueKind::DisguisedMissing,
+            column: Some(column.name.clone()),
+            evidence,
+            reasoning: verdict.reasoning,
+            confidence: verdict.confidence,
+        },
         mapping,
-        confidence: verdict.confidence,
     })))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let repair = Repair {
-        issue: IssueKind::DisguisedMissing,
-        column: Some(finding.column.clone()),
-        evidence: finding.evidence.clone(),
-        reasoning: finding.reasoning.clone(),
-        confidence: finding.confidence,
-    };
+fn decide(
+    state: &mut PipelineState<'_>,
+    column: &Column,
+    Finding { repair, mapping }: Finding,
+) -> crate::error::Result<()> {
+    let column = column.name.as_str();
     let compile = |table: &Table, mapping: &[(String, String)]| {
         column_rewrite_select(table, column, Expr::value_map(column, &mapping_to_values(mapping)))
     };
-    let select = compile(&state.table, &finding.mapping);
+    let select = compile(&state.table, &mapping);
     let subject = format!("DMV cleaning on {column:?}");
-    let Some(select) = state.cleaning_approved(
-        &repair,
-        &finding.reasoning,
-        &finding.mapping,
-        select,
-        compile,
-        &subject,
-    ) else {
+    let Some(select) =
+        state.cleaning_approved(&repair, &repair.reasoning, &mapping, select, compile, &subject)
+    else {
         return Ok(());
     };
     state.apply_repair(repair, select)?;

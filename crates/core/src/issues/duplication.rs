@@ -14,25 +14,19 @@ use cocoon_llm::{parse_dup_verdict, prompts};
 use cocoon_profile::duplicates_from_censuses;
 use cocoon_sql::Select;
 
-struct Finding {
-    evidence: String,
-    reasoning: String,
-    confidence: Option<f64>,
-}
-
-fn degraded(err: &crate::error::CoreError) -> String {
+fn degraded(_: &(), err: &crate::error::CoreError) -> String {
     format!("duplication review degraded to statistical-only: {err}")
 }
 
 /// Runs duplicate-row review over the whole table.
 pub(crate) fn run(state: &mut PipelineState<'_>) {
-    let outcomes = state.detect_waves(vec![()], start, resume, |_, err| degraded(err));
-    state.decide_outcomes(outcomes, decide, |_, err| degraded(err));
+    let outcomes = state.detect_waves(&[()], start, resume, degraded);
+    state.decide_outcomes(&[()], outcomes, decide, degraded);
 }
 
 /// Asks the review of the table's exact duplicates; resumes holding the
 /// statistical evidence.
-fn start(ctx: &DetectCtx<'_>, _: &()) -> crate::error::Result<Step<String, Finding>> {
+fn start(ctx: &DetectCtx<'_>, _: &()) -> crate::error::Result<Step<String, Repair>> {
     let profile = duplicates_from_censuses(&ctx.table_censuses());
     if profile.duplicate_rows == 0 {
         return Ok(Step::clean());
@@ -51,7 +45,7 @@ fn resume(
     _: &(),
     evidence: String,
     mut answers: Answers,
-) -> crate::error::Result<Step<String, Finding>> {
+) -> crate::error::Result<Step<String, Repair>> {
     let verdict = parse_dup_verdict(&answers.remove(0)?)?;
     if verdict.acceptable {
         return Ok(Step::Done(Outcome::Note(format!(
@@ -59,21 +53,16 @@ fn resume(
             verdict.reasoning
         ))));
     }
-    Ok(Step::Done(Outcome::Finding(Finding {
+    Ok(Step::Done(Outcome::Finding(Repair {
+        issue: IssueKind::Duplication,
+        column: None,
         evidence,
         reasoning: verdict.reasoning,
         confidence: verdict.confidence,
     })))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let repair = Repair {
-        issue: IssueKind::Duplication,
-        column: None,
-        evidence: finding.evidence.clone(),
-        reasoning: finding.reasoning.clone(),
-        confidence: finding.confidence,
-    };
+fn decide(state: &mut PipelineState<'_>, _: &(), repair: Repair) -> crate::error::Result<()> {
     if !state.detection_approved(&repair, "duplicate removal") {
         return Ok(());
     }

@@ -47,6 +47,7 @@ use cocoon_llm::{parse_cleaning_map, parse_fd_verdict, prompts, FdVerdict};
 use cocoon_profile::{FdCandidate, FdScan};
 use cocoon_sql::Expr;
 use cocoon_table::{DataType, Table, Value};
+use std::collections::VecDeque;
 
 /// One violating group: `(lhs value, rhs census)`, census by descending count.
 type Group = (Value, Vec<(Value, usize)>);
@@ -96,19 +97,23 @@ pub(crate) fn run(state: &mut PipelineState<'_>) {
     // land before it is decided, and it has nothing to decide.
     candidates.retain(|candidate| candidate.violating_groups > 0);
     let outcomes = state.detect_waves(
-        candidates,
+        &candidates,
         |ctx, candidate| start(ctx, &scan, candidate),
         |ctx, candidate, (), answers| resume(ctx, candidate, answers),
         |_, err| degraded(err),
     );
-    // Mapping answers asked ahead of their candidate's turn, by outcome.
-    let mut ahead: Vec<Option<Mapped>> = outcomes.iter().map(|_| None).collect();
-    for (at, outcome) in outcomes.iter().enumerate() {
+    // Mapping answers asked ahead of their candidate's turn, one slot per
+    // outcome not yet decided.
+    let mut ahead: VecDeque<Option<Mapped>> = outcomes.iter().map(|_| None).collect();
+    let mut outcomes = outcomes.into_iter();
+    while let Some(outcome) = outcomes.next() {
+        let asked = ahead.pop_front().flatten();
         match outcome {
             Outcome::Clean => {}
-            Outcome::Note(note) => state.note(note.clone()),
+            Outcome::Note(note) => state.note(note),
             Outcome::Finding(finding) => {
-                if let Err(err) = decide(state, &mut scan, finding, &outcomes, at, &mut ahead) {
+                let later = outcomes.as_slice();
+                if let Err(err) = decide(state, &mut scan, finding, asked, later, &mut ahead) {
                     state.note(degraded(&err));
                 }
             }
@@ -175,44 +180,44 @@ fn resume(
     })))
 }
 
-/// Asks the mapping prompt of `asking`, the finding at `outcomes[at]`
-/// showing `groups`, in one model call with those of the later meaningful
-/// candidates whose groups cannot change before their turn: neither their
-/// lhs nor their rhs is the rhs of a meaningful candidate from `asking` up
-/// to them, the only columns a repair can rewrite meanwhile. Each of them
-/// with violations left asks now, and its groups and answer are stored in
-/// `ahead` for its turn. Returns `asking`'s own answer.
+/// Asks `prompt`, the mapping prompt of a candidate repairing `rhs`, in one
+/// model call with those of the `later` meaningful candidates whose groups
+/// cannot change before their turn: neither their lhs nor their rhs is the
+/// rhs of a meaningful candidate from the asking one up to them, the only
+/// columns a repair can rewrite meanwhile. Each of them with violations
+/// left asks now, and its groups and answer are stored in its slot of
+/// `ahead` (aligned with `later`) for its turn. Returns the asking
+/// candidate's own answer.
 fn ask_mappings(
     state: &PipelineState<'_>,
     scan: &FdScan,
-    asking: &Finding,
-    groups: &GroupsText,
-    outcomes: &[Outcome<Finding>],
-    at: usize,
-    ahead: &mut [Option<Mapped>],
+    prompt: String,
+    rhs: usize,
+    later: &[Outcome<Finding>],
+    ahead: &mut VecDeque<Option<Mapped>>,
 ) -> crate::error::Result<String> {
-    let mut prompts = vec![prompts::fd_mapping(&asking.lhs_name, &asking.rhs_name, groups)];
+    let mut prompts = vec![prompt];
     let mut riders: Vec<(usize, GroupsText)> = Vec::new();
-    let mut writable = vec![asking.rhs];
-    for (later_at, outcome) in outcomes.iter().enumerate().skip(at + 1) {
+    let mut writable = vec![rhs];
+    for (slot, outcome) in later.iter().enumerate() {
         let Outcome::Finding(later) = outcome else { continue };
         if !later.verdict.meaningful {
             continue;
         }
         let settled = !writable.contains(&later.lhs) && !writable.contains(&later.rhs);
-        if settled && ahead[later_at].is_none() {
+        if settled && ahead[slot].is_none() {
             let groups = all_groups(scan, later.lhs, later.rhs);
             if !groups.is_empty() {
                 prompts.push(prompts::fd_mapping(&later.lhs_name, &later.rhs_name, &groups));
-                riders.push((later_at, groups));
+                riders.push((slot, groups));
             }
         }
         writable.push(later.rhs);
     }
     let mut answers = state.ask_all(prompts).into_iter();
     let own = answers.next().expect("one answer per prompt");
-    for ((later_at, groups), answer) in riders.into_iter().zip(answers) {
-        ahead[later_at] = Some(Mapped { groups, answer });
+    for ((slot, groups), answer) in riders.into_iter().zip(answers) {
+        ahead[slot] = Some(Mapped { groups, answer });
     }
     own
 }
@@ -236,46 +241,50 @@ fn group_arms<'a>(
     arms
 }
 
-/// Reviews and (when approved) repairs the finding at `outcomes[at]`. An
-/// applied repair re-codes its column in `scan` from the rewritten
-/// column's census, keeping the scan live for the candidates after it.
+/// Reviews and (when approved) repairs `finding`, whose mapping answer
+/// `asked` holds when it was asked ahead; `later` are the outcomes after
+/// it and `ahead` their slots. Only here is an FD `Repair` built, at the
+/// candidate's turn, since its evidence counts the live groups. An applied
+/// repair re-codes its column in `scan` from the rewritten column's census,
+/// keeping the scan live for the candidates after it.
 fn decide(
     state: &mut PipelineState<'_>,
     scan: &mut FdScan,
-    finding: &Finding,
-    outcomes: &[Outcome<Finding>],
-    at: usize,
-    ahead: &mut [Option<Mapped>],
+    finding: Finding,
+    asked: Option<Mapped>,
+    later: &[Outcome<Finding>],
+    ahead: &mut VecDeque<Option<Mapped>>,
 ) -> crate::error::Result<()> {
-    let (lhs_name, rhs_name) = (finding.lhs_name.as_str(), finding.rhs_name.as_str());
-    let FdVerdict { meaningful, reasoning, confidence } = finding.verdict.clone();
+    let Finding { lhs, rhs, lhs_name, rhs_name, strength, verdict } = finding;
+    let (lhs_name, rhs_name) = (lhs_name.as_str(), rhs_name.as_str());
+    let FdVerdict { meaningful, reasoning, confidence } = verdict;
     if !meaningful {
         // An earlier repair may have removed the candidate's violations,
         // and then there is nothing to reject. Counting them decodes
         // nothing.
-        if scan.violating_group_count(finding.lhs, finding.rhs) > 0 {
+        if scan.violating_group_count(lhs, rhs) > 0 {
             state.note(format!(
                 "FD {lhs_name} → {rhs_name} rejected as not semantically meaningful: {reasoning}"
             ));
         }
         return Ok(());
     }
-    let (groups_text, answer) = match ahead[at].take() {
+    let (groups_text, answer) = match asked {
         Some(Mapped { groups, answer }) => {
             debug_assert_eq!(
                 groups,
-                all_groups(scan, finding.lhs, finding.rhs),
+                all_groups(scan, lhs, rhs),
                 "FD {lhs_name} → {rhs_name} was asked ahead of a repair that changed its groups"
             );
             (groups, Some(answer))
         }
-        None => (all_groups(scan, finding.lhs, finding.rhs), None),
+        None => (all_groups(scan, lhs, rhs), None),
     };
     if groups_text.is_empty() {
         return Ok(());
     }
     let evidence =
-        format!("entropy strength {:.3}; {} violating groups", finding.strength, groups_text.len());
+        format!("entropy strength {strength:.3}; {} violating groups", groups_text.len());
     let mut repair = Repair {
         issue: IssueKind::FunctionalDependency,
         column: Some(rhs_name.to_string()),
@@ -290,7 +299,10 @@ fn decide(
     // Semantic cleaning: the LLM provides the correct mapping per group.
     let response = match answer {
         Some(answer) => answer?,
-        None => ask_mappings(state, scan, finding, &groups_text, outcomes, at, ahead)?,
+        None => {
+            let prompt = prompts::fd_mapping(lhs_name, rhs_name, &groups_text);
+            ask_mappings(state, scan, prompt, rhs, later, ahead)?
+        }
     };
     let map = parse_cleaning_map(&response)?;
     let proposed = group_arms(&groups_text, &map.mapping);
@@ -301,8 +313,8 @@ fn decide(
         proposed.iter().map(|&(_, old, new)| (old.into(), new.into())).collect();
     // Literals are parsed back into the column's declared type so repairs
     // keep working after a CAST step retyped the column.
-    let lhs_type = state.table.schema().field(finding.lhs)?.data_type();
-    let rhs_type = state.table.schema().field(finding.rhs)?.data_type();
+    let lhs_type = state.table.schema().field(lhs)?.data_type();
+    let rhs_type = state.table.schema().field(rhs)?.data_type();
     let typed = |raw: &str, ty: DataType| -> Value {
         let text = Value::Text(raw.to_string());
         text.cast(ty).unwrap_or(text)
@@ -327,7 +339,7 @@ fn decide(
     repair.reasoning = format!("{} {}", repair.reasoning, map.explanation);
     repair.confidence = weakest(repair.confidence, map.confidence);
     if state.apply_repair(repair, select)? {
-        scan.recode(finding.rhs, state.detect_ctx().column_census(finding.rhs)?);
+        scan.recode(rhs, state.detect_ctx().column_census(rhs)?);
     }
     Ok(())
 }

@@ -9,9 +9,13 @@
 //! the stage thread pool and return ordered `Outcome`s, and a sequential
 //! `decide` that hands each finding to one repair protocol: the
 //! [`DecisionHook`](crate::DecisionHook) reviews, then the apply that
-//! records the [`CleaningOp`](crate::CleaningOp). A stage supplies the
-//! subject its reviewer notes name, its compiled SQL and, where its
-//! cleaning review shows a mapping, how to compile an adjusted one.
+//! records the [`CleaningOp`](crate::CleaningOp). A finding carries its
+//! `Repair` (issue, column, evidence, reasoning, self-report), built once
+//! where detection concludes and moved into the op; only FD builds its own
+//! in `decide`, since its evidence counts the groups live at its turn. A
+//! stage supplies the subject its reviewer notes name, its compiled SQL
+//! and, where its cleaning review shows a mapping, how to compile an
+//! adjusted one.
 //! Detection sees the table as it stood when the stage began; mutation
 //! happens only in the decide phase.
 

@@ -18,24 +18,20 @@ use cocoon_profile::{numeric_from_distinct, NumericStats};
 use cocoon_sql::{BinaryOp, Expr};
 
 struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
+    repair: Repair,
     low: Option<f64>,
     high: Option<f64>,
-    confidence: Option<f64>,
 }
 
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("numeric outliers on {column:?} degraded to statistical-only: {err}")
+fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
+    format!("numeric outliers on {:?} degraded to statistical-only: {err}", column.name)
 }
 
 /// Runs numeric-outlier review over every numeric column.
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty.is_numeric());
-    let outcomes =
-        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    let outcomes = state.detect_waves(&columns, start, resume, degraded);
+    state.decide_outcomes(&columns, outcomes, decide, degraded);
 }
 
 /// Asks the range review of the column's distribution; resumes holding its
@@ -84,34 +80,34 @@ fn resume(
         high.map(|v| v.to_string()).unwrap_or_else(|| "+∞".into()),
     );
     Ok(Step::Done(Outcome::Finding(Finding {
-        column: column.name.clone(),
-        evidence,
-        reasoning: verdict.reasoning,
+        repair: Repair {
+            issue: IssueKind::NumericOutliers,
+            column: Some(column.name.clone()),
+            evidence,
+            reasoning: verdict.reasoning,
+            confidence: verdict.confidence,
+        },
         low,
         high,
-        confidence: verdict.confidence,
     })))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let repair = Repair {
-        issue: IssueKind::NumericOutliers,
-        column: Some(finding.column.clone()),
-        evidence: finding.evidence.clone(),
-        reasoning: finding.reasoning.clone(),
-        confidence: finding.confidence,
-    };
+fn decide(
+    state: &mut PipelineState<'_>,
+    column: &Column,
+    Finding { repair, low, high }: Finding,
+) -> crate::error::Result<()> {
+    let column = column.name.as_str();
     if !state.detection_approved(&repair, &format!("numeric outliers on {column:?}")) {
         return Ok(());
     }
 
     // CASE WHEN col < low OR col > high THEN NULL ELSE col END
     let mut condition: Option<Expr> = None;
-    if let Some(l) = finding.low {
+    if let Some(l) = low {
         condition = Some(Expr::binary(BinaryOp::Lt, Expr::col(column), Expr::lit(l)));
     }
-    if let Some(h) = finding.high {
+    if let Some(h) = high {
         let gt = Expr::binary(BinaryOp::Gt, Expr::col(column), Expr::lit(h));
         condition = Some(match condition {
             Some(c) => Expr::or(c, gt),

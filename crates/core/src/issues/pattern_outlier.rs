@@ -19,24 +19,20 @@ use cocoon_sql::Expr;
 use cocoon_table::DataType;
 
 struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
+    repair: Repair,
     /// (pattern, replacement) pairs, all verified to compile.
     transforms: Vec<(String, String)>,
-    confidence: Option<f64>,
 }
 
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("pattern outliers on {column:?} degraded to statistical-only: {err}")
+fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
+    format!("pattern outliers on {:?} degraded to statistical-only: {err}", column.name)
 }
 
 /// Runs pattern-outlier detection and cleaning over every text column.
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
-    let outcomes =
-        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    let outcomes = state.detect_waves(&columns, start, resume, degraded);
+    state.decide_outcomes(&columns, outcomes, decide, degraded);
 }
 
 /// Asks the review of the column's value shapes; resumes holding how many
@@ -90,30 +86,30 @@ fn resume(
         distinct.len()
     );
     Ok(Step::Done(Outcome::Finding(Finding {
-        column: column.name.clone(),
-        evidence,
-        reasoning: plan.reasoning,
+        repair: Repair {
+            issue: IssueKind::PatternOutliers,
+            column: Some(column.name.clone()),
+            evidence,
+            reasoning: plan.reasoning,
+            confidence: plan.confidence,
+        },
         transforms: valid_transforms,
-        confidence: plan.confidence,
     })))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let repair = Repair {
-        issue: IssueKind::PatternOutliers,
-        column: Some(finding.column.clone()),
-        evidence: finding.evidence.clone(),
-        reasoning: finding.reasoning.clone(),
-        confidence: finding.confidence,
-    };
+fn decide(
+    state: &mut PipelineState<'_>,
+    column: &Column,
+    Finding { repair, transforms }: Finding,
+) -> crate::error::Result<()> {
+    let column = column.name.as_str();
     if !state.detection_approved(&repair, &format!("pattern outliers on {column:?}")) {
         return Ok(());
     }
 
     // expr = REGEXP_REPLACE(…(REGEXP_REPLACE(col, p1, r1))…, pn, rn)
     let mut expr = Expr::col(column);
-    for (pattern, replacement) in &finding.transforms {
+    for (pattern, replacement) in &transforms {
         expr = Expr::func(
             "REGEXP_REPLACE",
             vec![expr, Expr::lit(pattern.as_str()), Expr::lit(replacement.as_str())],

@@ -20,16 +20,13 @@ use cocoon_sql::Expr;
 use cocoon_table::{DataType, Table};
 
 /// A column flagged by detection, carrying everything the decide phase
-/// needs: evidence, reasoning, and the prefetched cleaning map.
+/// needs: the repair (its confidence the weakest self-report across the
+/// detect and clean completions), and the prefetched cleaning map with its
+/// explanations, joined.
 struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
-    explanations: Vec<String>,
+    repair: Repair,
+    explanation: String,
     mapping: Vec<(String, String)>,
-    /// Weakest self-reported confidence across the detect and clean
-    /// completions, when any stated one.
-    confidence: Option<f64>,
 }
 
 /// What a column waits on: its detect verdict (holding the census), then
@@ -39,16 +36,15 @@ enum Asked {
     Maps { value_batches: Vec<Vec<(String, usize)>>, verdict: DetectVerdict, evidence: String },
 }
 
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("string outliers on {column:?} degraded to statistical-only: {err}")
+fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
+    format!("string outliers on {:?} degraded to statistical-only: {err}", column.name)
 }
 
 /// Runs string-outlier detection and cleaning over every text column.
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
-    let outcomes =
-        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    let outcomes = state.detect_waves(&columns, start, resume, degraded);
+    state.decide_outcomes(&columns, outcomes, decide, degraded);
 }
 
 /// Statistical detection, then the semantic detection prompt (Figure 2).
@@ -103,37 +99,36 @@ fn resume(
                 return Ok(Step::clean());
             }
             Ok(Step::Done(Outcome::Finding(Finding {
-                column: column.name.clone(),
-                evidence,
-                reasoning: verdict.reasoning,
-                explanations,
+                repair: Repair {
+                    issue: IssueKind::StringOutliers,
+                    column: Some(column.name.clone()),
+                    evidence,
+                    reasoning: verdict.reasoning,
+                    confidence,
+                },
+                explanation: explanations.join(" "),
                 mapping,
-                confidence,
             })))
         }
     }
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let mut repair = Repair {
-        issue: IssueKind::StringOutliers,
-        column: Some(finding.column.clone()),
-        evidence: finding.evidence.clone(),
-        reasoning: finding.reasoning.clone(),
-        confidence: finding.confidence,
-    };
+fn decide(
+    state: &mut PipelineState<'_>,
+    column: &Column,
+    Finding { mut repair, explanation, mapping }: Finding,
+) -> crate::error::Result<()> {
+    let column = column.name.as_str();
     if !state.detection_approved(&repair, &format!("string outliers on {column:?}")) {
         return Ok(());
     }
     let compile = |table: &Table, mapping: &[(String, String)]| {
         column_rewrite_select(table, column, Expr::value_map(column, &mapping_to_values(mapping)))
     };
-    let select = compile(&state.table, &finding.mapping);
-    let explanation = finding.explanations.join(" ");
+    let select = compile(&state.table, &mapping);
     let subject = format!("string-outlier cleaning on {column:?}");
     let Some(select) =
-        state.cleaning_approved(&repair, &explanation, &finding.mapping, select, compile, &subject)
+        state.cleaning_approved(&repair, &explanation, &mapping, select, compile, &subject)
     else {
         return Ok(());
     };

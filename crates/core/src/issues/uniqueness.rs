@@ -17,23 +17,19 @@ use cocoon_profile::uniqueness_from_distinct;
 use cocoon_sql::{Expr, Projection, RowNumberFilter, Select, SortOrder};
 
 struct Finding {
-    column: String,
-    evidence: String,
-    reasoning: String,
+    repair: Repair,
     order_by: Option<String>,
-    confidence: Option<f64>,
 }
 
-fn degraded(column: &str, err: &crate::error::CoreError) -> String {
-    format!("uniqueness review on {column:?} degraded to statistical-only: {err}")
+fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
+    format!("uniqueness review on {:?} degraded to statistical-only: {err}", column.name)
 }
 
 /// Runs uniqueness review over every nearly-unique column.
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|_| true);
-    let outcomes =
-        state.detect_waves(columns, start, resume, |column, err| degraded(&column.name, err));
-    state.decide_outcomes(outcomes, decide, |finding, err| degraded(&finding.column, err));
+    let outcomes = state.detect_waves(&columns, start, resume, degraded);
+    state.decide_outcomes(&columns, outcomes, decide, degraded);
 }
 
 /// Asks the key review of a nearly-unique column; resumes holding the
@@ -68,30 +64,29 @@ fn resume(
         return Ok(Step::clean());
     }
     Ok(Step::Done(Outcome::Finding(Finding {
-        column: column.name.clone(),
-        evidence,
-        reasoning: verdict.reasoning,
+        repair: Repair {
+            issue: IssueKind::Uniqueness,
+            column: Some(column.name.clone()),
+            evidence,
+            reasoning: verdict.reasoning,
+            confidence: verdict.confidence,
+        },
         order_by: verdict.order_by,
-        confidence: verdict.confidence,
     })))
 }
 
-fn decide(state: &mut PipelineState<'_>, finding: &Finding) -> crate::error::Result<()> {
-    let column = finding.column.as_str();
-    let repair = Repair {
-        issue: IssueKind::Uniqueness,
-        column: Some(finding.column.clone()),
-        evidence: finding.evidence.clone(),
-        reasoning: finding.reasoning.clone(),
-        confidence: finding.confidence,
-    };
+fn decide(
+    state: &mut PipelineState<'_>,
+    column: &Column,
+    Finding { repair, order_by }: Finding,
+) -> crate::error::Result<()> {
+    let column = column.name.as_str();
     if !state.detection_approved(&repair, &format!("uniqueness dedup on {column:?}")) {
         return Ok(());
     }
     // Window: keep the best row per key, ordered by the LLM-chosen column
     // (latest first) when available, else the first row.
-    let order_by = finding
-        .order_by
+    let order_by = order_by
         .as_deref()
         .filter(|c| state.table.schema().contains(c))
         .map(|c| vec![(Expr::col(c), SortOrder::Desc)])

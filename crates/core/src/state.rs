@@ -12,15 +12,17 @@
 //!   concludes it or asks again for the next wave. Outcomes
 //!   (`Outcome::Finding` for a candidate finding) come back in unit order,
 //!   so output never depends on worker scheduling.
-//! * a **decide** phase — sequential and ordered. Each finding becomes a
-//!   [`Repair`] and goes through one protocol: the [`DecisionHook`]
-//!   reviews (`detection_approved`, then `cleaning_approved` for the stages
-//!   that show a mapping), compiled SQL, and `apply_repair`, which applies
-//!   it and records the op; `ops` and `notes` record them in deterministic
-//!   order. Its model calls are batched too, as far as the order allows:
-//!   the FD stage asks a candidate's mapping prompt together with those of
-//!   the later candidates whose groups no repair before their turn can
-//!   change (see [`crate::issues::functional_dependency`]), and
+//! * a **decide** phase — sequential and ordered. Each finding carries the
+//!   [`Repair`] its detection built (FD builds its own at the candidate's
+//!   turn, since its evidence counts the live groups) through one
+//!   protocol: the [`DecisionHook`] reviews (`detection_approved`, then
+//!   `cleaning_approved` for the stages that show a mapping), compiled
+//!   SQL, and `apply_repair`, which applies it and records the op; `ops`
+//!   and `notes` record them in deterministic order. Its model calls are
+//!   batched too, as far as the order allows: the FD stage asks a
+//!   candidate's mapping prompt together with those of the later
+//!   candidates whose groups no repair before their turn can change (see
+//!   [`crate::issues::functional_dependency`]), and
 //!   [`PipelineState::commit_op`] queues the confidence re-asks of every
 //!   repair whose outcome they cannot change, which the clean sends as one
 //!   batch after its last stage (`PipelineState::verify_deferred`). Only
@@ -211,7 +213,8 @@ pub(crate) struct Column {
 }
 
 /// What a stage proposes to repair and why: everything of its
-/// [`CleaningOp`] but the SQL and its effect.
+/// [`CleaningOp`] but the SQL and its effect. A stage builds it once, where
+/// its detection concludes, and its decide phase moves it into the op.
 pub(crate) struct Repair {
     pub(crate) issue: IssueKind,
     /// `None` for whole-table repairs.
@@ -352,7 +355,7 @@ impl<'a> PipelineState<'a> {
     /// batches at any thread count.
     pub(crate) fn detect_waves<U, P, F>(
         &self,
-        units: Vec<U>,
+        units: &[U],
         start: impl Fn(&DetectCtx<'_>, &U) -> Result<Step<P, F>> + Sync,
         resume: impl Fn(&DetectCtx<'_>, &U, P, Answers) -> Result<Step<P, F>> + Sync,
         degraded: impl Fn(&U, &CoreError) -> String + Sync,
@@ -403,22 +406,25 @@ impl<'a> PipelineState<'a> {
     }
 
     /// The decide phase shared by every stage but FD (which carries state
-    /// across findings): outcomes are consumed in detection order, notes
-    /// pass straight through, findings go to `decide`, and a decide-phase
-    /// error degrades the finding to the stage's note via `degraded_note`.
-    pub(crate) fn decide_outcomes<F>(
+    /// across findings): the `units` [`detect_waves`](Self::detect_waves)
+    /// ran and their outcomes are consumed in detection order, notes pass
+    /// straight through, each finding goes to `decide` with its unit, and a
+    /// decide-phase error degrades the unit to `degraded`'s note, as a
+    /// failed detection step does.
+    pub(crate) fn decide_outcomes<U, F>(
         &mut self,
+        units: &[U],
         outcomes: Vec<Outcome<F>>,
-        mut decide: impl FnMut(&mut Self, &F) -> Result<()>,
-        degraded_note: impl Fn(&F, &crate::error::CoreError) -> String,
+        mut decide: impl FnMut(&mut Self, &U, F) -> Result<()>,
+        degraded: impl Fn(&U, &CoreError) -> String,
     ) {
-        for outcome in outcomes {
+        for (unit, outcome) in units.iter().zip(outcomes) {
             match outcome {
                 Outcome::Clean => {}
                 Outcome::Note(note) => self.note(note),
                 Outcome::Finding(finding) => {
-                    if let Err(err) = decide(self, &finding) {
-                        self.note(degraded_note(&finding, &err));
+                    if let Err(err) = decide(self, unit, finding) {
+                        self.note(degraded(unit, &err));
                     }
                 }
             }
@@ -737,8 +743,9 @@ mod tests {
                 0 => Step::Done(Outcome::Finding(i * 2)),
                 n => Step::ask(n, format!("unit {i} wave {n}")),
             };
+            let units: Vec<usize> = (0..32).collect();
             let out = state.detect_waves(
-                (0..32).collect(),
+                &units,
                 |_, &i| Ok(step(i, i % 4)),
                 |_, &i, waves_left, answers| {
                     assert_eq!(answers, vec![Ok(format!("unit {i} wave {waves_left}"))]);
@@ -775,8 +782,9 @@ mod tests {
         let config = CleanerConfig::default();
         let mut hook = AutoApprove;
         let state = PipelineState::new(table(), &llm, &config, &mut hook);
+        let units: Vec<usize> = (0..4).collect();
         let out = state.detect_waves(
-            (0..4).collect(),
+            &units,
             |_, &i| match i {
                 3 => Err(CoreError::Config("no start".into())),
                 1 => Ok(Step::ask((), "bad prompt".to_string())),

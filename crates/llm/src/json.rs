@@ -208,8 +208,10 @@ impl<'a> JsonParser<'a> {
         JsonParser { chars, pos, depth: 0 }
     }
 
+    /// An error at `pos`, located by its byte offset into the input.
     fn err(&self, message: &str) -> LlmError {
-        LlmError::Malformed { expected: "json", detail: format!("{message} at {}", self.pos) }
+        let byte: usize = self.chars.iter().take(self.pos).map(|c| c.len_utf8()).sum();
+        LlmError::Malformed { expected: "json", detail: format!("{message} at byte {byte}") }
     }
 
     fn skip_ws(&mut self) {
@@ -410,6 +412,19 @@ impl<'a> JsonParser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn errors_locate_their_byte_offset() {
+        // "é" is one char and two bytes, so the fault at char 10 is byte 11.
+        let err = parse(r#"{"a": "é" 1}"#).unwrap_err();
+        assert_eq!(
+            err,
+            LlmError::Malformed {
+                expected: "json",
+                detail: "expected ',' or '}' at byte 11".into()
+            }
+        );
+    }
 
     #[test]
     fn parses_scalars() {

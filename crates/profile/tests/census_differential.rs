@@ -337,7 +337,7 @@ proptest! {
         // census.
         let mut table = table;
         let height = table.height();
-        table.replace_column(column, Arc::new(Column::new(rewritten[..height].to_vec()))).unwrap();
+        *table.column_mut(column).unwrap() = Column::new(rewritten[..height].to_vec());
         scan.recode(column, Arc::new(ColumnCensus::of(table.column(column).unwrap())));
         assert_scan_describes(&mut scan, &table)?;
     }

@@ -30,7 +30,7 @@ use crate::metrics::Counter;
 use crate::reviews::{AcceptOutcome, RejectOutcome};
 use crate::server::AppState;
 use cocoon_core::{CleanerConfig, CleaningRun, ProgressSnapshot};
-use cocoon_llm::Json;
+use cocoon_llm::{Json, LlmError};
 use cocoon_table::csv::{self, CsvStream};
 use cocoon_table::{json as table_json, Table};
 
@@ -51,7 +51,12 @@ pub struct CleanPayload {
 /// (400) phrased for the response's `"error"` field.
 pub fn parse_clean_payload(body: &[u8]) -> Result<CleanPayload, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not utf-8".to_string())?;
-    let json = cocoon_llm::json::parse(text).map_err(|e| format!("invalid json: {e}"))?;
+    // The parser words its errors for model responses; a client is told
+    // only what failed and at which byte of its body.
+    let json = cocoon_llm::json::parse(text).map_err(|err| match err {
+        LlmError::Malformed { detail, .. } => format!("invalid json: {detail}"),
+        other => format!("invalid json: {other}"),
+    })?;
     let Some(members) = json.as_object() else {
         return Err("request body must be a JSON object".to_string());
     };
@@ -574,6 +579,17 @@ mod tests {
         let payload =
             parse_clean_payload(br#"{"csv": "id,name\n1,caf\u00e9 \ud83d\ude00\n"}"#).unwrap();
         assert_eq!(payload.table.cell(0, 1).unwrap(), &cocoon_table::Value::from("café 😀"));
+    }
+
+    #[test]
+    fn unparsable_json_names_the_byte_it_failed_at() {
+        // "é" is one char and two bytes; the missing comma is at char 12,
+        // byte 13 of the body.
+        let body = r#"{"csv": "é" "rows": []}"#.as_bytes();
+        assert_eq!(
+            parse_clean_payload(body).err().unwrap(),
+            "invalid json: expected ',' or '}' at byte 13"
+        );
     }
 
     #[test]

@@ -8,13 +8,22 @@
 //! would leave every output alone while it changed every cache key, replay
 //! key and token count, and what a hosted model reads.
 //!
+//! The decide protocol is pinned under hooks too: per dataset, the outputs
+//! of a clean under `RejectIssues` over every kind and under a hook that
+//! approves every detection and rejects every cleaning review, the
+//! sequence of reviews a `RecordingHook` sees, and everything the second
+//! hook's reviews show (evidence, reasoning, explanation, mapping, SQL).
+//!
 //! A change that means to keep outputs byte-identical (a speed-up, a
 //! refactor) must leave every constant alone. A change that alters output
 //! on purpose records the new values here, in the same commit, and says
 //! why. Each dataset is its own test so the five cleans run concurrently
 //! and a failure names the dataset and the artifact that moved.
 
-use cocoon_core::{Cleaner, CleaningRun};
+use cocoon_core::{
+    Cleaner, CleaningReview, CleaningRun, Decision, DecisionHook, DetectionReview, RecordingHook,
+    RejectIssues, STAGE_ORDER,
+};
 use cocoon_llm::{SimLlm, Transcript};
 use cocoon_table::csv;
 
@@ -83,6 +92,84 @@ fn check(name: &str, outputs: [u64; 3], prompts: (u64, usize)) {
     );
 }
 
+/// Approves every detection and rejects every cleaning review, so each
+/// stage that shows one stops there. Keeps what every review showed, one
+/// line each, strings `Debug`-quoted.
+#[derive(Default)]
+struct RejectCleanings(String);
+
+impl DecisionHook for RejectCleanings {
+    fn review_detection(&mut self, review: &DetectionReview<'_>) -> Decision {
+        self.0.push_str(&format!(
+            "detect {} {:?} {:?} {:?}\n",
+            review.issue.key(),
+            review.column,
+            review.statistical_evidence,
+            review.llm_reasoning
+        ));
+        Decision::Approve
+    }
+
+    fn review_cleaning(&mut self, review: &CleaningReview<'_>) -> Decision {
+        self.0.push_str(&format!(
+            "clean {} {:?} {:?} {:?} {:?}\n",
+            review.issue.key(),
+            review.column,
+            review.llm_explanation,
+            review.mapping,
+            review.sql_preview()
+        ));
+        Decision::Reject
+    }
+}
+
+/// FNV-1a of the reviews `hook` recorded: each detection review's kind and
+/// column, then each cleaning review's kind and mapping size, one a line.
+fn recorded_reviews(hook: &RecordingHook) -> u64 {
+    let detections =
+        hook.detections.iter().map(|(kind, column)| format!("detect {} {column:?}\n", kind.key()));
+    let cleanings =
+        hook.cleanings.iter().map(|(kind, pairs)| format!("clean {} {pairs}\n", kind.key()));
+    fnv1a(detections.chain(cleanings).collect::<String>().as_bytes())
+}
+
+/// Checks the decide protocol under hooks: the `[cleaned CSV, SQL script,
+/// notes]` fingerprints of a clean under `RejectIssues` over every kind and
+/// under [`RejectCleanings`], and `[recorded_reviews of a RecordingHook
+/// clean, FNV-1a of what RejectCleanings was shown]`. The `RecordingHook`
+/// approves everything, so its outputs are the default clean's that
+/// `check` pins.
+fn check_reviews(
+    name: &str,
+    reject_issues: [u64; 3],
+    reject_cleanings: [u64; 3],
+    reviews: [u64; 2],
+) {
+    let dataset = cocoon_datasets::catalog::by_name(name).expect("catalog dataset");
+    let cleaner = Cleaner::new(SimLlm::new());
+    let clean_under = |hook: &mut dyn DecisionHook| {
+        cleaner.clean_observed(&dataset.dirty, hook, None).expect("clean")
+    };
+    let mut recorder = RecordingHook::default();
+    clean_under(&mut recorder);
+    let mut rejecter = RejectCleanings::default();
+    let actual = [
+        fingerprints(&clean_under(&mut RejectIssues { rejected: STAGE_ORDER.to_vec() })),
+        fingerprints(&clean_under(&mut rejecter)),
+    ];
+    let shown = [recorded_reviews(&recorder), fnv1a(rejecter.0.as_bytes())];
+    let hex = |hashes: &[u64]| {
+        hashes.iter().map(|hash| format!("{hash:#018x}")).collect::<Vec<_>>().join(", ")
+    };
+    assert!(
+        (actual, shown) == ([reject_issues, reject_cleanings], reviews),
+        "{name}: hook pins moved; now [{}], [{}], [{}]",
+        hex(&actual[0]),
+        hex(&actual[1]),
+        hex(&shown)
+    );
+}
+
 #[test]
 fn hospital_clean_matches_its_fingerprint() {
     check(
@@ -125,5 +212,55 @@ fn movies_clean_matches_its_fingerprint() {
         "Movies",
         [0x51514a5e6a740937, 0x53c1d5ad85e8613d, 0xc08d0f58b98ddc37],
         (0xd35224ec5eaba32a, 118),
+    );
+}
+
+#[test]
+fn hospital_reviews_match_their_fingerprints() {
+    check_reviews(
+        "Hospital",
+        [0x68571234a682e3f3, 0xcbf29ce484222325, 0x68799fbf1fb9ca35],
+        [0xd577e7f155fd787f, 0x3d17a4585c8b62a0, 0x6269c5b28622b992],
+        [0x8eb60df5385c7923, 0x91b9c749daf07a5f],
+    );
+}
+
+#[test]
+fn flights_reviews_match_their_fingerprints() {
+    check_reviews(
+        "Flights",
+        [0xbb9edeb04566ffba, 0xcbf29ce484222325, 0x3f1c04f44d32a18b],
+        [0xece34fb1625ecf67, 0x08d9be337c0efa87, 0x34a0194523da1129],
+        [0xc50886e0a0506c62, 0xacc30e4e68f0b8bf],
+    );
+}
+
+#[test]
+fn beers_reviews_match_their_fingerprints() {
+    check_reviews(
+        "Beers",
+        [0xba4aaab553764e54, 0xcbf29ce484222325, 0x1cf685f4fc70fa62],
+        [0xa4a92f94308520b0, 0xf7eccc0b767ac898, 0x74f22647e6bf3872],
+        [0x5b2b0773ee59e230, 0x6fa6febb7035f311],
+    );
+}
+
+#[test]
+fn rayyan_reviews_match_their_fingerprints() {
+    check_reviews(
+        "Rayyan",
+        [0x72083a6f412525ee, 0xcbf29ce484222325, 0xc003f82e1daa12c9],
+        [0xa1b2fc4952b2986e, 0x41ddcd19c03c9f4f, 0x88285460e4d1b0fa],
+        [0x74d7c49f246d6745, 0x08fef7a9faa84ef1],
+    );
+}
+
+#[test]
+fn movies_reviews_match_their_fingerprints() {
+    check_reviews(
+        "Movies",
+        [0x4743be320569030b, 0xcbf29ce484222325, 0x616f34e64db760f4],
+        [0xbbea68914f9854e1, 0xf9dfda59a869f306, 0xb00694f9c0627e09],
+        [0x0fe1de6e3f35ace5, 0x6fb3b7fa40aa4f54],
     );
 }
