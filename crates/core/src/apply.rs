@@ -1,6 +1,7 @@
 //! Shared machinery for compiling and applying column rewrites.
 
 use crate::error::Result;
+use crate::state::Compile;
 use cocoon_sql::{execute, Expr, Projection, Select};
 use cocoon_table::{Table, Value};
 use std::collections::HashSet;
@@ -29,6 +30,14 @@ pub fn column_rewrite_select(table: &Table, column: &str, expr: Expr) -> Select 
         qualify: None,
         comment: None,
     }
+}
+
+/// The rule that compiles a value map on `column` ("" = NULL) into its
+/// column rewrite: string outliers' and DMV's.
+pub(crate) fn value_map_rule(column: String) -> Compile {
+    Box::new(move |table, mapping| {
+        column_rewrite_select(table, &column, Expr::value_map(&column, &mapping_to_values(mapping)))
+    })
 }
 
 /// Executes a select against `table` and counts cell-level differences

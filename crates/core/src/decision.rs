@@ -18,11 +18,11 @@ pub enum Decision {
     /// Skip the step entirely.
     Reject,
     /// Apply with an adjusted value mapping (old → new pairs), compiled by
-    /// the same rule as the proposed one. Only the cleaning reviews of
-    /// string outliers, disguised missing values and functional dependencies
-    /// carry a mapping; an FD pair applies only inside the groups that hold
-    /// `old` and whose most common value is `new`. A detection review reads
-    /// it as [`Approve`](Decision::Approve).
+    /// the same rule as the proposed one. A repair whose cleaning review
+    /// shows an empty mapping has no mapping to adjust, and its proposed
+    /// statement applies; an FD pair applies only inside the groups that
+    /// hold `old` and whose most common value is `new`. A detection review
+    /// reads it as [`Approve`](Decision::Approve).
     AdjustMapping(Vec<(String, String)>),
 }
 
@@ -39,9 +39,9 @@ pub struct DetectionReview<'a> {
     pub llm_reasoning: &'a str,
 }
 
-/// A proposed cleaning shown to the human: the string-outlier, DMV and FD
-/// repairs, each after its detection review (DMV has none). The other
-/// stages' repairs pass only a [`DetectionReview`].
+/// A proposed cleaning shown to the human, after its detection review: the
+/// mapping the repair compiles (empty where it has none) and the statement
+/// that applies it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CleaningReview<'a> {
     /// Issue type being repaired.
@@ -67,10 +67,10 @@ impl CleaningReview<'_> {
 /// The human-in-the-loop boundary.
 ///
 /// Every stage asks it through one protocol, in its sequential decide
-/// phase: a [`DetectionReview`] for each finding of every stage but DMV,
-/// then a [`CleaningReview`] of the compiled repair for string outliers,
-/// DMV and FDs. A [`Decision::Reject`] at either point skips the repair and
-/// notes "… rejected by reviewer" in the run.
+/// phase: a [`DetectionReview`] of each finding, then a [`CleaningReview`]
+/// of the statement that would apply its repair. A [`Decision::Reject`] at
+/// either point skips the repair and notes "… rejected by reviewer" in the
+/// run.
 pub trait DecisionHook {
     /// Review a semantic detection verdict before cleaning is attempted.
     fn review_detection(&mut self, review: &DetectionReview<'_>) -> Decision;

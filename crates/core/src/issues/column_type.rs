@@ -8,32 +8,30 @@
 //!
 //! Detect phase (prompt waves over the text columns): type prompt in the
 //! first wave; for numeric verdicts whose census holds non-numeric
-//! spellings, the numeric-conversion map prompt in the second. Decide phase
-//! (sequential): hook review → cast compile → apply with the
-//! destructive-cast guard.
+//! spellings, the numeric-conversion map prompt in the second. The
+//! proposal's mapping is that conversion map, and its statement the
+//! `TRY_CAST` of the mapped column. A cast that would null most of the
+//! column's values means the suggestion was wrong; the human-in-the-loop
+//! would reject it, and detection abandons it, counting the loss on the
+//! column's census.
 
-use crate::apply::{apply_and_count, column_rewrite_select, mapping_to_values, restrict_mapping};
+use crate::apply::{column_rewrite_select, mapping_to_values, restrict_mapping};
 use crate::ops::IssueKind;
-use crate::state::{weakest, Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
+use crate::state::{
+    weakest, Answers, Column, Compile, DetectCtx, Outcome, PipelineState, Proposal, Repair, Step,
+};
 use cocoon_llm::{parse_cleaning_map, parse_type_verdict, prompts};
+use cocoon_profile::ColumnCensus;
 use cocoon_sql::Expr;
-use cocoon_table::{infer_from_distinct, DataType};
-
-struct Finding {
-    repair: Repair,
-    target: DataType,
-    /// Semantic numeric-conversion map ("1 hr. 30 min." → "90"), prefetched
-    /// for numeric targets whose census holds non-parsing values.
-    conversion_mapping: Vec<(String, String)>,
-    conversion_reasoning: String,
-}
+use cocoon_table::{infer_from_distinct, DataType, Value};
+use std::collections::HashMap;
 
 /// What a column waits on: the type verdict (holding the statistical
-/// evidence), then the conversion map (holding the finding it completes
-/// and the values it was asked about).
+/// evidence), then the conversion map (holding the cast it completes, its
+/// target and the values it was asked about).
 enum Asked {
     Verdict(String),
-    Conversion(Finding, Vec<(String, usize)>),
+    Conversion(Box<Proposal>, DataType, Vec<(String, usize)>),
 }
 
 fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
@@ -44,10 +42,10 @@ fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
     let outcomes = state.detect_waves(&columns, start, resume, degraded);
-    state.decide_outcomes(&columns, outcomes, decide, degraded);
+    state.decide_outcomes(&columns, outcomes, degraded);
 }
 
-fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Finding>> {
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Proposal>> {
     let census = ctx.census(column.index, 50);
     if census.is_empty() {
         return Ok(Step::clean());
@@ -76,18 +74,18 @@ fn resume(
     column: &Column,
     asked: Asked,
     mut answers: Answers,
-) -> crate::error::Result<Step<Asked, Finding>> {
+) -> crate::error::Result<Step<Asked, Proposal>> {
     let response = answers.remove(0)?;
     match asked {
         Asked::Verdict(evidence) => review(ctx, column, evidence, &response),
-        Asked::Conversion(mut finding, failing) => {
+        Asked::Conversion(mut proposal, target, failing) => {
             let map = parse_cleaning_map(&response)?;
-            finding.conversion_mapping = restrict_mapping(&map.mapping, &failing);
-            if !finding.conversion_mapping.is_empty() {
-                finding.conversion_reasoning = map.explanation;
-                finding.repair.confidence = weakest(finding.repair.confidence, map.confidence);
+            proposal.mapping = restrict_mapping(&map.mapping, &failing);
+            if !proposal.mapping.is_empty() {
+                proposal.explanation = map.explanation;
+                proposal.repair.confidence = weakest(proposal.repair.confidence, map.confidence);
             }
-            Ok(Step::Done(Outcome::Finding(finding)))
+            conclude(ctx, column, *proposal, target)
         }
     }
 }
@@ -99,7 +97,7 @@ fn review(
     column: &Column,
     evidence: String,
     response: &str,
-) -> crate::error::Result<Step<Asked, Finding>> {
+) -> crate::error::Result<Step<Asked, Proposal>> {
     let verdict = parse_type_verdict(response)?;
     let Some(target) = DataType::from_sql_name(&verdict.type_name) else {
         return Ok(Step::Done(Outcome::Note(format!(
@@ -110,7 +108,9 @@ fn review(
     if target == DataType::Text {
         return Ok(Step::clean());
     }
-    let finding = Finding {
+    let proposal = Proposal {
+        explanation: verdict.reasoning.clone(),
+        op_reasoning: None,
         repair: Repair {
             issue: IssueKind::ColumnType,
             column: Some(column.name.clone()),
@@ -118,9 +118,9 @@ fn review(
             reasoning: verdict.reasoning,
             confidence: verdict.confidence,
         },
-        target,
-        conversion_mapping: Vec::new(),
-        conversion_reasoning: String::new(),
+        mapping: Vec::new(),
+        compile: cast_rule(column.name.clone(), target),
+        subject: format!("column-type cast on {:?}", column.name),
     };
     if target.is_numeric() {
         // Values that don't parse as numbers first get a semantic
@@ -134,55 +134,75 @@ fn review(
             .collect();
         if !failing.is_empty() {
             let prompt = prompts::numeric_conversion(&column.name, &failing);
-            return Ok(Step::ask(Asked::Conversion(finding, failing), prompt));
+            return Ok(Step::ask(Asked::Conversion(Box::new(proposal), target, failing), prompt));
         }
     }
-    Ok(Step::Done(Outcome::Finding(finding)))
+    conclude(ctx, column, proposal, target)
 }
 
-fn decide(
-    state: &mut PipelineState<'_>,
-    column: &Column,
-    Finding { mut repair, target, conversion_mapping, conversion_reasoning }: Finding,
-) -> crate::error::Result<()> {
-    let (index, column) = (column.index, column.name.as_str());
-    if !state.detection_approved(&repair, &format!("column-type cast on {column:?}")) {
-        return Ok(());
-    }
+/// The rule that compiles a cast of `column` to `target`: `TRY_CAST` of
+/// the column, through the conversion map's `CASE` when it has one.
+fn cast_rule(column: String, target: DataType) -> Compile {
+    Box::new(move |table, mapping| {
+        let mapped = match mapping {
+            [] => Expr::col(&column),
+            _ => Expr::Case {
+                operand: Some(Box::new(Expr::col(&column))),
+                arms: mapping_to_values(mapping)
+                    .into_iter()
+                    .map(|(old, new)| (Expr::Literal(old), Expr::Literal(new)))
+                    .collect(),
+                otherwise: Some(Box::new(Expr::col(&column))),
+            },
+        };
+        column_rewrite_select(table, &column, Expr::try_cast(mapped, target))
+    })
+}
 
-    let inner = if conversion_mapping.is_empty() {
-        Expr::col(column)
-    } else {
-        Expr::Case {
-            operand: Some(Box::new(Expr::col(column))),
-            arms: mapping_to_values(&conversion_mapping)
-                .into_iter()
-                .map(|(old, new)| (Expr::Literal(old), Expr::Literal(new)))
-                .collect(),
-            otherwise: Some(Box::new(Expr::col(column))),
-        }
-    };
-    let expr = Expr::try_cast(inner, target);
-    let select = column_rewrite_select(&state.table, column, expr);
-    let (table, changed) = apply_and_count(&select, &state.table)?;
-    // A cast that empties the column means the suggestion was wrong; the
-    // human-in-the-loop would reject it, and so do we.
-    let nulls_before = state.table.column(index)?.null_count();
-    let nulls_after = table.column(index)?.null_count();
-    let non_null_before = state.table.height() - nulls_before;
-    if non_null_before > 0 {
-        let lost = nulls_after.saturating_sub(nulls_before);
-        if lost * 2 > non_null_before {
-            state.note(format!(
-                "cast of {column:?} to {} abandoned: it would null {lost}/{non_null_before} values",
-                target.sql_name()
-            ));
-            return Ok(());
-        }
+/// Concludes a cast to `target`: abandoned, with a note, when it would
+/// null more than half of the column's values; else proposed, its op's
+/// reasoning the verdict's followed by the conversion map's explanation.
+fn conclude(
+    ctx: &DetectCtx<'_>,
+    column: &Column,
+    mut proposal: Proposal,
+    target: DataType,
+) -> crate::error::Result<Step<Asked, Proposal>> {
+    let census = ctx.column_census(column.index)?;
+    let values = census.rows() - census.null_count();
+    let lost = cells_nulled(&census, &proposal.mapping, target);
+    if lost * 2 > values {
+        return Ok(Step::Done(Outcome::Note(format!(
+            "cast of {:?} to {} abandoned: it would null {lost}/{values} values",
+            column.name,
+            target.sql_name()
+        ))));
     }
-    repair.reasoning = format!("{} {conversion_reasoning}", repair.reasoning).trim().to_string();
-    state.commit_op(table, repair.into_op(select, changed));
-    Ok(())
+    let conversion = if proposal.mapping.is_empty() { "" } else { &proposal.explanation };
+    let reasoning = format!("{} {conversion}", proposal.repair.reasoning);
+    proposal.op_reasoning = Some(reasoning.trim().to_string());
+    Ok(Step::Done(Outcome::Finding(proposal)))
+}
+
+/// The non-NULL cells the proposed statement would null: each distinct
+/// value of `census` that `mapping` ("" = NULL) sends to NULL or to a value
+/// that does not cast to `target`, times its count. The `CASE` takes the
+/// first arm whose old value equals the cell, and `TRY_CAST` nulls what
+/// does not cast, so this is the count of NULLs the applied statement adds.
+fn cells_nulled(census: &ColumnCensus, mapping: &[(String, String)], target: DataType) -> usize {
+    let mut mapped: HashMap<Value, Value> = HashMap::new();
+    for (old, new) in mapping_to_values(mapping) {
+        mapped.entry(old).or_insert(new);
+    }
+    census
+        .distinct()
+        .iter()
+        .filter(|(value, _)| {
+            let cell = mapped.get(value).unwrap_or(value);
+            cell.cast(target).map_or(true, |cast| cast.is_null())
+        })
+        .map(|(_, count)| count)
+        .sum()
 }
 
 #[cfg(test)]
@@ -255,6 +275,45 @@ mod tests {
         let (cleaned, ops) = run_on(table);
         assert!(ops.is_empty());
         assert_eq!(cleaned.schema().field(0).unwrap().data_type(), DataType::Text);
+    }
+
+    #[test]
+    fn census_loss_is_the_nulls_the_applied_cast_adds() {
+        use cocoon_table::{Column as TableColumn, Schema};
+        // NULL cells, numbers, spellings the map converts (one to NULL, one
+        // to a word, one under two arms), spellings it misses, and more
+        // distinct values than the map prompt's sample.
+        let sample_size = CleanerConfig::default().sample_size;
+        let mut cells = vec![Value::Null, Value::Null];
+        cells.extend((0..sample_size + 200).map(|i| Value::from(format!("{}", i % 700))));
+        cells.extend((0..sample_size).map(|i| Value::from(format!("{i} min"))));
+        for spelling in ["1 hr. 30 min.", "n/a", "several", "yes", "no", "2020-01-02", "1.5"] {
+            cells.extend([Value::from(spelling), Value::from(spelling), Value::Null]);
+        }
+        let column = TableColumn::new(cells);
+        let table = Table::new(Schema::all_text(&["c"]).unwrap(), vec![column.clone()]).unwrap();
+        let census = ColumnCensus::of(&column);
+        assert!(census.distinct().len() > sample_size);
+        let pair = |old: &str, new: &str| (old.to_string(), new.to_string());
+        let mappings = [
+            vec![],
+            vec![pair("1 hr. 30 min.", "90"), pair("n/a", ""), pair("several", "many")],
+            vec![pair("5 min", "5"), pair("5 min", "x"), pair("7 min", "7"), pair("absent", "1")],
+            vec![pair("yes", "true"), pair("no", "0"), pair("1.5", "2020-02-03")],
+        ];
+        let targets = [DataType::Int, DataType::Float, DataType::Bool, DataType::Date];
+        for mapping in &mappings {
+            for target in targets {
+                let select = cast_rule("c".into(), target)(&table, mapping);
+                let cast = cocoon_sql::execute(&select, &table).unwrap();
+                let added = cast.column(0).unwrap().null_count() - column.null_count();
+                assert_eq!(
+                    cells_nulled(&census, mapping, target),
+                    added,
+                    "{mapping:?} to {target:?}"
+                );
+            }
+        }
     }
 
     #[test]

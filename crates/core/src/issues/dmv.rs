@@ -5,21 +5,15 @@
 //! cleaning is `CASE WHEN … THEN NULL`.
 //!
 //! Detect phase (one prompt wave over the text columns): census → DMV
-//! prompt → token filter. Decide phase (sequential): SQL compile →
-//! cleaning review → apply.
+//! prompt → token filter; the proposal maps each token to "" (the Figure 3
+//! convention: an empty new value means NULL), and the verdict's reasoning
+//! explains its cleaning too.
 
-use crate::apply::{column_rewrite_select, mapping_to_values};
+use crate::apply::value_map_rule;
 use crate::ops::IssueKind;
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Proposal, Repair, Step};
 use cocoon_llm::{parse_dmv_verdict, prompts};
-use cocoon_sql::Expr;
-use cocoon_table::{DataType, Table};
-
-struct Finding {
-    repair: Repair,
-    /// token → "" (the Figure 3 convention: empty new value means NULL).
-    mapping: Vec<(String, String)>,
-}
+use cocoon_table::DataType;
 
 /// What a column's DMV prompt was shown: its census and numeric share.
 struct Asked {
@@ -35,10 +29,10 @@ fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
     let outcomes = state.detect_waves(&columns, start, resume, degraded);
-    state.decide_outcomes(&columns, outcomes, decide, degraded);
+    state.decide_outcomes(&columns, outcomes, degraded);
 }
 
-fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Finding>> {
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Proposal>> {
     let census = ctx.census(column.index, ctx.config.sample_size);
     if census.is_empty() {
         return Ok(Step::clean());
@@ -57,7 +51,7 @@ fn resume(
     column: &Column,
     Asked { census, numeric_share }: Asked,
     mut answers: Answers,
-) -> crate::error::Result<Step<Asked, Finding>> {
+) -> crate::error::Result<Step<Asked, Proposal>> {
     let verdict = parse_dmv_verdict(&answers.remove(0)?)?;
     let tokens: Vec<String> =
         verdict.tokens.into_iter().filter(|t| census.iter().any(|(v, _)| v == t)).collect();
@@ -65,11 +59,11 @@ fn resume(
         return Ok(Step::clean());
     }
 
-    let mapping: Vec<(String, String)> =
-        tokens.iter().map(|t| (t.clone(), String::new())).collect();
     let evidence =
         format!("{} distinct values reviewed; numeric share {numeric_share:.2}", census.len());
-    Ok(Step::Done(Outcome::Finding(Finding {
+    Ok(Step::Done(Outcome::Finding(Proposal {
+        explanation: verdict.reasoning.clone(),
+        op_reasoning: None,
         repair: Repair {
             issue: IssueKind::DisguisedMissing,
             column: Some(column.name.clone()),
@@ -77,28 +71,10 @@ fn resume(
             reasoning: verdict.reasoning,
             confidence: verdict.confidence,
         },
-        mapping,
+        mapping: tokens.into_iter().map(|token| (token, String::new())).collect(),
+        compile: value_map_rule(column.name.clone()),
+        subject: format!("DMV cleaning on {:?}", column.name),
     })))
-}
-
-fn decide(
-    state: &mut PipelineState<'_>,
-    column: &Column,
-    Finding { repair, mapping }: Finding,
-) -> crate::error::Result<()> {
-    let column = column.name.as_str();
-    let compile = |table: &Table, mapping: &[(String, String)]| {
-        column_rewrite_select(table, column, Expr::value_map(column, &mapping_to_values(mapping)))
-    };
-    let select = compile(&state.table, &mapping);
-    let subject = format!("DMV cleaning on {column:?}");
-    let Some(select) =
-        state.cleaning_approved(&repair, &repair.reasoning, &mapping, select, compile, &subject)
-    else {
-        return Ok(());
-    };
-    state.apply_repair(repair, select)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -107,7 +83,7 @@ mod tests {
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
     use cocoon_llm::SimLlm;
-    use cocoon_table::Value;
+    use cocoon_table::{Table, Value};
 
     fn with_dmvs() -> Table {
         let rows: Vec<Vec<String>> = vec![

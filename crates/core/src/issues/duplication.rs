@@ -5,11 +5,10 @@
 //! erroneous; cleaning is `SELECT DISTINCT`.
 //!
 //! The whole table is one detection unit, so the detect phase is a single
-//! prompt wave of at most one prompt; the decide phase reviews and applies
-//! as usual.
+//! prompt wave of at most one prompt; its proposal has no mapping.
 
 use crate::ops::IssueKind;
-use crate::state::{Answers, DetectCtx, Outcome, PipelineState, Repair, Step};
+use crate::state::{Answers, DetectCtx, Outcome, PipelineState, Proposal, Repair, Step};
 use cocoon_llm::{parse_dup_verdict, prompts};
 use cocoon_profile::duplicates_from_censuses;
 use cocoon_sql::Select;
@@ -21,12 +20,12 @@ fn degraded(_: &(), err: &crate::error::CoreError) -> String {
 /// Runs duplicate-row review over the whole table.
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let outcomes = state.detect_waves(&[()], start, resume, degraded);
-    state.decide_outcomes(&[()], outcomes, decide, degraded);
+    state.decide_outcomes(&[()], outcomes, degraded);
 }
 
 /// Asks the review of the table's exact duplicates; resumes holding the
 /// statistical evidence.
-fn start(ctx: &DetectCtx<'_>, _: &()) -> crate::error::Result<Step<String, Repair>> {
+fn start(ctx: &DetectCtx<'_>, _: &()) -> crate::error::Result<Step<String, Proposal>> {
     let profile = duplicates_from_censuses(&ctx.table_censuses());
     if profile.duplicate_rows == 0 {
         return Ok(Step::clean());
@@ -45,7 +44,7 @@ fn resume(
     _: &(),
     evidence: String,
     mut answers: Answers,
-) -> crate::error::Result<Step<String, Repair>> {
+) -> crate::error::Result<Step<String, Proposal>> {
     let verdict = parse_dup_verdict(&answers.remove(0)?)?;
     if verdict.acceptable {
         return Ok(Step::Done(Outcome::Note(format!(
@@ -53,23 +52,24 @@ fn resume(
             verdict.reasoning
         ))));
     }
-    Ok(Step::Done(Outcome::Finding(Repair {
-        issue: IssueKind::Duplication,
-        column: None,
-        evidence,
-        reasoning: verdict.reasoning,
-        confidence: verdict.confidence,
+    Ok(Step::Done(Outcome::Finding(Proposal {
+        explanation: verdict.reasoning.clone(),
+        op_reasoning: None,
+        repair: Repair {
+            issue: IssueKind::Duplication,
+            column: None,
+            evidence,
+            reasoning: verdict.reasoning,
+            confidence: verdict.confidence,
+        },
+        mapping: Vec::new(),
+        compile: Box::new(|_, _| {
+            let mut select = Select::star("input");
+            select.distinct = true;
+            select
+        }),
+        subject: "duplicate removal".into(),
     })))
-}
-
-fn decide(state: &mut PipelineState<'_>, _: &(), repair: Repair) -> crate::error::Result<()> {
-    if !state.detection_approved(&repair, "duplicate removal") {
-        return Ok(());
-    }
-    let mut select = Select::star("input");
-    select.distinct = true;
-    state.apply_repair(repair, select)?;
-    Ok(())
 }
 
 #[cfg(test)]

@@ -21,7 +21,9 @@
 //!   interact (one repair may fix — or create — another candidate's
 //!   violations), so each candidate reads its groups off the live scan. A
 //!   rejected candidate only counts them (its rejection is noted while any
-//!   remain). A meaningful one decodes them all for its mapping prompt.
+//!   remain). A meaningful one decodes them all, takes the protocol's
+//!   detection review, asks its mapping prompt, and proposes the model's
+//!   mapping for the cleaning review.
 //!   Only FD repairs write during the stage, each to its own rhs column,
 //!   so when a meaningful candidate reaches its mapping step with no
 //!   answer in hand, it asks in one model call together with every later
@@ -42,7 +44,7 @@
 
 use crate::apply::column_rewrite_select;
 use crate::ops::IssueKind;
-use crate::state::{weakest, Answers, DetectCtx, Outcome, PipelineState, Repair, Step};
+use crate::state::{weakest, Answers, DetectCtx, Outcome, PipelineState, Proposal, Repair, Step};
 use cocoon_llm::{parse_cleaning_map, parse_fd_verdict, prompts, FdVerdict};
 use cocoon_profile::{FdCandidate, FdScan};
 use cocoon_sql::Expr;
@@ -244,9 +246,12 @@ fn group_arms<'a>(
 /// Reviews and (when approved) repairs `finding`, whose mapping answer
 /// `asked` holds when it was asked ahead; `later` are the outcomes after
 /// it and `ahead` their slots. Only here is an FD `Repair` built, at the
-/// candidate's turn, since its evidence counts the live groups. An applied
-/// repair re-codes its column in `scan` from the rewritten column's census,
-/// keeping the scan live for the candidates after it.
+/// candidate's turn, since its evidence counts the live groups: it takes
+/// the protocol's detection review before its mapping is asked, and its
+/// proposal, whose statement the model's mapping compiles to, takes the
+/// cleaning step after. An applied repair re-codes its column in `scan`
+/// from the rewritten column's census, keeping the scan live for the
+/// candidates after it.
 fn decide(
     state: &mut PipelineState<'_>,
     scan: &mut FdScan,
@@ -292,7 +297,8 @@ fn decide(
         reasoning,
         confidence,
     };
-    if !state.detection_approved(&repair, &format!("FD {lhs_name} → {rhs_name}")) {
+    let subject = format!("FD {lhs_name} → {rhs_name}");
+    if !state.detection_approved(&repair, &subject) {
         return Ok(());
     }
 
@@ -305,43 +311,44 @@ fn decide(
         }
     };
     let map = parse_cleaning_map(&response)?;
-    let proposed = group_arms(&groups_text, &map.mapping);
-    if proposed.is_empty() {
+    if group_arms(&groups_text, &map.mapping).is_empty() {
         return Ok(());
     }
-    let pairs: Vec<(String, String)> =
-        proposed.iter().map(|&(_, old, new)| (old.into(), new.into())).collect();
     // Literals are parsed back into the column's declared type so repairs
     // keep working after a CAST step retyped the column.
     let lhs_type = state.table.schema().field(lhs)?.data_type();
     let rhs_type = state.table.schema().field(rhs)?.data_type();
-    let typed = |raw: &str, ty: DataType| -> Value {
-        let text = Value::Text(raw.to_string());
-        text.cast(ty).unwrap_or(text)
-    };
-    let compile = |table: &Table, pairs: &[(String, String)]| {
+    let (lhs_column, rhs_column) = (lhs_name.to_string(), rhs_name.to_string());
+    let compile = Box::new(move |table: &Table, pairs: &[(String, String)]| {
         let arms: Vec<(Value, Value, Value)> = group_arms(&groups_text, pairs)
             .into_iter()
             .map(|(lhs, old, new)| {
                 (typed(lhs, lhs_type), typed(old, rhs_type), typed(new, rhs_type))
             })
             .collect();
-        column_rewrite_select(table, rhs_name, Expr::pair_map(lhs_name, rhs_name, &arms))
-    };
-    let select = compile(&state.table, &map.mapping);
-    let subject = format!("FD repair {lhs_name} → {rhs_name}");
-    let Some(select) =
-        state.cleaning_approved(&repair, &map.explanation, &pairs, select, compile, &subject)
-    else {
-        return Ok(());
-    };
+        column_rewrite_select(table, &rhs_column, Expr::pair_map(&lhs_column, &rhs_column, &arms))
+    });
     repair.evidence = format!("{lhs_name} → {rhs_name}: {}", repair.evidence);
     repair.reasoning = format!("{} {}", repair.reasoning, map.explanation);
     repair.confidence = weakest(repair.confidence, map.confidence);
-    if state.apply_repair(repair, select)? {
+    let proposal = Proposal {
+        repair,
+        explanation: map.explanation,
+        op_reasoning: None,
+        mapping: map.mapping,
+        compile,
+        subject,
+    };
+    if state.apply_proposal(proposal)? {
         scan.recode(rhs, state.detect_ctx().column_census(rhs)?);
     }
     Ok(())
+}
+
+/// `raw` as a value of type `ty`, or as text where it does not cast.
+fn typed(raw: &str, ty: DataType) -> Value {
+    let text = Value::Text(raw.to_string());
+    text.cast(ty).unwrap_or(text)
 }
 
 #[cfg(test)]

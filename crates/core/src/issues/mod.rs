@@ -6,16 +6,18 @@
 //! Every module follows the same two-phase shape: a read-only detection
 //! split at its prompts into `start` and `resume` steps, which run as
 //! prompt waves over the columns (or FD candidates, or the whole table) on
-//! the stage thread pool and return ordered `Outcome`s, and a sequential
-//! `decide` that hands each finding to one repair protocol: the
-//! [`DecisionHook`](crate::DecisionHook) reviews, then the apply that
-//! records the [`CleaningOp`](crate::CleaningOp). A finding carries its
-//! `Repair` (issue, column, evidence, reasoning, self-report), built once
-//! where detection concludes and moved into the op; only FD builds its own
-//! in `decide`, since its evidence counts the groups live at its turn. A
-//! stage supplies the subject its reviewer notes name, its compiled SQL
-//! and, where its cleaning review shows a mapping, how to compile an
-//! adjusted one.
+//! the stage thread pool and return ordered `Outcome`s, each finding a
+//! `Proposal`; and a sequential decide phase that takes every proposal
+//! through one repair protocol: the [`DecisionHook`](crate::DecisionHook)'s
+//! detection review, then its cleaning review of the statement that would
+//! apply the repair, the apply, and the [`CleaningOp`](crate::CleaningOp)
+//! it records. A proposal carries its `Repair` (issue, column, evidence,
+//! reasoning, self-report), the model's explanation, its mapping (empty
+//! where the repair has none), the subject its reviewer notes name, and the
+//! rule that compiles the live table and a mapping, proposed or adjusted,
+//! into its SQL. Only FD keeps a `decide` of its own, since its evidence
+//! counts the groups live at its turn; it runs the same two steps around
+//! its mapping ask.
 //! Detection sees the table as it stood when the stage began; mutation
 //! happens only in the decide phase.
 

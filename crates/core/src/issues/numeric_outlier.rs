@@ -7,21 +7,15 @@
 //! Runs after the column-type step (§2.1 ordering note: "Only when the
 //! column is cast … can we show the distribution for numeric outliers").
 //! Detect phase (one prompt wave over the numeric columns): profile →
-//! range prompt → offender count. Decide phase (sequential): hook review →
-//! SQL → apply.
+//! range prompt → offender count; the proposal's statement nulls the values
+//! outside the accepted range, and it has no mapping.
 
 use crate::apply::column_rewrite_select;
 use crate::ops::IssueKind;
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Proposal, Repair, Step};
 use cocoon_llm::{parse_range_verdict, prompts};
 use cocoon_profile::{numeric_from_distinct, NumericStats};
 use cocoon_sql::{BinaryOp, Expr};
-
-struct Finding {
-    repair: Repair,
-    low: Option<f64>,
-    high: Option<f64>,
-}
 
 fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
     format!("numeric outliers on {:?} degraded to statistical-only: {err}", column.name)
@@ -31,7 +25,7 @@ fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty.is_numeric());
     let outcomes = state.detect_waves(&columns, start, resume, degraded);
-    state.decide_outcomes(&columns, outcomes, decide, degraded);
+    state.decide_outcomes(&columns, outcomes, degraded);
 }
 
 /// Asks the range review of the column's distribution; resumes holding its
@@ -39,7 +33,7 @@ pub(crate) fn run(state: &mut PipelineState<'_>) {
 fn start(
     ctx: &DetectCtx<'_>,
     column: &Column,
-) -> crate::error::Result<Step<NumericStats, Finding>> {
+) -> crate::error::Result<Step<NumericStats, Proposal>> {
     let Some(profile) = numeric_from_distinct(ctx.column_census(column.index)?.distinct()) else {
         return Ok(Step::clean());
     };
@@ -53,7 +47,7 @@ fn resume(
     column: &Column,
     stats: NumericStats,
     mut answers: Answers,
-) -> crate::error::Result<Step<NumericStats, Finding>> {
+) -> crate::error::Result<Step<NumericStats, Proposal>> {
     let verdict = parse_range_verdict(&answers.remove(0)?)?;
     let (low, high) = (verdict.low, verdict.high);
     if low.is_none() && high.is_none() {
@@ -79,7 +73,10 @@ fn resume(
         low.map(|v| v.to_string()).unwrap_or_else(|| "-∞".into()),
         high.map(|v| v.to_string()).unwrap_or_else(|| "+∞".into()),
     );
-    Ok(Step::Done(Outcome::Finding(Finding {
+    let name = column.name.clone();
+    Ok(Step::Done(Outcome::Finding(Proposal {
+        explanation: verdict.reasoning.clone(),
+        op_reasoning: None,
         repair: Repair {
             issue: IssueKind::NumericOutliers,
             column: Some(column.name.clone()),
@@ -87,41 +84,29 @@ fn resume(
             reasoning: verdict.reasoning,
             confidence: verdict.confidence,
         },
-        low,
-        high,
+        mapping: Vec::new(),
+        compile: Box::new(move |table, _| {
+            // CASE WHEN col < low OR col > high THEN NULL ELSE col END
+            let mut condition: Option<Expr> = None;
+            if let Some(l) = low {
+                condition = Some(Expr::binary(BinaryOp::Lt, Expr::col(&name), Expr::lit(l)));
+            }
+            if let Some(h) = high {
+                let gt = Expr::binary(BinaryOp::Gt, Expr::col(&name), Expr::lit(h));
+                condition = Some(match condition {
+                    Some(c) => Expr::or(c, gt),
+                    None => gt,
+                });
+            }
+            let expr = Expr::Case {
+                operand: None,
+                arms: vec![(condition.expect("at least one bound"), Expr::null())],
+                otherwise: Some(Box::new(Expr::col(&name))),
+            };
+            column_rewrite_select(table, &name, expr)
+        }),
+        subject: format!("numeric outliers on {:?}", column.name),
     })))
-}
-
-fn decide(
-    state: &mut PipelineState<'_>,
-    column: &Column,
-    Finding { repair, low, high }: Finding,
-) -> crate::error::Result<()> {
-    let column = column.name.as_str();
-    if !state.detection_approved(&repair, &format!("numeric outliers on {column:?}")) {
-        return Ok(());
-    }
-
-    // CASE WHEN col < low OR col > high THEN NULL ELSE col END
-    let mut condition: Option<Expr> = None;
-    if let Some(l) = low {
-        condition = Some(Expr::binary(BinaryOp::Lt, Expr::col(column), Expr::lit(l)));
-    }
-    if let Some(h) = high {
-        let gt = Expr::binary(BinaryOp::Gt, Expr::col(column), Expr::lit(h));
-        condition = Some(match condition {
-            Some(c) => Expr::or(c, gt),
-            None => gt,
-        });
-    }
-    let expr = Expr::Case {
-        operand: None,
-        arms: vec![(condition.expect("at least one bound"), Expr::null())],
-        otherwise: Some(Box::new(Expr::col(column))),
-    };
-    let select = column_rewrite_select(&state.table, column, expr);
-    state.apply_repair(repair, select)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -131,14 +116,12 @@ mod tests {
     use crate::decision::AutoApprove;
     use crate::ops::CleaningOp;
     use cocoon_llm::SimLlm;
-    use cocoon_table::{DataType, Table, Value};
+    use cocoon_table::{Column as TableColumn, DataType, Field, Schema, Table, Value};
 
     fn numeric_table(name: &str, values: &[f64]) -> Table {
-        let rows: Vec<Vec<String>> = values.iter().map(|v| vec![v.to_string()]).collect();
-        let mut t = Table::from_text_rows(&[name], &rows).unwrap();
-        t.set_column_type(0, DataType::Float).unwrap();
-        t.column_mut(0).unwrap().try_cast_all(DataType::Float);
-        t
+        let schema = Schema::new(vec![Field::new(name, DataType::Float)]).unwrap();
+        let column = TableColumn::new(values.iter().map(|&v| Value::Float(v)).collect());
+        Table::new(schema, vec![column]).unwrap()
     }
 
     fn run_on(table: Table) -> (Table, Vec<CleaningOp>) {

@@ -6,23 +6,17 @@
 //! regex transformations; cleaning compiles to nested `REGEXP_REPLACE`.
 //!
 //! Detect phase (one prompt wave over the text columns): shape census →
-//! review prompt → pattern verification. Decide phase (sequential): hook
-//! review → SQL compile → apply.
+//! review prompt → pattern verification; the proposal's statement chains
+//! the plan's verified transforms, and it has no mapping.
 
 use crate::apply::column_rewrite_select;
 use crate::ops::IssueKind;
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Proposal, Repair, Step};
 use cocoon_llm::{parse_pattern_plan, prompts};
 use cocoon_pattern::Regex;
 use cocoon_profile::pattern_census_from_distinct;
 use cocoon_sql::Expr;
 use cocoon_table::DataType;
-
-struct Finding {
-    repair: Repair,
-    /// (pattern, replacement) pairs, all verified to compile.
-    transforms: Vec<(String, String)>,
-}
 
 fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
     format!("pattern outliers on {:?} degraded to statistical-only: {err}", column.name)
@@ -32,12 +26,12 @@ fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
     let outcomes = state.detect_waves(&columns, start, resume, degraded);
-    state.decide_outcomes(&columns, outcomes, decide, degraded);
+    state.decide_outcomes(&columns, outcomes, degraded);
 }
 
 /// Asks the review of the column's value shapes; resumes holding how many
 /// shapes there were.
-fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<usize, Finding>> {
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<usize, Proposal>> {
     let values = ctx.column_census(column.index)?;
     let census = pattern_census_from_distinct(values.distinct(), values.null_count(), true);
     if census.buckets.len() < 2 {
@@ -58,7 +52,7 @@ fn resume(
     column: &Column,
     shapes: usize,
     mut answers: Answers,
-) -> crate::error::Result<Step<usize, Finding>> {
+) -> crate::error::Result<Step<usize, Proposal>> {
     let plan = parse_pattern_plan(&answers.remove(0)?)?;
     if !plan.inconsistent || plan.transforms.is_empty() {
         return Ok(Step::clean());
@@ -85,7 +79,10 @@ fn resume(
         covered,
         distinct.len()
     );
-    Ok(Step::Done(Outcome::Finding(Finding {
+    let name = column.name.clone();
+    Ok(Step::Done(Outcome::Finding(Proposal {
+        explanation: plan.reasoning.clone(),
+        op_reasoning: None,
         repair: Repair {
             issue: IssueKind::PatternOutliers,
             column: Some(column.name.clone()),
@@ -93,31 +90,20 @@ fn resume(
             reasoning: plan.reasoning,
             confidence: plan.confidence,
         },
-        transforms: valid_transforms,
+        mapping: Vec::new(),
+        compile: Box::new(move |table, _| {
+            // REGEXP_REPLACE(…(REGEXP_REPLACE(col, p1, r1))…, pn, rn)
+            let mut expr = Expr::col(&name);
+            for (pattern, replacement) in &valid_transforms {
+                expr = Expr::func(
+                    "REGEXP_REPLACE",
+                    vec![expr, Expr::lit(pattern.as_str()), Expr::lit(replacement.as_str())],
+                );
+            }
+            column_rewrite_select(table, &name, expr)
+        }),
+        subject: format!("pattern outliers on {:?}", column.name),
     })))
-}
-
-fn decide(
-    state: &mut PipelineState<'_>,
-    column: &Column,
-    Finding { repair, transforms }: Finding,
-) -> crate::error::Result<()> {
-    let column = column.name.as_str();
-    if !state.detection_approved(&repair, &format!("pattern outliers on {column:?}")) {
-        return Ok(());
-    }
-
-    // expr = REGEXP_REPLACE(…(REGEXP_REPLACE(col, p1, r1))…, pn, rn)
-    let mut expr = Expr::col(column);
-    for (pattern, replacement) in &transforms {
-        expr = Expr::func(
-            "REGEXP_REPLACE",
-            vec![expr, Expr::lit(pattern.as_str()), Expr::lit(replacement.as_str())],
-        );
-    }
-    let select = column_rewrite_select(&state.table, column, expr);
-    state.apply_repair(repair, select)?;
-    Ok(())
 }
 
 #[cfg(test)]

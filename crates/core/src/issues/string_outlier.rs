@@ -7,27 +7,19 @@
 //!
 //! Detect phase (prompt waves over the text columns): census → detect
 //! prompt in the first wave; the flagged columns' cleaning-map prompts, one
-//! per value batch, all go in the second. Decide phase (sequential):
-//! detection review → SQL compile → cleaning review → apply.
+//! per value batch, all go in the second, and their maps, joined, are the
+//! proposal (its confidence the weakest self-report across the detect and
+//! clean completions).
 
-use crate::apply::{column_rewrite_select, mapping_to_values, restrict_mapping};
+use crate::apply::{restrict_mapping, value_map_rule};
 use crate::ops::IssueKind;
-use crate::state::{weakest, Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
+use crate::state::{
+    weakest, Answers, Column, DetectCtx, Outcome, PipelineState, Proposal, Repair, Step,
+};
 use cocoon_llm::prompts;
 use cocoon_llm::{parse_cleaning_map, parse_detect_verdict, DetectVerdict};
 use cocoon_profile::batches;
-use cocoon_sql::Expr;
-use cocoon_table::{DataType, Table};
-
-/// A column flagged by detection, carrying everything the decide phase
-/// needs: the repair (its confidence the weakest self-report across the
-/// detect and clean completions), and the prefetched cleaning map with its
-/// explanations, joined.
-struct Finding {
-    repair: Repair,
-    explanation: String,
-    mapping: Vec<(String, String)>,
-}
+use cocoon_table::DataType;
 
 /// What a column waits on: its detect verdict (holding the census), then
 /// its cleaning maps (holding the value batches they were asked about).
@@ -44,11 +36,11 @@ fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|ty| ty == DataType::Text);
     let outcomes = state.detect_waves(&columns, start, resume, degraded);
-    state.decide_outcomes(&columns, outcomes, decide, degraded);
+    state.decide_outcomes(&columns, outcomes, degraded);
 }
 
 /// Statistical detection, then the semantic detection prompt (Figure 2).
-fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Finding>> {
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<Asked, Proposal>> {
     let census = ctx.census(column.index, ctx.config.sample_size);
     if census.len() < 2 {
         return Ok(Step::clean());
@@ -62,7 +54,7 @@ fn resume(
     column: &Column,
     asked: Asked,
     mut answers: Answers,
-) -> crate::error::Result<Step<Asked, Finding>> {
+) -> crate::error::Result<Step<Asked, Proposal>> {
     match asked {
         Asked::Verdict(census) => {
             let verdict = parse_detect_verdict(&answers.remove(0)?)?;
@@ -98,7 +90,9 @@ fn resume(
             if mapping.is_empty() {
                 return Ok(Step::clean());
             }
-            Ok(Step::Done(Outcome::Finding(Finding {
+            let explanation = explanations.join(" ");
+            Ok(Step::Done(Outcome::Finding(Proposal {
+                op_reasoning: Some(format!("{} {explanation}", verdict.reasoning)),
                 repair: Repair {
                     issue: IssueKind::StringOutliers,
                     column: Some(column.name.clone()),
@@ -106,35 +100,13 @@ fn resume(
                     reasoning: verdict.reasoning,
                     confidence,
                 },
-                explanation: explanations.join(" "),
+                explanation,
                 mapping,
+                compile: value_map_rule(column.name.clone()),
+                subject: format!("string outliers on {:?}", column.name),
             })))
         }
     }
-}
-
-fn decide(
-    state: &mut PipelineState<'_>,
-    column: &Column,
-    Finding { mut repair, explanation, mapping }: Finding,
-) -> crate::error::Result<()> {
-    let column = column.name.as_str();
-    if !state.detection_approved(&repair, &format!("string outliers on {column:?}")) {
-        return Ok(());
-    }
-    let compile = |table: &Table, mapping: &[(String, String)]| {
-        column_rewrite_select(table, column, Expr::value_map(column, &mapping_to_values(mapping)))
-    };
-    let select = compile(&state.table, &mapping);
-    let subject = format!("string-outlier cleaning on {column:?}");
-    let Some(select) =
-        state.cleaning_approved(&repair, &explanation, &mapping, select, compile, &subject)
-    else {
-        return Ok(());
-    };
-    repair.reasoning = format!("{} {explanation}", repair.reasoning);
-    state.apply_repair(repair, select)?;
-    Ok(())
 }
 
 #[cfg(test)]
@@ -143,7 +115,7 @@ mod tests {
     use crate::config::CleanerConfig;
     use crate::decision::AutoApprove;
     use cocoon_llm::{FailingLlm, SimLlm};
-    use cocoon_table::Value;
+    use cocoon_table::{Column as TableColumn, Field, Schema, Table, Value};
 
     fn rayyan_like() -> Table {
         let mut rows: Vec<Vec<String>> = Vec::new();
@@ -217,10 +189,9 @@ mod tests {
 
     #[test]
     fn non_text_columns_skipped() {
-        let rows: Vec<Vec<String>> = vec![vec!["1".into()], vec!["2".into()]];
-        let mut table = Table::from_text_rows(&["n"], &rows).unwrap();
-        table.set_column_type(0, cocoon_table::DataType::Int).unwrap();
-        table.column_mut(0).unwrap().try_cast_all(cocoon_table::DataType::Int);
+        let schema = Schema::new(vec![Field::new("n", DataType::Int)]).unwrap();
+        let column = TableColumn::new(vec![Value::Int(1), Value::Int(2)]);
+        let table = Table::new(schema, vec![column]).unwrap();
         let llm = SimLlm::new();
         let config = CleanerConfig::default();
         let mut hook = AutoApprove;

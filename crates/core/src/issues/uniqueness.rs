@@ -6,20 +6,15 @@
 //! cleaning is a `ROW_NUMBER()` window filter.
 //!
 //! Detect phase (one prompt wave over every column): uniqueness profile →
-//! review prompt. Decide phase (sequential): hook review → window filter →
-//! apply. Dedup drops rows, so the filter is always applied against the
-//! live table; a `removed == 0` apply (rows already gone) is a no-op.
+//! review prompt; the proposal's statement is the window filter, and it has
+//! no mapping. Dedup drops rows, so the filter is always compiled against
+//! the live table; a `removed == 0` apply (rows already gone) is a no-op.
 
 use crate::ops::IssueKind;
-use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Repair, Step};
+use crate::state::{Answers, Column, DetectCtx, Outcome, PipelineState, Proposal, Repair, Step};
 use cocoon_llm::{parse_unique_verdict, prompts};
 use cocoon_profile::uniqueness_from_distinct;
 use cocoon_sql::{Expr, Projection, RowNumberFilter, Select, SortOrder};
-
-struct Finding {
-    repair: Repair,
-    order_by: Option<String>,
-}
 
 fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
     format!("uniqueness review on {:?} degraded to statistical-only: {err}", column.name)
@@ -29,12 +24,12 @@ fn degraded(column: &Column, err: &crate::error::CoreError) -> String {
 pub(crate) fn run(state: &mut PipelineState<'_>) {
     let columns = state.columns(|_| true);
     let outcomes = state.detect_waves(&columns, start, resume, degraded);
-    state.decide_outcomes(&columns, outcomes, decide, degraded);
+    state.decide_outcomes(&columns, outcomes, degraded);
 }
 
 /// Asks the key review of a nearly-unique column; resumes holding the
 /// statistical evidence.
-fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<String, Finding>> {
+fn start(ctx: &DetectCtx<'_>, column: &Column) -> crate::error::Result<Step<String, Proposal>> {
     let profile = uniqueness_from_distinct(ctx.column_census(column.index)?.distinct());
     // Only nearly-unique-but-not-unique columns are worth reviewing: fully
     // unique columns need no repair, low-ratio columns aren't keys.
@@ -58,12 +53,15 @@ fn resume(
     column: &Column,
     evidence: String,
     mut answers: Answers,
-) -> crate::error::Result<Step<String, Finding>> {
+) -> crate::error::Result<Step<String, Proposal>> {
     let verdict = parse_unique_verdict(&answers.remove(0)?)?;
     if !verdict.should_be_unique {
         return Ok(Step::clean());
     }
-    Ok(Step::Done(Outcome::Finding(Finding {
+    let (name, order_by) = (column.name.clone(), verdict.order_by);
+    Ok(Step::Done(Outcome::Finding(Proposal {
+        explanation: verdict.reasoning.clone(),
+        op_reasoning: None,
         repair: Repair {
             issue: IssueKind::Uniqueness,
             column: Some(column.name.clone()),
@@ -71,36 +69,30 @@ fn resume(
             reasoning: verdict.reasoning,
             confidence: verdict.confidence,
         },
-        order_by: verdict.order_by,
+        mapping: Vec::new(),
+        compile: Box::new(move |table, _| {
+            // Window: keep the best row per key, ordered by the LLM-chosen
+            // column (latest first) when available, else the first row.
+            let order_by = order_by
+                .as_deref()
+                .filter(|c| table.schema().contains(c))
+                .map(|c| vec![(Expr::col(c), SortOrder::Desc)])
+                .unwrap_or_default();
+            Select {
+                distinct: false,
+                projections: vec![Projection::Star],
+                from: "input".into(),
+                where_clause: None,
+                qualify: Some(RowNumberFilter {
+                    partition_by: vec![Expr::col(&name)],
+                    order_by,
+                    keep: 1,
+                }),
+                comment: None,
+            }
+        }),
+        subject: format!("uniqueness dedup on {:?}", column.name),
     })))
-}
-
-fn decide(
-    state: &mut PipelineState<'_>,
-    column: &Column,
-    Finding { repair, order_by }: Finding,
-) -> crate::error::Result<()> {
-    let column = column.name.as_str();
-    if !state.detection_approved(&repair, &format!("uniqueness dedup on {column:?}")) {
-        return Ok(());
-    }
-    // Window: keep the best row per key, ordered by the LLM-chosen column
-    // (latest first) when available, else the first row.
-    let order_by = order_by
-        .as_deref()
-        .filter(|c| state.table.schema().contains(c))
-        .map(|c| vec![(Expr::col(c), SortOrder::Desc)])
-        .unwrap_or_default();
-    let select = Select {
-        distinct: false,
-        projections: vec![Projection::Star],
-        from: "input".into(),
-        where_clause: None,
-        qualify: Some(RowNumberFilter { partition_by: vec![Expr::col(column)], order_by, keep: 1 }),
-        comment: None,
-    };
-    state.apply_repair(repair, select)?;
-    Ok(())
 }
 
 #[cfg(test)]

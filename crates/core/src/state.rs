@@ -12,16 +12,21 @@
 //!   concludes it or asks again for the next wave. Outcomes
 //!   (`Outcome::Finding` for a candidate finding) come back in unit order,
 //!   so output never depends on worker scheduling.
-//! * a **decide** phase — sequential and ordered. Each finding carries the
-//!   [`Repair`] its detection built (FD builds its own at the candidate's
-//!   turn, since its evidence counts the live groups) through one
-//!   protocol: the [`DecisionHook`] reviews (`detection_approved`, then
-//!   `cleaning_approved` for the stages that show a mapping), compiled
-//!   SQL, and `apply_repair`, which applies it and records the op; `ops`
-//!   and `notes` record them in deterministic order. Its model calls are
-//!   batched too, as far as the order allows: the FD stage asks a
-//!   candidate's mapping prompt together with those of the later
-//!   candidates whose groups no repair before their turn can change (see
+//! * a **decide** phase — sequential and ordered. Each detection that
+//!   finds something concludes with a [`Proposal`]: the [`Repair`] and the
+//!   model's explanation of it, its mapping (empty where the repair has
+//!   none) and the rule that compiles a mapping into the statement that
+//!   applies it. Every proposal goes through the same two steps: the
+//!   [`DecisionHook`]'s detection review (`detection_approved`), then
+//!   `apply_proposal`, which compiles the proposal against the live table,
+//!   asks the cleaning review of that statement and its mapping, applies
+//!   what the reviewer approved, and records the op; `ops` and `notes`
+//!   record them in deterministic order. FD runs the same two steps around
+//!   its mapping ask, at each candidate's turn, since its groups are the
+//!   live table's. The decide phase's model calls are batched too, as far
+//!   as the order allows: the FD stage asks a candidate's mapping prompt
+//!   together with those of the later candidates whose groups no repair
+//!   before their turn can change (see
 //!   [`crate::issues::functional_dependency`]), and
 //!   [`PipelineState::commit_op`] queues the confidence re-asks of every
 //!   repair whose outcome they cannot change, which the clean sends as one
@@ -214,7 +219,7 @@ pub(crate) struct Column {
 
 /// What a stage proposes to repair and why: everything of its
 /// [`CleaningOp`] but the SQL and its effect. A stage builds it once, where
-/// its detection concludes, and its decide phase moves it into the op.
+/// its detection concludes, and the decide phase moves it into the op.
 pub(crate) struct Repair {
     pub(crate) issue: IssueKind,
     /// `None` for whole-table repairs.
@@ -241,6 +246,33 @@ impl Repair {
     }
 }
 
+/// Compiles the live table and a mapping into the statement that applies a
+/// repair. A repair without a mapping ignores the pairs it is given.
+pub(crate) type Compile = Box<dyn Fn(&Table, &[(String, String)]) -> Select + Send>;
+
+/// A repair as detection concludes it, ready for the two review steps of
+/// the decide phase.
+pub(crate) struct Proposal {
+    /// The repair; its evidence and reasoning are what the detection review
+    /// shows.
+    pub(crate) repair: Repair,
+    /// The model's explanation of the cleaning, which the cleaning review
+    /// shows.
+    pub(crate) explanation: String,
+    /// The reasoning the op records, where the cleaning asked a prompt of
+    /// its own whose explanation it adds to the verdict's; `None` records
+    /// the repair's.
+    pub(crate) op_reasoning: Option<String>,
+    /// The proposed old → new pairs ("" = NULL) that `compile` reads:
+    /// column type's numeric-conversion map and the value maps of string
+    /// outliers, DMV and FD. Empty where the repair has no mapping.
+    pub(crate) mapping: Vec<(String, String)>,
+    /// The rule that compiles `mapping`, or a reviewer's adjustment of it.
+    pub(crate) compile: Compile,
+    /// What the notes call the repair: "`subject` rejected by reviewer".
+    pub(crate) subject: String,
+}
+
 /// The weaker of two optional self-reports: their minimum when both are
 /// stated, else whichever is.
 pub(crate) fn weakest(a: Option<f64>, b: Option<f64>) -> Option<f64> {
@@ -259,7 +291,7 @@ pub struct PipelineState<'a> {
     /// Pipeline configuration (thresholds, toggles).
     pub config: &'a CleanerConfig,
     /// Human-in-the-loop decision boundary, asked only through the
-    /// repair protocol (`detection_approved`, `cleaning_approved`).
+    /// repair protocol (`detection_approved`, `apply_proposal`).
     hook: &'a mut dyn DecisionHook,
     /// Worker policy for the detection steps of each prompt wave.
     pub pool: ThreadPool,
@@ -405,25 +437,28 @@ impl<'a> PipelineState<'a> {
         outcomes.into_iter().map(|outcome| outcome.expect("every unit concludes")).collect()
     }
 
-    /// The decide phase shared by every stage but FD (which carries state
-    /// across findings): the `units` [`detect_waves`](Self::detect_waves)
-    /// ran and their outcomes are consumed in detection order, notes pass
-    /// straight through, each finding goes to `decide` with its unit, and a
-    /// decide-phase error degrades the unit to `degraded`'s note, as a
+    /// The decide phase of every stage but FD (which carries state across
+    /// findings): the `units` [`detect_waves`](Self::detect_waves) ran and
+    /// their outcomes are consumed in detection order, notes pass straight
+    /// through, and each proposal takes the two steps of the protocol, its
+    /// detection review and then [`apply_proposal`](Self::apply_proposal).
+    /// A decide-phase error degrades the unit to `degraded`'s note, as a
     /// failed detection step does.
-    pub(crate) fn decide_outcomes<U, F>(
+    pub(crate) fn decide_outcomes<U>(
         &mut self,
         units: &[U],
-        outcomes: Vec<Outcome<F>>,
-        mut decide: impl FnMut(&mut Self, &U, F) -> Result<()>,
+        outcomes: Vec<Outcome<Proposal>>,
         degraded: impl Fn(&U, &CoreError) -> String,
     ) {
         for (unit, outcome) in units.iter().zip(outcomes) {
             match outcome {
                 Outcome::Clean => {}
                 Outcome::Note(note) => self.note(note),
-                Outcome::Finding(finding) => {
-                    if let Err(err) = decide(self, unit, finding) {
+                Outcome::Finding(proposal) => {
+                    if !self.detection_approved(&proposal.repair, &proposal.subject) {
+                        continue;
+                    }
+                    if let Err(err) = self.apply_proposal(proposal) {
                         self.note(degraded(unit, &err));
                     }
                 }
@@ -448,8 +483,8 @@ impl<'a> PipelineState<'a> {
         self.notes.push(text.into());
     }
 
-    /// Asks the hook's detection review of `repair`. A rejection is noted
-    /// as "`subject` rejected by reviewer".
+    /// The first step of every repair: the hook's detection review of
+    /// `repair`. A rejection is noted as "`subject` rejected by reviewer".
     pub(crate) fn detection_approved(&mut self, repair: &Repair, subject: &str) -> bool {
         let review = DetectionReview {
             issue: repair.issue,
@@ -464,44 +499,39 @@ impl<'a> PipelineState<'a> {
         approved
     }
 
-    /// Asks the hook's cleaning review of `repair`, whose proposed
-    /// `mapping` compiled to `select`. Returns the statement to apply:
-    /// `select` when approved, `compile` of the live table and the
-    /// reviewer's pairs when adjusted, and `None` when rejected, noted as
-    /// "`subject` rejected by reviewer".
-    pub(crate) fn cleaning_approved(
-        &mut self,
-        repair: &Repair,
-        explanation: &str,
-        mapping: &[(String, String)],
-        select: Select,
-        compile: impl FnOnce(&Table, &[(String, String)]) -> Select,
-        subject: &str,
-    ) -> Option<Select> {
+    /// The second step of every repair: compiles `proposal` against the
+    /// live table and asks the hook's cleaning review of that statement and
+    /// its mapping. An approval applies the statement; an adjusted mapping
+    /// is compiled by the same rule and applied instead (a repair without a
+    /// mapping ignores it, so its statement applies as proposed); a
+    /// rejection is noted as "`subject` rejected by reviewer". A statement
+    /// that changes nothing is skipped, and the rest commit through
+    /// [`commit_op`](Self::commit_op). Returns whether the table changed.
+    pub(crate) fn apply_proposal(&mut self, proposal: Proposal) -> Result<bool> {
+        let Proposal { mut repair, explanation, op_reasoning, mapping, compile, subject } =
+            proposal;
+        let proposed = compile(&self.table, &mapping);
         let review = CleaningReview {
             issue: repair.issue,
             column: repair.column.as_deref(),
-            llm_explanation: explanation,
-            mapping,
-            sql: &select,
+            llm_explanation: &explanation,
+            mapping: &mapping,
+            sql: &proposed,
         };
-        match self.hook.review_cleaning(&review) {
-            Decision::Approve => Some(select),
-            Decision::AdjustMapping(pairs) => Some(compile(&self.table, &pairs)),
+        let select = match self.hook.review_cleaning(&review) {
+            Decision::Approve => proposed,
+            Decision::AdjustMapping(pairs) => compile(&self.table, &pairs),
             Decision::Reject => {
                 self.note(format!("{subject} rejected by reviewer"));
-                None
+                return Ok(false);
             }
-        }
-    }
-
-    /// Applies `select` to the live table and commits the changed table
-    /// with `repair`'s op through [`commit_op`](Self::commit_op). A repair
-    /// that changes nothing is skipped. Returns whether the table changed.
-    pub(crate) fn apply_repair(&mut self, repair: Repair, select: Select) -> Result<bool> {
+        };
         let (table, changed) = apply_and_count(&select, &self.table)?;
         if changed == 0 {
             return Ok(false);
+        }
+        if let Some(reasoning) = op_reasoning {
+            repair.reasoning = reasoning;
         }
         Ok(self.commit_op(table, repair.into_op(select, changed)))
     }
@@ -528,7 +558,7 @@ impl<'a> PipelineState<'a> {
     ///
     /// Runs in the sequential decide phase, so sampling and re-asks are
     /// identical at any thread count.
-    pub fn commit_op(&mut self, table: Table, mut op: CleaningOp) -> bool {
+    fn commit_op(&mut self, table: Table, mut op: CleaningOp) -> bool {
         let threshold = self.config.confidence_threshold;
         let sampled = sampled_for_verification(&op);
         let deferred = sampled && op.confidence.self_report / 2.0 >= threshold;

@@ -4,13 +4,12 @@
 //! a selection vector (row indices, never an intermediate table) and
 //! computes each projection column-at-a-time via [`eval_column`], sharing
 //! untouched columns with the input table (`Arc` pass-through) instead of
-//! cloning cells. [`execute_rowwise`] is the original cell-by-cell
-//! implementation, kept as the semantic oracle the differential property
-//! tests compare against.
+//! cloning cells. The differential property tests hold it to a
+//! cell-by-cell oracle, the original row-wise executor, which they keep.
 
 use crate::ast::{Projection, RowNumberFilter, Select, SortOrder};
 use crate::error::Result;
-use crate::eval::{eval, eval_column, infer_expr_type, RowContext, Selection};
+use crate::eval::{eval_column, infer_expr_type, Selection};
 use crate::render::render_expr;
 use cocoon_table::{Column, Field, Schema, Table, Value};
 use std::collections::HashMap;
@@ -96,56 +95,6 @@ fn pass_through(input: &Table, c: usize, sel: &Selection<'_>) -> Result<Arc<Colu
     }
     let values = input.column(c)?.values();
     Ok(Arc::new(sel.iter().map(|r| values[r].clone()).collect()))
-}
-
-/// Executes `select` row by row, materialising every output cell — the
-/// pre-columnar implementation, retained as the oracle for differential
-/// testing of [`execute`].
-pub fn execute_rowwise(select: &Select, input: &Table) -> Result<Table> {
-    let mut keep: Vec<usize> = Vec::with_capacity(input.height());
-    for row in 0..input.height() {
-        let passes = match &select.where_clause {
-            Some(pred) => {
-                let ctx = RowContext::new(input, row);
-                matches!(eval(pred, &ctx)?, Value::Bool(true))
-            }
-            None => true,
-        };
-        if passes {
-            keep.push(row);
-        }
-    }
-
-    if let Some(filter) = &select.qualify {
-        keep = apply_row_number_filter(filter, input, &keep)?;
-    }
-
-    let schema = projected_schema(select, input)?;
-    let mut columns: Vec<Column> = (0..schema.len()).map(|_| Column::default()).collect();
-    for &row in &keep {
-        let ctx = RowContext::new(input, row);
-        let mut out_col = 0usize;
-        for projection in &select.projections {
-            match projection {
-                Projection::Star => {
-                    for c in 0..input.width() {
-                        columns[out_col].push(input.cell(row, c)?.clone());
-                        out_col += 1;
-                    }
-                }
-                Projection::Expr { expr, .. } => {
-                    columns[out_col].push(eval(expr, &ctx)?);
-                    out_col += 1;
-                }
-            }
-        }
-    }
-    let mut table = Table::new(schema, columns)?;
-
-    if select.distinct {
-        table.distinct();
-    }
-    Ok(table)
 }
 
 /// Builds the output schema for the projection list.
@@ -396,29 +345,5 @@ mod tests {
         s.where_clause = Some(Expr::eq(Expr::null(), Expr::lit("x")));
         let out = execute(&s, &table()).unwrap();
         assert_eq!(out.height(), 0);
-    }
-
-    #[test]
-    fn rowwise_oracle_agrees_on_the_unit_cases() {
-        let input = table();
-        let mut wheres = Select::star("t");
-        wheres.where_clause = Some(Expr::eq(Expr::col("id"), Expr::lit("2")));
-        let mut dist = Select::star("t");
-        dist.distinct = true;
-        let qualify = Select {
-            distinct: false,
-            projections: vec![Projection::Star],
-            from: "t".into(),
-            where_clause: None,
-            qualify: Some(RowNumberFilter {
-                partition_by: vec![Expr::col("id")],
-                order_by: vec![(Expr::col("updated"), SortOrder::Desc)],
-                keep: 1,
-            }),
-            comment: None,
-        };
-        for s in [Select::star("t"), wheres, dist, qualify] {
-            assert_eq!(execute(&s, &input).unwrap(), execute_rowwise(&s, &input).unwrap());
-        }
     }
 }

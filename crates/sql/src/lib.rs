@@ -36,6 +36,6 @@ pub mod render;
 pub use ast::{BinaryOp, Expr, Projection, RowNumberFilter, Select, SortOrder, UnaryOp};
 pub use error::{Result, SqlError};
 pub use eval::{eval, eval_column, infer_expr_type, RowContext, Selection};
-pub use exec::{execute, execute_rowwise};
+pub use exec::execute;
 pub use parser::{parse_expr, parse_select};
 pub use render::{quote_ident, quote_string, render_expr, render_select, render_value};

@@ -1,15 +1,93 @@
 //! Differential property tests: the columnar executor must be
-//! indistinguishable from the retained row-wise oracle on every generated
-//! `SELECT` (projections, `WHERE`, `QUALIFY`, `DISTINCT`), and pass-through
+//! indistinguishable from a row-wise oracle on every generated `SELECT`
+//! (projections, `WHERE`, `QUALIFY`, `DISTINCT`), and pass-through
 //! projections must share column storage rather than deep-copying cells.
+//!
+//! The oracle, [`execute_rowwise`], is the original cell-by-cell executor.
+//! It shares only the row-wise `eval` with the crate: its `QUALIFY` and its
+//! `DISTINCT` are its own, row by row, and it returns the output rows, whose
+//! schema is `execute`'s.
 
 use cocoon_sql::{
-    execute, execute_rowwise, BinaryOp, Expr, Projection, RowNumberFilter, Select, SortOrder,
+    eval, execute, BinaryOp, Expr, Projection, RowContext, RowNumberFilter, Select, SortOrder,
     UnaryOp,
 };
 use cocoon_table::{Column, Schema, Table, Value};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// Executes `select` against `input` row by row: each row's `WHERE`, then
+/// the `QUALIFY` window, then each surviving row's projections, dropping a
+/// row equal to one already output under `DISTINCT`.
+fn execute_rowwise(select: &Select, input: &Table) -> cocoon_sql::Result<Vec<Vec<Value>>> {
+    let mut keep = Vec::new();
+    for row in 0..input.height() {
+        let passes = match &select.where_clause {
+            Some(pred) => matches!(eval(pred, &RowContext::new(input, row))?, Value::Bool(true)),
+            None => true,
+        };
+        if passes {
+            keep.push(row);
+        }
+    }
+    if let Some(filter) = &select.qualify {
+        keep = row_number_filter(filter, input, &keep)?;
+    }
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    for row in keep {
+        let ctx = RowContext::new(input, row);
+        let mut cells = Vec::new();
+        for projection in &select.projections {
+            match projection {
+                Projection::Star => cells.extend(input.row(row).expect("row in range")),
+                Projection::Expr { expr, .. } => cells.push(eval(expr, &ctx)?),
+            }
+        }
+        if !(select.distinct && rows.contains(&cells)) {
+            rows.push(cells);
+        }
+    }
+    Ok(rows)
+}
+
+/// `ROW_NUMBER() OVER (PARTITION BY … ORDER BY …) <= keep` over `rows`,
+/// one row at a time: partitions in order of first appearance, each sorted
+/// by its order keys and then by row and cut to its first `keep` rows; the
+/// survivors in table order.
+fn row_number_filter(
+    filter: &RowNumberFilter,
+    input: &Table,
+    rows: &[usize],
+) -> cocoon_sql::Result<Vec<usize>> {
+    type Members = Vec<(Vec<Value>, usize)>;
+    let mut partitions: Vec<(Vec<Value>, Members)> = Vec::new();
+    for &row in rows {
+        let ctx = RowContext::new(input, row);
+        let key: Vec<Value> =
+            filter.partition_by.iter().map(|expr| eval(expr, &ctx)).collect::<Result<_, _>>()?;
+        let order: Vec<Value> =
+            filter.order_by.iter().map(|(expr, _)| eval(expr, &ctx)).collect::<Result<_, _>>()?;
+        match partitions.iter_mut().find(|(seen, _)| *seen == key) {
+            Some((_, members)) => members.push((order, row)),
+            None => partitions.push((key, vec![(order, row)])),
+        }
+    }
+    let mut kept = Vec::new();
+    for (_, mut members) in partitions {
+        members.sort_by(|(a, row_a), (b, row_b)| {
+            let keys = a.iter().zip(b).zip(&filter.order_by);
+            keys.map(|((x, y), (_, order))| match order {
+                SortOrder::Asc => x.cmp(y),
+                SortOrder::Desc => y.cmp(x),
+            })
+            .find(|ordering| ordering.is_ne())
+            .unwrap_or_else(|| row_a.cmp(row_b))
+        });
+        kept.extend(members.into_iter().take(filter.keep).map(|(_, row)| row));
+    }
+    kept.sort_unstable();
+    Ok(kept)
+}
 
 /// Cell values mixing NULLs, text, ints and floats (cross-type numeric
 /// equality and NULL routing are the interesting value-map edge cases).
@@ -234,21 +312,48 @@ fn select() -> impl Strategy<Value = Select> {
         })
 }
 
-/// Columnar and row-wise execution of `s` agree: the same table on
+/// Columnar and row-wise execution of `s` agree: the same rows on
 /// success, and when one errors (bad cast, untyped comparison, …) so does
 /// the other.
 fn executors_agree(s: &Select, t: &Table) -> Result<(), String> {
     match (execute(s, t), execute_rowwise(s, t)) {
-        (Ok(c), Ok(r)) => prop_assert_eq!(c, r),
+        (Ok(c), Ok(r)) => prop_assert_eq!(c.rows().collect::<Vec<_>>(), r),
         (Err(_), Err(_)) => {}
         (c, r) => prop_assert!(
             false,
             "executors disagree: columnar={:?} rowwise={:?}",
             c.map(|t| t.to_string()),
-            r.map(|t| t.to_string())
+            r.map(|rows| format!("{rows:?}"))
         ),
     }
     Ok(())
+}
+
+#[test]
+fn rowwise_oracle_agrees_on_the_unit_cases() {
+    let rows: Vec<Vec<String>> = vec![
+        vec!["1".into(), "eng".into(), "2020-01-01".into()],
+        vec!["1".into(), "English".into(), "2021-01-01".into()],
+        vec!["2".into(), "fre".into(), "2020-06-01".into()],
+        vec!["2".into(), "fre".into(), "2020-06-01".into()],
+    ];
+    let input = Table::from_text_rows(&["id", "lang", "updated"], &rows).unwrap();
+    let mut wheres = Select::star("t");
+    wheres.where_clause = Some(Expr::eq(Expr::col("id"), Expr::lit("2")));
+    let mut dist = Select::star("t");
+    dist.distinct = true;
+    let qualify = Select {
+        qualify: Some(RowNumberFilter {
+            partition_by: vec![Expr::col("id")],
+            order_by: vec![(Expr::col("updated"), SortOrder::Desc)],
+            keep: 1,
+        }),
+        ..Select::star("t")
+    };
+    for s in [Select::star("t"), wheres, dist, qualify] {
+        let columnar: Vec<Vec<Value>> = execute(&s, &input).unwrap().rows().collect();
+        assert_eq!(columnar, execute_rowwise(&s, &input).unwrap(), "{s:?}");
+    }
 }
 
 proptest! {

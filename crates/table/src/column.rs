@@ -1,7 +1,7 @@
 //! A single column of values.
 
 use crate::error::{Result, TableError};
-use crate::value::{DataType, Value};
+use crate::value::Value;
 use std::collections::HashMap;
 
 /// A columnar vector of [`Value`]s.
@@ -44,11 +44,6 @@ impl Column {
     /// evaluator to rewrite a column without re-cloning every value).
     pub fn into_values(self) -> Vec<Value> {
         self.values
-    }
-
-    /// Mutable view of the cells, for in-place rewrites.
-    pub fn values_mut(&mut self) -> &mut [Value] {
-        &mut self.values
     }
 
     /// The cell at `row`.
@@ -120,40 +115,6 @@ impl Column {
             *v = updated;
         }
     }
-
-    /// Attempts to cast every cell to `target`; cells that fail become NULL
-    /// and are counted. Mirrors a lenient SQL `TRY_CAST` column rewrite.
-    pub fn try_cast_all(&mut self, target: DataType) -> usize {
-        let mut failures = 0;
-        for v in &mut self.values {
-            match v.cast(target) {
-                Ok(cast) => *v = cast,
-                Err(_) => {
-                    failures += 1;
-                    *v = Value::Null;
-                }
-            }
-        }
-        failures
-    }
-
-    /// Fraction of non-null cells that successfully cast to `target`.
-    /// Used by type inference to decide whether a text column "is" numeric.
-    pub fn cast_success_ratio(&self, target: DataType) -> f64 {
-        let mut total = 0usize;
-        let mut ok = 0usize;
-        for v in self.non_null() {
-            total += 1;
-            if v.cast(target).is_ok() {
-                ok += 1;
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            ok as f64 / total as f64
-        }
-    }
 }
 
 impl FromIterator<Value> for Column {
@@ -207,23 +168,6 @@ mod tests {
         assert_eq!(col.get(0).unwrap(), &Value::Int(9));
         assert!(col.set(99, Value::Null).is_err());
         assert!(col.get(99).is_err());
-    }
-
-    #[test]
-    fn try_cast_all_counts_failures() {
-        let mut col = Column::from_strings(["1", "2", "x"]);
-        let failures = col.try_cast_all(DataType::Int);
-        assert_eq!(failures, 1);
-        assert_eq!(col.values()[0], Value::Int(1));
-        assert_eq!(col.values()[2], Value::Null);
-    }
-
-    #[test]
-    fn cast_success_ratio_on_mixed_column() {
-        let col = Column::from_strings(["1", "2", "3", "oops"]);
-        assert!((col.cast_success_ratio(DataType::Int) - 0.75).abs() < 1e-9);
-        let empty = Column::default();
-        assert_eq!(empty.cast_success_ratio(DataType::Int), 0.0);
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl Field {
     pub fn data_type(&self) -> DataType {
         self.data_type
     }
-
-    /// Returns a copy of the field with a new type (used by `CAST` cleaning).
-    pub fn with_type(&self, data_type: DataType) -> Field {
-        Field { name: self.name.clone(), data_type }
-    }
 }
 
 impl fmt::Display for Field {
@@ -110,14 +105,6 @@ impl Schema {
     pub fn names(&self) -> Vec<&str> {
         self.fields.iter().map(|f| f.name.as_str()).collect()
     }
-
-    /// Returns a new schema with column `index` retyped.
-    pub fn with_field_type(&self, index: usize, data_type: DataType) -> Result<Schema> {
-        let field = self.field(index)?;
-        let mut fields = self.fields.clone();
-        fields[index] = field.with_type(data_type);
-        Schema::new(fields)
-    }
 }
 
 impl fmt::Display for Schema {
@@ -144,15 +131,6 @@ mod tests {
         assert!(schema.index_of("z").is_err());
         assert!(schema.contains("c"));
         assert_eq!(schema.len(), 3);
-    }
-
-    #[test]
-    fn retyping_produces_new_schema() {
-        let schema = Schema::all_text(&["a", "b"]).unwrap();
-        let retyped = schema.with_field_type(1, DataType::Int).unwrap();
-        assert_eq!(retyped.field(1).unwrap().data_type(), DataType::Int);
-        // original untouched
-        assert_eq!(schema.field(1).unwrap().data_type(), DataType::Text);
     }
 
     #[test]

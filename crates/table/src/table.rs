@@ -2,8 +2,8 @@
 
 use crate::column::Column;
 use crate::error::{Result, TableError};
-use crate::schema::{Field, Schema};
-use crate::value::{DataType, Value};
+use crate::schema::Schema;
+use crate::value::Value;
 use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
@@ -126,12 +126,6 @@ impl Table {
         self.column(self.schema.index_of(name)?)
     }
 
-    /// Mutable access to the column named `name`; copy-on-write if shared.
-    pub fn column_by_name_mut(&mut self, name: &str) -> Result<&mut Column> {
-        let idx = self.schema.index_of(name)?;
-        self.column_mut(idx)
-    }
-
     /// Reads one cell.
     pub fn cell(&self, row: usize, col: usize) -> Result<&Value> {
         self.column(col)?.get(row)
@@ -140,17 +134,6 @@ impl Table {
     /// Writes one cell (copy-on-write if the column is shared).
     pub fn set_cell(&mut self, row: usize, col: usize, value: Value) -> Result<()> {
         self.column_mut(col)?.set(row, value)
-    }
-
-    /// Appends a row.
-    pub fn push_row(&mut self, row: Vec<Value>) -> Result<()> {
-        if row.len() != self.width() {
-            return Err(TableError::LengthMismatch { expected: self.width(), actual: row.len() });
-        }
-        for (col, value) in self.columns.iter_mut().zip(row) {
-            Arc::make_mut(col).push(value);
-        }
-        Ok(())
     }
 
     /// Materialises row `row` as a vector of cloned values.
@@ -165,12 +148,6 @@ impl Table {
     pub fn rows(&self) -> impl Iterator<Item = Vec<Value>> + '_ {
         (0..self.height())
             .map(move |r| self.columns.iter().map(|c| c.values()[r].clone()).collect())
-    }
-
-    /// Updates the declared type of a column (the schema side of `CAST`).
-    pub fn set_column_type(&mut self, index: usize, data_type: DataType) -> Result<()> {
-        self.schema = self.schema.with_field_type(index, data_type)?;
-        Ok(())
     }
 
     /// Keeps only the rows for which `keep` returns true.
@@ -226,21 +203,6 @@ impl Table {
             .map(|c| Arc::new(Column::new(c.values()[..take].to_vec())))
             .collect();
         Table { schema: self.schema.clone(), columns }
-    }
-
-    /// Adds a column to the right edge of the table.
-    pub fn add_column(&mut self, field: Field, column: Column) -> Result<()> {
-        if column.len() != self.height() && self.width() != 0 {
-            return Err(TableError::LengthMismatch {
-                expected: self.height(),
-                actual: column.len(),
-            });
-        }
-        let mut fields = self.schema.fields().to_vec();
-        fields.push(field);
-        self.schema = Schema::new(fields)?;
-        self.columns.push(Arc::new(column));
-        Ok(())
     }
 
     /// Renders all cells of every column as text. Useful to compare tables
@@ -328,16 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn rows_and_push_row() {
-        let mut table = t(&[["1", "x"]]);
-        table.push_row(vec![Value::Text("2".into()), Value::Text("y".into())]).unwrap();
-        let rows: Vec<_> = table.rows().collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[1][1], Value::Text("y".into()));
-        assert!(table.push_row(vec![Value::Null]).is_err());
-    }
-
-    #[test]
     fn duplicates_detected_and_removed() {
         let mut table = t(&[["1", "x"], ["2", "y"], ["1", "x"], ["1", "x"]]);
         assert_eq!(table.duplicate_row_indices(), vec![2, 3]);
@@ -364,25 +316,6 @@ mod tests {
         table.retain_rows(|r| r != 1);
         assert_eq!(table.height(), 2);
         assert_eq!(table.cell(1, 1).unwrap(), &Value::Text("z".into()));
-    }
-
-    #[test]
-    fn add_column_extends_schema() {
-        let mut table = t(&[["1", "x"]]);
-        table.add_column(Field::new("c", DataType::Int), Column::new(vec![Value::Int(5)])).unwrap();
-        assert_eq!(table.width(), 3);
-        assert_eq!(table.cell(0, 2).unwrap(), &Value::Int(5));
-        // mismatched length rejected
-        let err =
-            table.add_column(Field::new("d", DataType::Int), Column::new(vec![])).unwrap_err();
-        assert!(matches!(err, TableError::LengthMismatch { .. }));
-    }
-
-    #[test]
-    fn set_column_type_updates_schema() {
-        let mut table = t(&[["1", "x"]]);
-        table.set_column_type(0, DataType::Int).unwrap();
-        assert_eq!(table.schema().field(0).unwrap().data_type(), DataType::Int);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The human-in-the-loop mode of §2.2 / Appendix A: a reviewer sees every
-//! detection and cleaning proposal (with the LLM's reasoning and the SQL
-//! preview) and can approve, reject, or adjust it.
+//! detection and then every cleaning proposal (with the LLM's reasoning,
+//! the mapping and the SQL that would apply it) and can approve, reject,
+//! or adjust it.
 //!
 //! ```sh
 //! cargo run --release --example human_in_the_loop
@@ -12,9 +13,10 @@ use cocoon_table::csv;
 
 /// A console "human": prints what the UI of Figure 4 would show and applies
 /// a policy — approve everything except numeric-outlier nulling, and
-/// override one language mapping.
+/// override one language mapping. Keeps the SQL of every cast it reviewed.
 struct ConsoleReviewer {
     reviews_seen: usize,
+    casts: Vec<String>,
 }
 
 impl DecisionHook for ConsoleReviewer {
@@ -47,9 +49,13 @@ impl DecisionHook for ConsoleReviewer {
             println!("    {old:?} -> {new:?}");
         }
         // The review carries the statement; its text is rendered on demand.
+        let sql = review.sql_preview();
         println!("    sql:");
-        for line in review.sql_preview().lines() {
+        for line in sql.lines() {
             println!("      {line}");
+        }
+        if review.issue == IssueKind::ColumnType {
+            self.casts.push(sql);
         }
         if review.issue == IssueKind::StringOutliers
             && review.mapping.iter().any(|(old, _)| old == "English")
@@ -85,7 +91,7 @@ a6,eng,7.2
 ";
     let dirty = csv::read_str(dirty_csv).expect("valid CSV");
     let cleaner = Cleaner::new(SimLlm::new());
-    let mut reviewer = ConsoleReviewer { reviews_seen: 0 };
+    let mut reviewer = ConsoleReviewer { reviews_seen: 0, casts: Vec::new() };
     let run = cleaner.clean_observed(&dirty, &mut reviewer, None).expect("pipeline");
 
     println!("\n{} reviews were presented to the human.", reviewer.reviews_seen);
@@ -97,4 +103,13 @@ a6,eng,7.2
     // The adjusted mapping took effect; the rejected outlier repair did not.
     assert_eq!(run.table.render_cell(2, 1).unwrap(), "en");
     assert_eq!(run.table.render_cell(2, 2).unwrap(), "99.0");
+    // The `rating` cast was reviewed as the TRY_CAST that applied.
+    let cast = run
+        .ops
+        .iter()
+        .find(|op| op.issue == IssueKind::ColumnType && op.column.as_deref() == Some("rating"))
+        .expect("rating cast");
+    let sql = cocoon_sql::render_select(&cast.sql);
+    assert!(sql.contains("TRY_CAST(rating AS"), "{sql}");
+    assert!(reviewer.casts.contains(&sql), "the rating cast was reviewed as its SQL");
 }

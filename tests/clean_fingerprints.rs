@@ -92,9 +92,9 @@ fn check(name: &str, outputs: [u64; 3], prompts: (u64, usize)) {
     );
 }
 
-/// Approves every detection and rejects every cleaning review, so each
-/// stage that shows one stops there. Keeps what every review showed, one
-/// line each, strings `Debug`-quoted.
+/// Approves every detection and rejects every cleaning review, so no repair
+/// applies. Keeps what every review showed, one line each, strings
+/// `Debug`-quoted.
 #[derive(Default)]
 struct RejectCleanings(String);
 
@@ -220,8 +220,8 @@ fn hospital_reviews_match_their_fingerprints() {
     check_reviews(
         "Hospital",
         [0x68571234a682e3f3, 0xcbf29ce484222325, 0x68799fbf1fb9ca35],
-        [0xd577e7f155fd787f, 0x3d17a4585c8b62a0, 0x6269c5b28622b992],
-        [0x8eb60df5385c7923, 0x91b9c749daf07a5f],
+        [0x68571234a682e3f3, 0xcbf29ce484222325, 0x68799fbf1fb9ca35],
+        [0x999db63dda9e71f0, 0xe75b2cb851f78503],
     );
 }
 
@@ -230,8 +230,8 @@ fn flights_reviews_match_their_fingerprints() {
     check_reviews(
         "Flights",
         [0xbb9edeb04566ffba, 0xcbf29ce484222325, 0x3f1c04f44d32a18b],
-        [0xece34fb1625ecf67, 0x08d9be337c0efa87, 0x34a0194523da1129],
-        [0xc50886e0a0506c62, 0xacc30e4e68f0b8bf],
+        [0xbb9edeb04566ffba, 0xcbf29ce484222325, 0x3f1c04f44d32a18b],
+        [0xece14b00b0146f2d, 0xcac97c25e0c821f7],
     );
 }
 
@@ -240,8 +240,8 @@ fn beers_reviews_match_their_fingerprints() {
     check_reviews(
         "Beers",
         [0xba4aaab553764e54, 0xcbf29ce484222325, 0x1cf685f4fc70fa62],
-        [0xa4a92f94308520b0, 0xf7eccc0b767ac898, 0x74f22647e6bf3872],
-        [0x5b2b0773ee59e230, 0x6fa6febb7035f311],
+        [0xba4aaab553764e54, 0xcbf29ce484222325, 0x1cf685f4fc70fa62],
+        [0xefa4236c5649658e, 0xc1b30da8446eb373],
     );
 }
 
@@ -250,8 +250,8 @@ fn rayyan_reviews_match_their_fingerprints() {
     check_reviews(
         "Rayyan",
         [0x72083a6f412525ee, 0xcbf29ce484222325, 0xc003f82e1daa12c9],
-        [0xa1b2fc4952b2986e, 0x41ddcd19c03c9f4f, 0x88285460e4d1b0fa],
-        [0x74d7c49f246d6745, 0x08fef7a9faa84ef1],
+        [0x72083a6f412525ee, 0xcbf29ce484222325, 0xc003f82e1daa12c9],
+        [0xacc057a050d66a75, 0xb06f9df452c37110],
     );
 }
 
@@ -260,7 +260,7 @@ fn movies_reviews_match_their_fingerprints() {
     check_reviews(
         "Movies",
         [0x4743be320569030b, 0xcbf29ce484222325, 0x616f34e64db760f4],
-        [0xbbea68914f9854e1, 0xf9dfda59a869f306, 0xb00694f9c0627e09],
-        [0x0fe1de6e3f35ace5, 0x6fb3b7fa40aa4f54],
+        [0x4743be320569030b, 0xcbf29ce484222325, 0x616f34e64db760f4],
+        [0x1e81133d78edfd62, 0xe92fdef87d11f58c],
     );
 }

@@ -2,10 +2,11 @@
 
 use cocoon_core::{
     Cleaner, CleanerConfig, CleaningReview, Decision, DecisionHook, DetectionReview, IssueKind,
-    RecordingHook, RejectIssues,
+    RecordingHook, RejectIssues, STAGE_ORDER,
 };
 use cocoon_llm::{FailingLlm, ScriptedLlm, SimLlm};
-use cocoon_table::csv;
+use cocoon_sql::render_select;
+use cocoon_table::{csv, Table};
 
 fn messy() -> cocoon_table::Table {
     let mut text = String::from("id,lang\n");
@@ -13,6 +14,48 @@ fn messy() -> cocoon_table::Table {
         text.push_str(&format!("r{i},eng\n"));
     }
     text.push_str("r20,English\nr21,N/A\n");
+    csv::read_str(&text).unwrap()
+}
+
+/// Ratings, once cast to numbers, with one out of range: numeric outliers
+/// repair it.
+fn ratings() -> Table {
+    let mut text = String::from("id,lang,rating\n");
+    for i in 0..20 {
+        text.push_str(&format!("r{i},eng,7.5\n"));
+    }
+    text.push_str("r20,English,8.0\nr21,N/A,99.0\n");
+    csv::read_str(&text).unwrap()
+}
+
+/// title → journal_abbreviation → region over 10 journals × 8 rows, two
+/// rows off: FD repairs both columns, and the rows they leave repeated are
+/// removed as duplicates.
+fn journals() -> Table {
+    let regions = [
+        "europe", "europe", "europe", "europe", "asia", "asia", "asia", "america", "america",
+        "america",
+    ];
+    let mut text = String::from("title,journal_abbreviation,region\n");
+    for i in 0..80 {
+        let (abbreviation, region) = match i {
+            1 => ("J5".to_string(), "asia"),
+            9 => ("J1".to_string(), "america"),
+            _ => (format!("J{}", i / 8), regions[i / 8]),
+        };
+        text.push_str(&format!("journal {},{abbreviation},{region}\n", i / 8));
+    }
+    csv::read_str(&text).unwrap()
+}
+
+/// Thirty records, one id repeated with a later update: uniqueness keeps
+/// the latest.
+fn records() -> Table {
+    let mut text = String::from("record_id,updated_at\n");
+    for i in 0..30 {
+        text.push_str(&format!("r{i},2020-01-{:02}\n", i % 28 + 1));
+    }
+    text.push_str("r5,2021-06-01\n");
     csv::read_str(&text).unwrap()
 }
 
@@ -57,6 +100,32 @@ fn reviewer_can_adjust_a_mapping() {
     let cleaner = Cleaner::new(SimLlm::new());
     let run = cleaner.clean_observed(&messy(), &mut AdjustLang, None).unwrap();
     assert_eq!(run.table.render_cell(20, 1).unwrap(), "en");
+}
+
+#[test]
+fn an_adjusted_conversion_map_is_what_casts() {
+    /// Approves, but has "1 hr. 30 min." convert to 95 instead of 90.
+    struct NinetyFive;
+    impl DecisionHook for NinetyFive {
+        fn review_detection(&mut self, _r: &DetectionReview<'_>) -> Decision {
+            Decision::Approve
+        }
+        fn review_cleaning(&mut self, review: &CleaningReview<'_>) -> Decision {
+            assert!(review.sql_preview().contains("TRY_CAST"), "{}", review.sql_preview());
+            let adjusted = review.mapping.iter().map(|(old, new)| {
+                let new = if old == "1 hr. 30 min." { "95" } else { new };
+                (old.clone(), new.to_string())
+            });
+            Decision::AdjustMapping(adjusted.collect())
+        }
+    }
+    let table = csv::read_str("duration\n90 min\n1 hr. 30 min.\n100 min\n").unwrap();
+    let config = CleanerConfig::only_issue(IssueKind::ColumnType);
+    let cleaner = Cleaner::with_config(SimLlm::new(), config).unwrap();
+    let run = cleaner.clean_observed(&table, &mut NinetyFive, None).unwrap();
+    assert_eq!(run.ops.len(), 1, "{:?}", run.notes);
+    let cells: Vec<String> = (0..3).map(|row| run.table.render_cell(row, 0).unwrap()).collect();
+    assert_eq!(cells, ["90.0", "95.0", "100.0"]);
 }
 
 #[test]
@@ -109,38 +178,72 @@ fn an_adjusted_fd_mapping_applies_only_the_pairs_kept() {
     assert_eq!(run.table.render_cell(9, 1).unwrap(), "jefferson", "the dropped pair applied");
 }
 
+/// Approves everything, keeping each cleaning review's SQL.
+#[derive(Default)]
+struct Previews(Vec<String>);
+
+impl DecisionHook for Previews {
+    fn review_detection(&mut self, _r: &DetectionReview<'_>) -> Decision {
+        Decision::Approve
+    }
+    fn review_cleaning(&mut self, review: &CleaningReview<'_>) -> Decision {
+        self.0.push(review.sql_preview());
+        Decision::Approve
+    }
+}
+
 #[test]
 fn cleaning_reviews_show_the_sql_that_applies() {
-    /// Approves everything, keeping each cleaning review's SQL preview.
+    let catalog = cocoon_datasets::catalog::all().into_iter().map(|d| (d.name, d.dirty));
+    let fixtures = [("ratings", ratings()), ("journals", journals()), ("records", records())];
+    let mut applied = Vec::new();
+    for (name, table) in catalog.chain(fixtures) {
+        let mut previews = Previews::default();
+        let run = Cleaner::new(SimLlm::new()).clean_observed(&table, &mut previews, None).unwrap();
+        // Every op's SQL was a cleaning review's, in op order.
+        let mut reviewed = previews.0.iter();
+        for op in &run.ops {
+            let sql = render_select(&op.sql);
+            assert!(
+                reviewed.any(|preview| *preview == sql),
+                "{name}: {} on {:?} not reviewed as applied",
+                op.issue,
+                op.column
+            );
+        }
+        applied.extend(run.ops.iter().map(|op| op.issue));
+    }
+    for kind in STAGE_ORDER {
+        assert!(applied.contains(&kind), "no {kind} repair applied");
+    }
+}
+
+#[test]
+fn an_adjusted_mapping_on_a_repair_without_one_applies_the_proposed_sql() {
+    /// Adjusts every numeric-outlier cleaning review, keeping the SQL shown.
     #[derive(Default)]
-    struct Previews(Vec<String>);
-    impl DecisionHook for Previews {
+    struct AdjustRange(Vec<String>);
+    impl DecisionHook for AdjustRange {
         fn review_detection(&mut self, _r: &DetectionReview<'_>) -> Decision {
             Decision::Approve
         }
         fn review_cleaning(&mut self, review: &CleaningReview<'_>) -> Decision {
+            if review.issue != IssueKind::NumericOutliers {
+                return Decision::Approve;
+            }
+            assert!(review.mapping.is_empty(), "{:?}", review.mapping);
             self.0.push(review.sql_preview());
-            Decision::Approve
+            Decision::AdjustMapping(vec![("99.0".into(), "7.5".into())])
         }
     }
-    let dataset = cocoon_datasets::catalog::by_name("Hospital").expect("catalog dataset");
-    let mut previews = Previews::default();
-    let run =
-        Cleaner::new(SimLlm::new()).clean_observed(&dataset.dirty, &mut previews, None).unwrap();
-    for kind in
-        [IssueKind::StringOutliers, IssueKind::DisguisedMissing, IssueKind::FunctionalDependency]
-    {
-        let ops = run.ops_for(kind);
-        assert!(!ops.is_empty(), "Hospital has {kind} repairs");
-        for op in ops {
-            let applied = cocoon_sql::render_select(&op.sql);
-            assert!(
-                previews.0.contains(&applied),
-                "{kind} on {:?} not reviewed as applied",
-                op.column
-            );
-        }
-    }
+    let mut hook = AdjustRange::default();
+    let adjusted = Cleaner::new(SimLlm::new()).clean_observed(&ratings(), &mut hook, None).unwrap();
+    let approved = Cleaner::new(SimLlm::new()).clean(&ratings()).unwrap();
+    let ops = adjusted.ops_for(IssueKind::NumericOutliers);
+    assert_eq!(ops.len(), 1);
+    assert_eq!(hook.0, [render_select(&ops[0].sql)]);
+    assert_eq!(adjusted.table, approved.table);
+    assert_eq!(adjusted.sql_script(), approved.sql_script());
 }
 
 #[test]
